@@ -27,6 +27,15 @@ run_config() {
 }
 
 run_config build
+
+# The wall-clock benchmark (perfbench/) compiles src/ as its own package
+# and calls Broker, Network and Executor directly. Its self-test builds
+# it, checks its reference outputs and asserts its rate path, so a src/
+# API change that breaks the benchmark fails here, not when the
+# benchmark runs.
+echo "==> wall-clock benchmark self-test"
+python3 "${root}/perfbench/run.py" --selftest
+
 run_config build-asan -DSL_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # ThreadSanitizer config: the multithreaded runtime's memory-ordering
 # proof. The full suite runs (TSan also re-checks the single-threaded

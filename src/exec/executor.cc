@@ -394,15 +394,15 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
   return id;
 }
 
-std::string Executor::ResolveOrigin(const std::string& sensor_id) const {
-  auto info = broker_->Find(sensor_id);
-  if (info.ok() && !info->node_id.empty() &&
+const std::string& Executor::ResolveOrigin(
+    const std::string& sensor_id) const {
+  const pubsub::SensorInfo* info = broker_->Lookup(sensor_id);
+  if (info != nullptr && !info->node_id.empty() &&
       network_->HasNode(info->node_id)) {
     return info->node_id;
   }
   // Unpinned (or just-departed) sensors: enter at a deterministic node.
-  auto ids = network_->NodeIds();
-  return ids.empty() ? std::string() : ids.front();
+  return network_->FirstNodeId();
 }
 
 void Executor::Route(Deployment* dep, const std::string& producer,
@@ -417,17 +417,17 @@ void Executor::Route(Deployment* dep, const std::string& producer,
   if (edges_it == dep->edges.end()) return;
   size_t bytes = TupleBytes(*tuple);
   for (const Edge& edge : edges_it->second) {
-    std::string target_node;
+    const std::string* target_node = nullptr;
     // Per-instance fault attribution: for a partitioned receiver the
     // routed instance is a pure function of the key, so it is known at
     // send time — retransmits/losses land on "op#k" ("op#*" when the
     // tuple broadcasts to every instance, e.g. NaN join keys).
     std::string instance_key;
     if (edge.to_sink) {
-      target_node = dep->sinks.at(edge.to).node_id;
+      target_node = &dep->sinks.at(edge.to).node_id;
     } else {
       const DeployedOperator& target_op = dep->operators.at(edge.to);
-      target_node = target_op.node_id;
+      target_node = &target_op.node_id;
       if (target_op.op->parallelism() > 1) {
         int inst = target_op.op->route_instance(edge.port, tuple);
         instance_key =
@@ -437,7 +437,7 @@ void Executor::Route(Deployment* dep, const std::string& producer,
     // QoS accounting: a transfer that cannot meet the flow's latency
     // bound counts as a violation (the SCN would re-provision the path).
     if (edge.qos.max_latency > 0) {
-      auto delay = network_->TransferDelay(producer_node, target_node, bytes);
+      auto delay = network_->TransferDelay(producer_node, *target_node, bytes);
       if (delay.ok() && *delay > edge.qos.max_latency) {
         ++dep->stats.qos_violations;
       }
@@ -445,8 +445,9 @@ void Executor::Route(Deployment* dep, const std::string& producer,
     // The network hop captures a shared ref, not a deep copy: every
     // out-edge of every deployment forwards the same allocation. The
     // deployment itself is captured weakly so a message landing after
-    // Undeploy (or executor destruction) is a no-op.
-    Edge edge_copy = edge;
+    // Undeploy (or executor destruction) is a no-op; the edge, fixed
+    // since Deploy, lives exactly as long as the deployment.
+    const Edge* edge_ptr = &edge;
     std::weak_ptr<Deployment> weak = dep->self;
     net::TransferOptions transfer_options;
     if (options_.reliable_delivery) {
@@ -472,11 +473,11 @@ void Executor::Route(Deployment* dep, const std::string& producer,
     // progress piggybacks on data transfers, adding no network messages
     // and leaving the zero-fault event schedule untouched.
     Status s = network_->Transfer(
-        producer_node, target_node, bytes,
-        [this, weak, edge_copy, tuple, watermark] {
+        producer_node, *target_node, bytes,
+        [this, weak, edge_ptr, tuple, watermark] {
           auto d = weak.lock();
           if (!d || !d->active) return;
-          Deliver(d.get(), edge_copy, tuple, watermark);
+          Deliver(d.get(), *edge_ptr, tuple, watermark);
         },
         std::move(transfer_options));
     if (!s.ok()) {

@@ -290,7 +290,9 @@ class Executor : public ops::ActivationHandler {
     std::map<std::string, DeployedOperator> operators;
     std::map<std::string, DeployedSink> sinks;
     std::map<std::string, std::string> source_nodes;
-    std::map<std::string, std::vector<Edge>> edges;  // by producer
+    /// Out-edges by producer. Fixed once Deploy returns: delivery
+    /// callbacks in flight point into these vectors.
+    std::map<std::string, std::vector<Edge>> edges;
     std::vector<pubsub::Broker::SubscriptionId> subscriptions;
     /// Late-side sink (LatePolicy::kSideOutput only, else nullptr).
     std::unique_ptr<sinks::LateSink> late_sink;
@@ -326,7 +328,7 @@ class Executor : public ops::ActivationHandler {
              Timestamp watermark);
 
   /// Network node where a sensor's tuples enter (query-bound sources).
-  std::string ResolveOrigin(const std::string& sensor_id) const;
+  const std::string& ResolveOrigin(const std::string& sensor_id) const;
 
   /// Delivers a tuple (and its piggybacked watermark) at its destination
   /// operator/sink.

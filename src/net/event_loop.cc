@@ -46,11 +46,16 @@ bool EventLoop::RunOne(Timestamp limit) {
     queue_.pop();
     clock_.AdvanceTo(item.at);
     if (it->second.period > 0) {
-      // Re-arm before running so the callback can Cancel() itself.
+      // Re-arm before running so the callback can Cancel() itself. The
+      // callback runs moved out of its entry — a self-Cancel erases the
+      // entry mid-call, which must not destroy the running closure — and
+      // goes back only if the timer is still registered afterwards.
       queue_.push({item.at + it->second.period, next_seq_++, item.id});
-      Callback& fn = it->second.fn;
+      Callback fn = std::move(it->second.fn);
       ++events_executed_;
       fn();
+      auto again = entries_.find(item.id);
+      if (again != entries_.end()) again->second.fn = std::move(fn);
     } else {
       Callback fn = std::move(it->second.fn);
       entries_.erase(it);

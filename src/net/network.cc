@@ -1,7 +1,6 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
 
@@ -26,25 +25,9 @@ Status Network::AddNode(const NodeConfig& config) {
   state.config = config;
   nodes_.emplace(config.id, std::move(state));
   adj_.emplace(config.id, std::vector<std::pair<std::string, size_t>>{});
+  InvalidateRoutes();
   return Status::OK();
 }
-
-namespace {
-
-/// Index of the link between neighbors `a` and `b` in `adj`, or -1.
-int64_t LinkIndexBetween(
-    const std::map<std::string,
-                   std::vector<std::pair<std::string, size_t>>>& adj,
-    const std::string& a, const std::string& b) {
-  auto it = adj.find(a);
-  if (it == adj.end()) return -1;
-  for (const auto& [nbr, idx] : it->second) {
-    if (nbr == b) return static_cast<int64_t>(idx);
-  }
-  return -1;
-}
-
-}  // namespace
 
 Status Network::AddLink(const LinkConfig& config) {
   if (nodes_.count(config.a) == 0) {
@@ -75,6 +58,7 @@ Status Network::AddLink(const LinkConfig& config) {
   links_.push_back(std::move(state));
   adj_[config.a].emplace_back(config.b, idx);
   adj_[config.b].emplace_back(config.a, idx);
+  InvalidateRoutes();
   return Status::OK();
 }
 
@@ -99,11 +83,7 @@ Status Network::RemoveNode(const std::string& id) {
     }
   }
   links_ = std::move(kept);
-  for (auto& [node, neighbors] : adj_) neighbors.clear();
-  for (size_t i = 0; i < links_.size(); ++i) {
-    adj_[links_[i].config.a].emplace_back(links_[i].config.b, i);
-    adj_[links_[i].config.b].emplace_back(links_[i].config.a, i);
-  }
+  RebuildAdjacency();
   return Status::OK();
 }
 
@@ -124,12 +104,17 @@ Status Network::RemoveLink(const std::string& a, const std::string& b) {
         StrFormat("no link between '%s' and '%s'", a.c_str(), b.c_str()));
   }
   links_ = std::move(kept);
+  RebuildAdjacency();
+  return Status::OK();
+}
+
+void Network::RebuildAdjacency() {
   for (auto& [node, neighbors] : adj_) neighbors.clear();
   for (size_t i = 0; i < links_.size(); ++i) {
     adj_[links_[i].config.a].emplace_back(links_[i].config.b, i);
     adj_[links_[i].config.b].emplace_back(links_[i].config.a, i);
   }
-  return Status::OK();
+  InvalidateRoutes();
 }
 
 Result<const NodeState*> Network::node(const std::string& id) const {
@@ -147,23 +132,43 @@ std::vector<std::string> Network::NodeIds() const {
   return ids;
 }
 
+const std::string& Network::FirstNodeId() const {
+  static const std::string kNone;
+  return nodes_.empty() ? kNone : nodes_.begin()->first;
+}
+
 Result<std::vector<std::string>> Network::Route(const std::string& from,
                                                 const std::string& to) const {
+  const CachedRoute& route = RouteOf(from, to);
+  if (!route.status.ok()) return route.status;
+  return route.nodes;
+}
+
+const Network::CachedRoute& Network::RouteOf(const std::string& from,
+                                             const std::string& to) const {
+  auto& row = routes_[from];
+  auto memo_it = row.find(to);
+  if (memo_it != row.end()) return memo_it->second;
+  CachedRoute& route = row[to];
+
   auto from_it = nodes_.find(from);
-  if (from_it == nodes_.end()) {
-    return Status::NotFound("route source '" + from + "' does not exist");
-  }
   auto to_it = nodes_.find(to);
-  if (to_it == nodes_.end()) {
-    return Status::NotFound("route target '" + to + "' does not exist");
+  if (from_it == nodes_.end()) {
+    route.status =
+        Status::NotFound("route source '" + from + "' does not exist");
+  } else if (to_it == nodes_.end()) {
+    route.status =
+        Status::NotFound("route target '" + to + "' does not exist");
+  } else if (!from_it->second.up) {
+    route.status = Status::NotFound("route source '" + from + "' is down");
+  } else if (!to_it->second.up) {
+    route.status = Status::NotFound("route target '" + to + "' is down");
   }
-  if (!from_it->second.up) {
-    return Status::NotFound("route source '" + from + "' is down");
+  if (!route.status.ok()) return route;
+  if (from == to) {
+    route.nodes = {from};
+    return route;
   }
-  if (!to_it->second.up) {
-    return Status::NotFound("route target '" + to + "' is down");
-  }
-  if (from == to) return std::vector<std::string>{from};
 
   // Dijkstra over link latencies, skipping down links and nodes.
   std::map<std::string, Duration> dist;
@@ -191,39 +196,45 @@ Result<std::vector<std::string>> Network::Route(const std::string& from,
     }
   }
   if (dist.count(to) == 0) {
-    return Status::NotFound(
+    route.status = Status::NotFound(
         StrFormat("no path from '%s' to '%s'", from.c_str(), to.c_str()));
+    return route;
   }
-  std::vector<std::string> path;
   for (std::string cur = to; ; cur = prev[cur]) {
-    path.push_back(cur);
+    route.nodes.push_back(cur);
     if (cur == from) break;
   }
-  std::reverse(path.begin(), path.end());
-  return path;
+  std::reverse(route.nodes.begin(), route.nodes.end());
+
+  // Resolve each hop to its link once, for every message on the route.
+  route.min_bandwidth = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i + 1 < route.nodes.size(); ++i) {
+    for (const auto& [nbr, idx] : adj_.at(route.nodes[i])) {
+      if (nbr == route.nodes[i + 1]) {
+        route.links.push_back(idx);
+        route.latency += links_[idx].config.latency;
+        route.min_bandwidth = std::min(
+            route.min_bandwidth, links_[idx].config.bandwidth_bytes_per_ms);
+        break;
+      }
+    }
+  }
+  return route;
+}
+
+Duration Network::CachedRoute::Delay(size_t bytes) const {
+  if (links.empty()) return 0;
+  return latency +
+         static_cast<Duration>(static_cast<double>(bytes) / min_bandwidth);
 }
 
 Result<Duration> Network::TransferDelay(const std::string& from,
                                         const std::string& to,
                                         size_t bytes) const {
   if (from == to) return Duration{0};
-  SL_ASSIGN_OR_RETURN(std::vector<std::string> path, Route(from, to));
-  Duration latency = 0;
-  double min_bw = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    // Find the link between path[i] and path[i+1].
-    const auto& neighbors = adj_.at(path[i]);
-    for (const auto& [nbr, idx] : neighbors) {
-      if (nbr == path[i + 1]) {
-        latency += links_[idx].config.latency;
-        min_bw = std::min(min_bw, links_[idx].config.bandwidth_bytes_per_ms);
-        break;
-      }
-    }
-  }
-  Duration serialization =
-      static_cast<Duration>(static_cast<double>(bytes) / min_bw);
-  return latency + serialization;
+  const CachedRoute& route = RouteOf(from, to);
+  if (!route.status.ok()) return route.status;
+  return route.Delay(bytes);
 }
 
 Status Network::Transfer(const std::string& from, const std::string& to,
@@ -239,21 +250,16 @@ Status Network::Transfer(const std::string& from, const std::string& to,
       loop_->ScheduleAfter(0, std::move(on_delivered));
       return Status::OK();
     }
-    SL_ASSIGN_OR_RETURN(std::vector<std::string> path, Route(from, to));
-    SL_ASSIGN_OR_RETURN(Duration delay, TransferDelay(from, to, bytes));
+    const CachedRoute& route = RouteOf(from, to);
+    if (!route.status.ok()) return route.status;
     // Account bytes on every traversed link.
-    for (size_t i = 0; i + 1 < path.size(); ++i) {
-      for (const auto& [nbr, idx] : adj_.at(path[i])) {
-        if (nbr == path[i + 1]) {
-          links_[idx].bytes_transferred += bytes;
-          links_[idx].messages += 1;
-          break;
-        }
-      }
+    for (size_t idx : route.links) {
+      links_[idx].bytes_transferred += bytes;
+      links_[idx].messages += 1;
     }
     total_bytes_sent_ += bytes;
     total_messages_ += 1;
-    loop_->ScheduleAfter(delay, std::move(on_delivered));
+    loop_->ScheduleAfter(route.Delay(bytes), std::move(on_delivered));
     return Status::OK();
   }
 
@@ -288,16 +294,15 @@ void Network::Attempt(uint64_t transfer_id) {
     return;
   }
 
-  auto route = Route(p.from, p.to);
-  if (route.ok()) {
-    const std::vector<std::string>& path = (*route);
+  const CachedRoute& route = RouteOf(p.from, p.to);
+  if (route.status.ok()) {
     Duration extra = 0;
     bool duplicated = false;
-    bool survived = TraverseLinks(path, p.bytes, &extra, &duplicated);
+    bool survived = TraverseLinks(route, p.bytes, &extra, &duplicated);
     total_bytes_sent_ += p.bytes;
     total_messages_ += 1;
     if (survived) {
-      Duration delay = PathDelay(path, p.bytes) + extra;
+      Duration delay = route.Delay(p.bytes) + extra;
       ++p.outstanding_arrivals;
       loop_->ScheduleAfter(delay,
                            [this, transfer_id] { OnDataArrival(transfer_id); });
@@ -315,9 +320,9 @@ void Network::Attempt(uint64_t transfer_id) {
     }
   } else {
     // No path: receiver down or partitioned away. Unreliable messages are
-    // lost outright; reliable ones wait for the retry timer — the route
-    // is recomputed per attempt, so a healed link or restarted node
-    // rescues the flow.
+    // lost outright; reliable ones wait for the retry timer — a healed
+    // link or restarted node drops the memoized failure, so the next
+    // attempt re-routes and rescues the flow.
     if (!p.options.reliable) {
       ConcludeLost(transfer_id);
       return;
@@ -396,14 +401,14 @@ void Network::OnRetryTimeout(uint64_t transfer_id) {
 
 void Network::SendAck(PendingTransfer* transfer) {
   ++fault_stats_.acks_sent;
-  auto route = Route(transfer->to, transfer->from);
-  if (!route.ok()) {
+  const CachedRoute& route = RouteOf(transfer->to, transfer->from);
+  if (!route.status.ok()) {
     ++fault_stats_.acks_dropped;
     return;
   }
   Duration extra = 0;
   bool duplicated = false;
-  if (!TraverseLinks((*route), transfer->options.ack_bytes, &extra,
+  if (!TraverseLinks(route, transfer->options.ack_bytes, &extra,
                      &duplicated)) {
     ++fault_stats_.acks_dropped;
     return;
@@ -411,8 +416,7 @@ void Network::SendAck(PendingTransfer* transfer) {
   total_bytes_sent_ += transfer->options.ack_bytes;
   total_messages_ += 1;
   uint64_t id = transfer->id;
-  Duration delay = PathDelay((*route), transfer->options.ack_bytes) +
-                   extra;
+  Duration delay = route.Delay(transfer->options.ack_bytes) + extra;
   loop_->ScheduleAfter(delay, [this, id] { OnAckArrival(id); });
   if (duplicated) {
     loop_->ScheduleAfter(delay, [this, id] { OnAckArrival(id); });
@@ -449,15 +453,12 @@ void Network::MaybeFinish(uint64_t transfer_id) {
   }
 }
 
-bool Network::TraverseLinks(const std::vector<std::string>& path,
-                            size_t bytes, Duration* extra_delay,
-                            bool* duplicated) {
+bool Network::TraverseLinks(const CachedRoute& route, size_t bytes,
+                            Duration* extra_delay, bool* duplicated) {
   *extra_delay = 0;
   *duplicated = false;
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    int64_t idx = LinkIndexBetween(adj_, path[i], path[i + 1]);
-    if (idx < 0) continue;  // topology changed underfoot; skip
-    LinkState& link = links_[static_cast<size_t>(idx)];
+  for (size_t idx : route.links) {
+    LinkState& link = links_[idx];
     link.bytes_transferred += bytes;
     link.messages += 1;
     // Zero-probability rolls consume no randomness, so a zero-fault plan
@@ -480,23 +481,6 @@ bool Network::TraverseLinks(const std::vector<std::string>& path,
     }
   }
   return true;
-}
-
-Duration Network::PathDelay(const std::vector<std::string>& path,
-                            size_t bytes) const {
-  if (path.size() < 2) return 0;
-  Duration latency = 0;
-  double min_bw = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    int64_t idx = LinkIndexBetween(adj_, path[i], path[i + 1]);
-    if (idx < 0) continue;
-    latency += links_[static_cast<size_t>(idx)].config.latency;
-    min_bw = std::min(
-        min_bw, links_[static_cast<size_t>(idx)].config.bandwidth_bytes_per_ms);
-  }
-  if (!std::isfinite(min_bw)) return latency;
-  return latency +
-         static_cast<Duration>(static_cast<double>(bytes) / min_bw);
 }
 
 Status Network::InstallFaultPlan(const FaultPlan& plan) {
@@ -535,6 +519,7 @@ Status Network::SetNodeUp(const std::string& id, bool up) {
   }
   if (it->second.up == up) return Status::OK();
   it->second.up = up;
+  InvalidateRoutes();
   if (up) {
     ++fault_stats_.node_restarts;
   } else {
@@ -545,13 +530,17 @@ Status Network::SetNodeUp(const std::string& id, bool up) {
 
 Status Network::SetLinkUp(const std::string& a, const std::string& b,
                           bool up) {
-  int64_t idx = LinkIndexBetween(adj_, a, b);
-  if (idx < 0) {
-    return Status::NotFound(
-        StrFormat("no link between '%s' and '%s'", a.c_str(), b.c_str()));
+  auto it = adj_.find(a);
+  if (it != adj_.end()) {
+    for (const auto& [nbr, idx] : it->second) {
+      if (nbr != b) continue;
+      links_[idx].up = up;
+      InvalidateRoutes();
+      return Status::OK();
+    }
   }
-  links_[static_cast<size_t>(idx)].up = up;
-  return Status::OK();
+  return Status::NotFound(
+      StrFormat("no link between '%s' and '%s'", a.c_str(), b.c_str()));
 }
 
 bool Network::NodeIsUp(const std::string& id) const {

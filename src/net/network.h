@@ -9,7 +9,12 @@
 // Simulation model:
 // - a message from node A to node B follows the minimum-latency path
 //   (Dijkstra over link latencies, skipping down nodes/links) and
-//   arrives after sum(link latency) + bytes / min(link bandwidth);
+//   arrives after sum(link latency) + bytes / min(link bandwidth). The
+//   path is computed on the first message from A to B and memoized
+//   per (A, B) until the next topology or liveness change, which drops
+//   every memoized route — so each message still sees the current
+//   topology, as a deployed flow keeps its path until the network
+//   changes;
 // - per-link byte counters account every traversed link;
 // - nodes have a processing capacity (work units per second) and a
 //   work-in-window counter the monitor samples and resets;
@@ -31,6 +36,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/event_loop.h"
@@ -86,7 +92,7 @@ struct LinkState {
   uint64_t bytes_transferred = 0;
   uint64_t messages = 0;
   /// False while partitioned (fault injection); routing avoids down
-  /// links, re-computed per message.
+  /// links, and cutting or healing one drops every memoized route.
   bool up = true;
   /// Messages the fault injector dropped on this link.
   uint64_t messages_dropped = 0;
@@ -136,13 +142,15 @@ class Network {
   Status RemoveNode(const std::string& id);
 
   /// Removes the link between `a` and `b` (either direction). Traffic
-  /// re-routes on the next Transfer — routing is computed per message,
-  /// so no flows need re-provisioning.
+  /// re-routes on the next Transfer — every topology change drops the
+  /// memoized routes, so no flows need re-provisioning.
   Status RemoveLink(const std::string& a, const std::string& b);
 
   bool HasNode(const std::string& id) const { return nodes_.count(id) > 0; }
   Result<const NodeState*> node(const std::string& id) const;
   std::vector<std::string> NodeIds() const;
+  /// The first id of NodeIds() (empty when there are no nodes).
+  const std::string& FirstNodeId() const;
   size_t num_nodes() const { return nodes_.size(); }
   const std::vector<LinkState>& links() const { return links_; }
 
@@ -168,8 +176,8 @@ class Network {
   /// sends, receives nor forwards; in-flight messages to it are lost.
   Status SetNodeUp(const std::string& id, bool up);
 
-  /// Cuts or heals the link between `a` and `b`; routing recomputes per
-  /// message, reliable transfers retry across the partition.
+  /// Cuts or heals the link between `a` and `b`; the next message
+  /// re-routes, reliable transfers retry across the partition.
   Status SetLinkUp(const std::string& a, const std::string& b, bool up);
 
   /// True iff the node exists and is not crashed.
@@ -194,7 +202,7 @@ class Network {
   // -- routing ------------------------------------------------------------
 
   /// Minimum-latency node path from `from` to `to` (inclusive of both).
-  /// Fails when no path exists.
+  /// Fails when no path exists. Served from the route memo.
   Result<std::vector<std::string>> Route(const std::string& from,
                                          const std::string& to) const;
 
@@ -266,13 +274,36 @@ class Network {
   /// Erases the pending entry when nothing references it any more.
   void MaybeFinish(uint64_t transfer_id);
 
-  /// Accounts one attempt on the links of `path`; returns false and
+  /// \brief One memoized route: the minimum-latency path from one node
+  /// to another under the current topology and liveness, with what every
+  /// message on it needs. A failed lookup is memoized too.
+  struct CachedRoute {
+    Status status;                   ///< NotFound when there is no route
+    std::vector<std::string> nodes;  ///< from .. to, inclusive
+    std::vector<size_t> links;       ///< index into links_, one per hop
+    Duration latency = 0;            ///< sum of the links' latencies
+    double min_bandwidth = 0;        ///< over the links (unused if none)
+
+    /// One-way delay of a message of `bytes` along the route.
+    Duration Delay(size_t bytes) const;
+  };
+
+  /// The memoized route from `from` to `to`, computed by Dijkstra over
+  /// link latencies (skipping down nodes and links) on first use. The
+  /// reference stays valid until the next topology or liveness change.
+  const CachedRoute& RouteOf(const std::string& from,
+                             const std::string& to) const;
+  /// Drops every memoized route; called by each topology or liveness
+  /// mutation.
+  void InvalidateRoutes() { routes_.clear(); }
+  /// Rebuilds adj_ from links_ after a link removal renumbered them.
+  void RebuildAdjacency();
+
+  /// Accounts one attempt on the links of `route`; returns false and
   /// counts a drop when a link-fault roll eats the message. `extra_delay`
   /// and `duplicated` report delay/duplication rolls.
-  bool TraverseLinks(const std::vector<std::string>& path, size_t bytes,
+  bool TraverseLinks(const CachedRoute& route, size_t bytes,
                      Duration* extra_delay, bool* duplicated);
-  Duration PathDelay(const std::vector<std::string>& path,
-                     size_t bytes) const;
 
   EventLoop* loop_;
   std::map<std::string, NodeState> nodes_;
@@ -282,6 +313,10 @@ class Network {
 
   // Adjacency: node -> (neighbor, link index).
   std::map<std::string, std::vector<std::pair<std::string, size_t>>> adj_;
+  // Route memo: from -> to -> route. Filled lazily by RouteOf.
+  mutable std::unordered_map<std::string,
+                             std::unordered_map<std::string, CachedRoute>>
+      routes_;
 
   // Fault injection + reliable delivery.
   bool faults_enabled_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -43,7 +44,14 @@ Status Broker::Publish(const SensorInfo& info) {
     return Status::AlreadyExists("sensor '" + info.id +
                                  "' is already published");
   }
-  sensors_.emplace(info.id, info);
+  Registered reg;
+  reg.info = info;
+  reg.watermark =
+      &watermarks_.try_emplace(info.id, stt::kNoWatermark).first->second;
+  for (QueryWatermark& qw : query_watermarks_) {
+    if (qw.query.Matches(info)) qw.cells.push_back(reg.watermark);
+  }
+  sensors_.emplace(info.id, std::move(reg));
   SL_LOG(kInfo) << "published " << info.ToString();
   NotifyRegistry({SensorEvent::Kind::kPublished, info, clock_->Now()});
   return Status::OK();
@@ -54,9 +62,11 @@ Status Broker::Unpublish(const std::string& sensor_id) {
   if (it == sensors_.end()) {
     return Status::NotFound("sensor '" + sensor_id + "' is not published");
   }
-  SensorInfo info = it->second;
-  sensors_.erase(it);
-  data_subs_.erase(sensor_id);
+  SensorInfo info = std::move(it->second.info);
+  for (QueryWatermark& qw : query_watermarks_) {
+    std::erase(qw.cells, it->second.watermark);
+  }
+  sensors_.erase(it);  // drops the sensor's data subscriptions
   SL_LOG(kInfo) << "unpublished sensor " << sensor_id;
   NotifyRegistry({SensorEvent::Kind::kUnpublished, info, clock_->Now()});
   return Status::OK();
@@ -67,7 +77,12 @@ Result<SensorInfo> Broker::Find(const std::string& sensor_id) const {
   if (it == sensors_.end()) {
     return Status::NotFound("sensor '" + sensor_id + "' is not published");
   }
-  return it->second;
+  return it->second.info;
+}
+
+const SensorInfo* Broker::Lookup(const std::string& sensor_id) const {
+  auto it = sensors_.find(sensor_id);
+  return it == sensors_.end() ? nullptr : &it->second.info;
 }
 
 bool Broker::IsPublished(const std::string& sensor_id) const {
@@ -76,8 +91,8 @@ bool Broker::IsPublished(const std::string& sensor_id) const {
 
 std::vector<SensorInfo> Broker::Discover(const DiscoveryQuery& query) const {
   std::vector<SensorInfo> out;
-  for (const auto& [id, info] : sensors_) {
-    if (query.Matches(info)) out.push_back(info);
+  for (const auto& [id, reg] : sensors_) {
+    if (query.Matches(reg.info)) out.push_back(reg.info);
   }
   return out;
 }
@@ -89,7 +104,8 @@ std::vector<SensorInfo> Broker::All() const {
 std::map<std::string, std::vector<std::string>> Broker::GroupBy(
     GroupCriterion criterion) const {
   std::map<std::string, std::vector<std::string>> groups;
-  for (const auto& [id, info] : sensors_) {
+  for (const auto& [id, reg] : sensors_) {
+    const SensorInfo& info = reg.info;
     std::string key;
     switch (criterion) {
       case GroupCriterion::kType:
@@ -130,33 +146,49 @@ Broker::SubscriptionId Broker::SubscribeRegistry(RegistryCallback callback) {
 
 Result<Broker::SubscriptionId> Broker::SubscribeData(
     const std::string& sensor_id, DataCallback callback) {
-  if (sensors_.count(sensor_id) == 0) {
+  auto it = sensors_.find(sensor_id);
+  if (it == sensors_.end()) {
     return Status::NotFound("cannot subscribe: sensor '" + sensor_id +
                             "' is not published");
   }
   SubscriptionId id = next_subscription_id_++;
-  data_subs_[sensor_id].push_back({id, std::move(callback)});
+  // Copy-on-write: a fan-out in progress keeps iterating the old list.
+  DataSubs& subs = it->second.data_subs;
+  auto next = subs != nullptr ? std::make_shared<std::vector<DataSub>>(*subs)
+                              : std::make_shared<std::vector<DataSub>>();
+  next->push_back(
+      {id, std::make_shared<const DataCallback>(std::move(callback))});
+  subs = std::move(next);
   return id;
 }
 
 Broker::SubscriptionId Broker::SubscribeDataByQuery(DiscoveryQuery query,
                                                     DataCallback callback) {
   SubscriptionId id = next_subscription_id_++;
-  query_subs_.push_back({id, std::move(query), std::move(callback)});
+  query_subs_.push_back(
+      {id, std::move(query),
+       std::make_shared<const DataCallback>(std::move(callback))});
+  ++query_generation_;
   return id;
 }
 
 void Broker::Unsubscribe(SubscriptionId id) {
   registry_subs_.erase(id);
-  for (auto& [sensor, subs] : data_subs_) {
-    subs.erase(std::remove_if(subs.begin(), subs.end(),
-                              [id](const DataSub& s) { return s.id == id; }),
-               subs.end());
+  auto has_id = [id](const DataSub& s) { return s.id == id; };
+  for (auto& [sensor, reg] : sensors_) {
+    DataSubs& subs = reg.data_subs;
+    if (subs == nullptr || std::none_of(subs->begin(), subs->end(), has_id)) {
+      continue;
+    }
+    // Copy-on-write, as in SubscribeData.
+    auto next = std::make_shared<std::vector<DataSub>>(*subs);
+    std::erase_if(*next, has_id);
+    subs = std::move(next);
   }
-  query_subs_.erase(
-      std::remove_if(query_subs_.begin(), query_subs_.end(),
-                     [id](const QuerySub& s) { return s.id == id; }),
-      query_subs_.end());
+  if (std::erase_if(query_subs_,
+                    [id](const QuerySub& s) { return s.id == id; }) > 0) {
+    ++query_generation_;
+  }
 }
 
 Status Broker::PublishTuple(const std::string& sensor_id,
@@ -167,7 +199,8 @@ Status Broker::PublishTuple(const std::string& sensor_id,
     return Status::NotFound("tuple from unpublished sensor '" + sensor_id +
                             "'");
   }
-  const SensorInfo& info = it->second;
+  Registered& reg = it->second;
+  const SensorInfo& info = reg.info;
 
   // Fault injection: a sensor managed by a crashed node cannot deliver.
   if (node_gate_ && !info.node_id.empty() && !node_gate_(info.node_id)) {
@@ -205,32 +238,33 @@ Status Broker::PublishTuple(const std::string& sensor_id,
   // delivery below carries at most this promise, and sensors emit with
   // (mostly) monotone event times, so the max seen so far is the stream's
   // frontier.
-  auto wm_it = watermarks_.find(sensor_id);
-  if (wm_it == watermarks_.end()) {
-    watermarks_.emplace(sensor_id, ts);
-  } else if (ts > wm_it->second) {
-    wm_it->second = ts;
+  if (ts > *reg.watermark) *reg.watermark = ts;
+
+  // Content-based routing: the query subscriptions this sensor matches,
+  // including queries subscribed before the sensor joined. The list is
+  // matched on the sensor's first tuple after any query (un)subscription
+  // rather than per tuple — and not at subscription time, which would
+  // bill every registered sensor to the subscriber's set-up.
+  if (reg.query_generation != query_generation_) {
+    std::vector<DataSub> matching;
+    for (const QuerySub& sub : query_subs_) {
+      if (sub.query.Matches(info)) matching.push_back({sub.id, sub.callback});
+    }
+    reg.query_subs =
+        std::make_shared<const std::vector<DataSub>>(std::move(matching));
+    reg.query_generation = query_generation_;
   }
 
-  auto subs_it = data_subs_.find(sensor_id);
-  if (subs_it != data_subs_.end()) {
-    // Copy: a callback may (un)subscribe re-entrantly.
-    std::vector<DataSub> subs = subs_it->second;
-    for (const auto& sub : subs) {
-      sub.callback(enriched);
+  // Snapshot both subscriber lists before the first callback: a callback
+  // may (un)subscribe or even unpublish this sensor re-entrantly, which
+  // replaces the registry's lists but leaves these snapshots intact.
+  // Data subscribers come first, then the matching queries.
+  const DataSubs snapshots[] = {reg.data_subs, reg.query_subs};
+  for (const DataSubs& subs : snapshots) {
+    if (subs == nullptr) continue;
+    for (const DataSub& sub : *subs) {
+      (*sub.callback)(enriched);
       ++tuples_delivered_;
-    }
-  }
-  // Content-based routing: deliver to every query subscription the
-  // producing sensor matches (including sensors published after the
-  // subscription was made).
-  if (!query_subs_.empty()) {
-    std::vector<QuerySub> q_subs = query_subs_;  // re-entrancy, as above
-    for (const auto& sub : q_subs) {
-      if (sub.query.Matches(info)) {
-        sub.callback(enriched);
-        ++tuples_delivered_;
-      }
     }
   }
   return Status::OK();
@@ -242,16 +276,29 @@ Timestamp Broker::WatermarkOf(const std::string& sensor_id) const {
 }
 
 Timestamp Broker::WatermarkOf(const DiscoveryQuery& query) const {
-  Timestamp low = stt::kNoWatermark;
-  bool any = false;
-  for (const auto& [id, info] : sensors_) {
-    if (!query.Matches(info)) continue;
-    Timestamp wm = WatermarkOf(id);
-    if (wm == stt::kNoWatermark) return stt::kNoWatermark;
-    if (!any || wm < low) low = wm;
-    any = true;
+  // An inverted or NaN area matches no sensor. Answering it up front also
+  // keeps a NaN query, which never equals itself, out of the cache.
+  if (query.area.has_value() && !query.area->IsValid()) {
+    return stt::kNoWatermark;
   }
-  return any ? low : stt::kNoWatermark;
+  auto it = std::find_if(
+      query_watermarks_.begin(), query_watermarks_.end(),
+      [&query](const QueryWatermark& qw) { return qw.query == query; });
+  if (it == query_watermarks_.end()) {
+    QueryWatermark qw{query, {}};
+    for (const auto& [id, reg] : sensors_) {
+      if (query.Matches(reg.info)) qw.cells.push_back(reg.watermark);
+    }
+    query_watermarks_.push_back(std::move(qw));
+    it = std::prev(query_watermarks_.end());
+  }
+  if (it->cells.empty()) return stt::kNoWatermark;
+  Timestamp low = std::numeric_limits<Timestamp>::max();
+  for (const Timestamp* cell : it->cells) {
+    if (*cell == stt::kNoWatermark) return stt::kNoWatermark;
+    low = std::min(low, *cell);
+  }
+  return low;
 }
 
 void Broker::NotifyRegistry(const SensorEvent& event) {

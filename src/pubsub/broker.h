@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,6 +58,8 @@ struct DiscoveryQuery {
 
   bool Matches(const SensorInfo& info) const;
   std::string ToString() const;
+
+  bool operator==(const DiscoveryQuery&) const = default;
 };
 
 /// Criteria for organizing sensors in the design environment
@@ -82,6 +85,10 @@ class Broker {
   /// broker.
   explicit Broker(const VirtualClock* clock) : clock_(clock) {}
 
+  // Registrations and query caches point into the broker's own maps.
+  Broker(const Broker&) = delete;
+  Broker& operator=(const Broker&) = delete;
+
   // -- control plane ------------------------------------------------------
 
   /// Publishes a sensor (it joins the network). Fails on invalid
@@ -94,6 +101,10 @@ class Broker {
 
   /// Metadata of a published sensor.
   Result<SensorInfo> Find(const std::string& sensor_id) const;
+
+  /// Like Find without the copy: the published sensor's metadata, or
+  /// nullptr. Valid until the sensor is unpublished.
+  const SensorInfo* Lookup(const std::string& sensor_id) const;
 
   /// True iff the sensor is currently published.
   bool IsPublished(const std::string& sensor_id) const;
@@ -141,7 +152,10 @@ class Broker {
   /// - the event time is truncated to the schema's temporal granularity.
   /// Fails when the sensor is not published. Every subscriber receives the
   /// same shared (enriched) tuple; when enrichment is a no-op the incoming
-  /// ref is forwarded unchanged.
+  /// ref is forwarded unchanged. The fan-out reaches exactly the
+  /// subscriptions present when it starts — the sensor's data
+  /// subscribers, then the query subscriptions it matches, each in
+  /// subscription order — so callbacks may (un)subscribe re-entrantly.
   Status PublishTuple(const std::string& sensor_id, stt::TupleRef tuple);
 
   /// Convenience for producers still holding a tuple by value.
@@ -172,7 +186,9 @@ class Broker {
   /// minimum over all currently published sensors matching `query`.
   /// stt::kNoWatermark when no sensor matches or any matching sensor has
   /// not produced yet — a merged stream can promise no more than its
-  /// slowest member.
+  /// slowest member. The matching sensors' watermark cells are collected
+  /// on the first call for a query and kept current by Publish/Unpublish,
+  /// so later calls cost O(matching sensors).
   Timestamp WatermarkOf(const DiscoveryQuery& query) const;
 
   // -- statistics ---------------------------------------------------------
@@ -187,20 +203,49 @@ class Broker {
  private:
   struct DataSub {
     SubscriptionId id;
-    DataCallback callback;
+    /// Shared by every sensor a query subscription reaches.
+    std::shared_ptr<const DataCallback> callback;
   };
+  /// Copy-on-write subscriber list: a fan-out iterates the snapshot it
+  /// started with, and a (un)subscription installs a changed copy
+  /// instead of editing the list in place.
+  using DataSubs = std::shared_ptr<const std::vector<DataSub>>;
 
   struct QuerySub {
     SubscriptionId id;
     DiscoveryQuery query;
-    DataCallback callback;
+    std::shared_ptr<const DataCallback> callback;
+  };
+
+  /// One published sensor: its advertisement, its watermark cell and
+  /// the subscriptions its tuples fan out to.
+  struct Registered {
+    SensorInfo info;
+    /// Entry of watermarks_ (which outlives the registration).
+    Timestamp* watermark = nullptr;
+    DataSubs data_subs;  ///< SubscribeData on this sensor
+    /// The query subscriptions matching `info`, as of query_generation_
+    /// == `query_generation`; PublishTuple refreshes a stale list.
+    DataSubs query_subs;
+    uint64_t query_generation = 0;
+  };
+
+  /// Merged-watermark cache of one query: the watermark cells of the
+  /// published sensors matching it.
+  struct QueryWatermark {
+    DiscoveryQuery query;
+    std::vector<const Timestamp*> cells;
   };
 
   const VirtualClock* clock_;
-  std::map<std::string, SensorInfo> sensors_;
-  std::map<std::string, Timestamp> watermarks_;  // by sensor id
-  std::map<std::string, std::vector<DataSub>> data_subs_;  // by sensor id
+  std::map<std::string, Registered> sensors_;
+  /// Per-sensor low-watermarks by sensor id; entries survive Unpublish.
+  std::map<std::string, Timestamp> watermarks_;
   std::vector<QuerySub> query_subs_;
+  /// Bumped by every change to query_subs_. Starts at 1 so that a new
+  /// registration (generation 0) is stale.
+  uint64_t query_generation_ = 1;
+  mutable std::vector<QueryWatermark> query_watermarks_;
   std::map<SubscriptionId, RegistryCallback> registry_subs_;
   SubscriptionId next_subscription_id_ = 1;
   uint64_t tuples_ingested_ = 0;

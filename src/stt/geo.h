@@ -59,6 +59,7 @@ struct BBox {
   /// True iff lo <= hi on both axes.
   bool IsValid() const { return lo.lat <= hi.lat && lo.lon <= hi.lon; }
 
+  bool operator==(const BBox&) const = default;
   std::string ToString() const;
 };
 

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/event_loop.h"
 #include "net/network.h"
 #include "net/topology_text.h"
@@ -95,6 +101,23 @@ TEST(EventLoopTest, PeriodicCallbackCanCancelItself) {
   });
   loop.RunUntil(1000);
   EXPECT_EQ(ticks, 3);
+}
+
+TEST(EventLoopTest, PeriodicSelfCancelKeepsCapturesAlive) {
+  // Cancel erases the timer's entry while its callback is running; the
+  // running closure must survive that, so its captures — a heap-backed
+  // string here — stay readable after the Cancel.
+  EventLoop loop;
+  EventLoop::TimerId id = 0;
+  std::string seen;
+  id = loop.SchedulePeriodic(
+      10, [&loop, &id, &seen, label = std::string(64, 'x')] {
+        loop.Cancel(id);
+        seen = label;
+      });
+  loop.RunUntil(100);
+  EXPECT_EQ(seen, std::string(64, 'x'));
+  EXPECT_EQ(loop.pending(), 0u);
 }
 
 TEST(EventLoopTest, PeriodicCancelledOnFirstFireRunsOnce) {
@@ -368,6 +391,92 @@ TEST_F(NetworkTest, LinkCutReroutesUntilHealed) {
   SL_ASSERT_OK(net_.SetLinkUp("a", "b", true));
   EXPECT_EQ(*net_.Route("a", "c"), (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_TRUE(net_.SetLinkUp("a", "ghost", false).IsNotFound());
+}
+
+/// Bytes and messages carried per link, keyed by the link's endpoints.
+using LinkCounters =
+    std::map<std::pair<std::string, std::string>,
+             std::pair<uint64_t, uint64_t>>;
+
+LinkCounters CountersOf(const Network& net) {
+  LinkCounters counters;
+  for (const LinkState& link : net.links()) {
+    counters[{link.config.a, link.config.b}] = {link.bytes_transferred,
+                                                link.messages};
+  }
+  return counters;
+}
+
+/// Checks every route, delay and per-link transfer accounting of `net`
+/// (its routes memoized by earlier calls) against a network freshly
+/// built with the same topology and liveness, over every ordered pair of
+/// `names` — existing or not.
+void ExpectMatchesFreshNetwork(Network* net, EventLoop* loop,
+                               const std::vector<std::string>& names) {
+  EventLoop fresh_loop;
+  Network fresh(&fresh_loop);
+  for (const std::string& id : net->NodeIds()) {
+    const NodeState* node = *net->node(id);
+    SL_ASSERT_OK(fresh.AddNode(node->config));
+    SL_ASSERT_OK(fresh.SetNodeUp(id, node->up));
+  }
+  for (const LinkState& link : net->links()) {
+    SL_ASSERT_OK(fresh.AddLink(link.config));
+    SL_ASSERT_OK(fresh.SetLinkUp(link.config.a, link.config.b, link.up));
+  }
+  LinkCounters before = CountersOf(*net);
+  for (const std::string& from : names) {
+    for (const std::string& to : names) {
+      SCOPED_TRACE(from + " -> " + to);
+      auto route = net->Route(from, to);
+      auto want_route = fresh.Route(from, to);
+      EXPECT_EQ(route.status(), want_route.status());
+      if (route.ok() && want_route.ok()) {
+        EXPECT_EQ(*route, *want_route);
+      }
+      auto delay = net->TransferDelay(from, to, 5000);
+      auto want_delay = fresh.TransferDelay(from, to, 5000);
+      EXPECT_EQ(delay.status(), want_delay.status());
+      if (delay.ok() && want_delay.ok()) {
+        EXPECT_EQ(*delay, *want_delay);
+      }
+      EXPECT_EQ(net->Transfer(from, to, 5000, [] {}),
+                fresh.Transfer(from, to, 5000, [] {}));
+    }
+  }
+  loop->RunUntilIdle();
+  fresh_loop.RunUntilIdle();
+  LinkCounters carried = CountersOf(*net);
+  for (auto& [key, counts] : carried) {
+    counts.first -= before[key].first;
+    counts.second -= before[key].second;
+  }
+  EXPECT_EQ(carried, CountersOf(fresh));
+}
+
+TEST_F(NetworkTest, RouteMemoNeverServesAStaleRoute) {
+  // Every step first runs on routes memoized by the previous step's
+  // checks — including NotFound routes to "d" before it exists and
+  // before it has links.
+  const std::vector<std::string> names = {"a", "b", "c", "d"};
+  ExpectMatchesFreshNetwork(&net_, &loop_, names);
+  const std::vector<std::pair<std::string, std::function<Status()>>> steps = {
+      {"add node d", [&] { return net_.AddNode({"d", 1000.0, {}}); }},
+      {"add link c-d", [&] { return net_.AddLink({"c", "d", 1, 500.0}); }},
+      {"add link a-d", [&] { return net_.AddLink({"a", "d", 2, 2000.0}); }},
+      {"remove link a-b", [&] { return net_.RemoveLink("a", "b"); }},
+      {"cut link c-d", [&] { return net_.SetLinkUp("c", "d", false); }},
+      {"crash node c", [&] { return net_.SetNodeUp("c", false); }},
+      {"restart node c", [&] { return net_.SetNodeUp("c", true); }},
+      {"heal link c-d", [&] { return net_.SetLinkUp("d", "c", true); }},
+      {"remove node b", [&] { return net_.RemoveNode("b"); }},
+      {"remove node d", [&] { return net_.RemoveNode("d"); }},
+  };
+  for (const auto& [name, mutate] : steps) {
+    SCOPED_TRACE(name);
+    SL_ASSERT_OK(mutate());
+    ExpectMatchesFreshNetwork(&net_, &loop_, names);
+  }
 }
 
 TEST_F(NetworkTest, CertainDropLosesUnreliableMessage) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "pubsub/broker.h"
 #include "tests/test_util.h"
 
@@ -290,6 +293,14 @@ TEST_F(BrokerTest, QuerySubscriptionCoversFutureJoiners) {
   broker_.Unsubscribe(sub);
   SL_EXPECT_OK(broker_.PublishTuple("t1", TempTuple(schema, 3.0, 0)));
   EXPECT_EQ(seen.size(), 2u);
+
+  // A query subscribed after a sensor has produced reaches its next tuple.
+  broker_.SubscribeDataByQuery(
+      query, [&](const stt::TupleRef& t) { seen.push_back(t->sensor_id()); });
+  SL_EXPECT_OK(broker_.PublishTuple("t1", TempTuple(schema, 4.0, 0,
+                                                    stt::GeoPoint{34, 135},
+                                                    "t1")));
+  EXPECT_EQ(seen, (std::vector<std::string>{"t1", "t2", "t1"}));
 }
 
 TEST_F(BrokerTest, ReentrantCallbacksAreSafe) {
@@ -306,6 +317,105 @@ TEST_F(BrokerTest, ReentrantCallbacksAreSafe) {
   SL_EXPECT_OK(broker_.Publish(MakeInfo("first")));
   EXPECT_TRUE(broker_.IsPublished("second"));
   EXPECT_EQ(notifications, 2);
+}
+
+TEST_F(BrokerTest, FanOutReachesExactlyTheSubscribersPresentAtItsStart) {
+  // Data and query callbacks that, during the first fan-out, cancel
+  // themselves, cancel later subscribers of either kind, or add new ones.
+  // The fan-out still reaches each subscriber present at its start
+  // exactly once and none added during it; the changes hold from the
+  // next fan-out on.
+  SL_ASSERT_OK(broker_.Publish(MakeInfo("t1")));
+  DiscoveryQuery temps;
+  temps.type = "temperature";
+  std::map<std::string, int> got;
+  auto counter = [&got](const std::string& label) {
+    return [&got, label](const stt::TupleRef&) { ++got[label]; };
+  };
+  Broker::SubscriptionId d_self = 0, d_victim = 0, q_self = 0, q_victim = 0,
+                         q_victim_of_data = 0;
+  bool d_mutated = false, q_mutated = false;
+
+  d_self = *broker_.SubscribeData("t1", [&](const stt::TupleRef&) {
+    ++got["d_self"];
+    broker_.Unsubscribe(d_self);
+  });
+  SL_ASSERT_OK(broker_.SubscribeData("t1", [&](const stt::TupleRef&) {
+    ++got["d_mutator"];
+    if (d_mutated) return;
+    d_mutated = true;
+    broker_.Unsubscribe(d_victim);
+    broker_.Unsubscribe(q_victim_of_data);
+    SL_EXPECT_OK(broker_.SubscribeData("t1", counter("d_added")).status());
+    broker_.SubscribeDataByQuery(temps, counter("q_added"));
+  }).status());
+  d_victim = *broker_.SubscribeData("t1", counter("d_victim"));
+  q_self = broker_.SubscribeDataByQuery(temps, [&](const stt::TupleRef&) {
+    ++got["q_self"];
+    broker_.Unsubscribe(q_self);
+  });
+  broker_.SubscribeDataByQuery(temps, [&](const stt::TupleRef&) {
+    ++got["q_mutator"];
+    if (q_mutated) return;
+    q_mutated = true;
+    broker_.Unsubscribe(q_victim);
+    SL_EXPECT_OK(broker_.SubscribeData("t1", counter("d_added2")).status());
+    broker_.SubscribeDataByQuery(temps, counter("q_added2"));
+  });
+  q_victim = broker_.SubscribeDataByQuery(temps, counter("q_victim"));
+  q_victim_of_data =
+      broker_.SubscribeDataByQuery(temps, counter("q_victim_of_data"));
+
+  auto schema = TempSchema();
+  SL_ASSERT_OK(broker_.PublishTuple("t1", TempTuple(schema, 20.0, 60000)));
+  EXPECT_EQ(got, (std::map<std::string, int>{{"d_self", 1},
+                                             {"d_mutator", 1},
+                                             {"d_victim", 1},
+                                             {"q_self", 1},
+                                             {"q_mutator", 1},
+                                             {"q_victim", 1},
+                                             {"q_victim_of_data", 1}}));
+  EXPECT_EQ(broker_.tuples_delivered(), 7u);
+
+  SL_ASSERT_OK(broker_.PublishTuple("t1", TempTuple(schema, 21.0, 120000)));
+  EXPECT_EQ(got, (std::map<std::string, int>{{"d_self", 1},
+                                             {"d_mutator", 2},
+                                             {"d_victim", 1},
+                                             {"q_self", 1},
+                                             {"q_mutator", 2},
+                                             {"q_victim", 1},
+                                             {"q_victim_of_data", 1},
+                                             {"d_added", 1},
+                                             {"q_added", 1},
+                                             {"d_added2", 1},
+                                             {"q_added2", 1}}));
+  EXPECT_EQ(broker_.tuples_delivered(), 13u);
+}
+
+TEST_F(BrokerTest, UnpublishDuringFanOutFinishesTheFanOut) {
+  // A data callback that unpublishes the producing sensor: the remaining
+  // subscribers present at the start still get the tuple once, and the
+  // sensor is gone afterwards.
+  SL_ASSERT_OK(broker_.Publish(MakeInfo("t1")));
+  DiscoveryQuery temps;
+  temps.type = "temperature";
+  int data = 0, query = 0;
+  SL_ASSERT_OK(broker_.SubscribeData("t1", [&](const stt::TupleRef&) {
+    ++data;
+    SL_EXPECT_OK(broker_.Unpublish("t1"));
+  }).status());
+  SL_ASSERT_OK(broker_.SubscribeData("t1", [&](const stt::TupleRef&) {
+    ++data;
+  }).status());
+  broker_.SubscribeDataByQuery(temps, [&](const stt::TupleRef&) { ++query; });
+
+  auto schema = TempSchema();
+  SL_ASSERT_OK(broker_.PublishTuple("t1", TempTuple(schema, 20.0, 60000)));
+  EXPECT_EQ(data, 2);
+  EXPECT_EQ(query, 1);
+  EXPECT_FALSE(broker_.IsPublished("t1"));
+  EXPECT_TRUE(broker_.PublishTuple("t1", TempTuple(schema, 21.0, 120000))
+                  .IsNotFound());
 }
 
 }  // namespace

@@ -135,6 +135,37 @@ TEST_F(BrokerWatermarkTest, QueryWatermarkIsMinOverMatchingSensors) {
   EXPECT_EQ(broker_.WatermarkOf(none), kNoWatermark);
 }
 
+TEST_F(BrokerWatermarkTest, QueryWatermarkFollowsRegistryChanges) {
+  // The query's member set is warmed first, so every registry change
+  // below has to reach an already-cached query watermark.
+  auto schema = TempSchema();
+  pubsub::DiscoveryQuery query;
+  query.type = "temperature";
+  SL_ASSERT_OK(broker_.Publish(WmInfo("t1")));
+  SL_ASSERT_OK(broker_.Publish(WmInfo("t2")));
+  SL_ASSERT_OK(broker_.PublishTuple("t1", TempTuple(schema, 20.0, 180000)));
+  SL_ASSERT_OK(broker_.PublishTuple("t2", TempTuple(schema, 20.0, 120000)));
+  EXPECT_EQ(broker_.WatermarkOf(query), 120000);
+
+  // A matching late joiner has promised nothing yet.
+  SL_ASSERT_OK(broker_.Publish(WmInfo("t3")));
+  EXPECT_EQ(broker_.WatermarkOf(query), kNoWatermark);
+
+  // Once it produces below the minimum, the merged watermark drops.
+  SL_ASSERT_OK(broker_.PublishTuple("t3", TempTuple(schema, 20.0, 60000)));
+  EXPECT_EQ(broker_.WatermarkOf(query), 60000);
+
+  // Unpublishing the slowest member raises the minimum.
+  SL_ASSERT_OK(broker_.Unpublish("t3"));
+  EXPECT_EQ(broker_.WatermarkOf(query), 120000);
+
+  // A sensor the query does not match changes nothing, silent or not.
+  SL_ASSERT_OK(broker_.Publish(WmInfo("r1", "rain")));
+  EXPECT_EQ(broker_.WatermarkOf(query), 120000);
+  SL_ASSERT_OK(broker_.PublishTuple("r1", TempTuple(schema, 1.0, 0)));
+  EXPECT_EQ(broker_.WatermarkOf(query), 120000);
+}
+
 TEST_F(BrokerWatermarkTest, SuppressedTuplesDoNotAdvanceTheWatermark) {
   SL_ASSERT_OK(broker_.Publish(WmInfo("t1")));
   auto schema = TempSchema();
