@@ -112,6 +112,13 @@ echo "==> threaded chaos suite under TSan, repeated"
 ctest --test-dir "${root}/build-tsan" --output-on-failure \
   -R 'Chaos' --repeat-until-fail 3 -j "${jobs}"
 
+# The live queue-depth gauge once read one slot above the ring capacity
+# in most TSan runs; repeating its test turns a return into a failure
+# instead of a flake.
+echo "==> live stage-sample gauges under TSan, repeated"
+ctest --test-dir "${root}/build-tsan" --output-on-failure \
+  -R 'LiveStageSamplesAreSane' --repeat-until-fail 10
+
 # The phase-2 execution-mode matrix (live feed threads, pooled workers
 # with work-stealing help, shard pools, batched rings — and all of them
 # combined) is where new lock-free orderings live; repeat those

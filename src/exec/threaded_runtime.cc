@@ -71,8 +71,6 @@ struct ThreadedRuntime::Channel {
   size_t port = 0;        ///< input port at the consumer
   size_t input_idx = 0;   ///< position in consumer->inputs
   WaitGate space;         ///< producers wait here for credits
-  std::atomic<uint64_t> pushed{0};
-  std::atomic<uint64_t> popped{0};
   std::atomic<uint64_t> peak_depth{0};
   std::atomic<uint64_t> backpressure_waits{0};
   std::atomic<uint64_t> bytes{0};  ///< Tuple::ApproxValueBytes charged
@@ -432,9 +430,9 @@ void ThreadedRuntime::PushBlocking(Channel* channel, Message&& message) {
       if (!pushed) return;  // aborted; the message is dropped
     }
   }
-  const uint64_t depth =
-      channel->pushed.fetch_add(1, std::memory_order_relaxed) + 1 -
-      channel->popped.load(std::memory_order_relaxed);
+  // The ring's own snapshot: it reads head before tail, so unlike two
+  // separately kept push/pop counters it never exceeds the capacity.
+  const uint64_t depth = channel->ring.SizeApprox();
   if (depth > channel->peak_depth.load(std::memory_order_relaxed)) {
     channel->peak_depth.store(depth, std::memory_order_relaxed);
   }
@@ -645,7 +643,6 @@ bool ThreadedRuntime::RunStageQuantum(Stage* stage) {
     // its worker after it.
     size_t budget = 256;
     while (budget-- > 0 && channel->ring.TryPop(&message)) {
-      channel->popped.fetch_add(1, std::memory_order_relaxed);
       channel->space.Notify();
       progress = true;
       if (message.kind == Message::Kind::kEos) {
@@ -716,7 +713,13 @@ void ThreadedRuntime::StageLoop(Stage* stage) {
 
 void ThreadedRuntime::ScheduleStage(Stage* stage) {
   for (;;) {
-    int state = stage->run_state.load();
+    // A read-modify-write, not a load. It reads the newest state, and
+    // the runner's next transition (every claim, requeue and re-check
+    // is a read-modify-write too) reads it back, so that runner sees
+    // the push the caller just made. A plain load could return a stale
+    // kQueued or kDirty while the runner, not yet seeing the push,
+    // releases the stage with input queued: a lost wakeup.
+    const int state = stage->run_state.fetch_add(0);
     if (state == Stage::kQueued || state == Stage::kDirty) return;
     if (state == Stage::kIdle) {
       int expected = Stage::kIdle;
@@ -761,7 +764,8 @@ void ThreadedRuntime::ReleaseStage(Stage* stage) {
     }
     if (HasRunnableInput(stage)) {
       // Requeue at the back: FIFO fairness across the node's stages.
-      stage->run_state.store(Stage::kQueued);
+      // Exchanges, not stores: see ScheduleStage.
+      stage->run_state.exchange(Stage::kQueued);
       {
         MutexLock lock(&ready_mu_);
         ready_.push_back(stage);
@@ -774,7 +778,7 @@ void ThreadedRuntime::ReleaseStage(Stage* stage) {
       return;  // clean release; the next push queues the stage
     }
     // A producer pushed mid-run (kDirty): re-check with the claim held.
-    stage->run_state.store(Stage::kRunning);
+    stage->run_state.exchange(Stage::kRunning);
   }
 }
 
@@ -977,14 +981,9 @@ monitor::OperatorSample ThreadedRuntime::SampleStage(const Stage& stage,
   }
   uint64_t depth = 0;
   for (const Channel* channel : stage.inputs) {
-    uint64_t d;
-    if (final) {
-      d = channel->peak_depth.load(std::memory_order_relaxed);
-    } else {
-      const uint64_t pushed = channel->pushed.load(std::memory_order_relaxed);
-      const uint64_t popped = channel->popped.load(std::memory_order_relaxed);
-      d = pushed > popped ? pushed - popped : 0;
-    }
+    const uint64_t d =
+        final ? channel->peak_depth.load(std::memory_order_relaxed)
+              : channel->ring.SizeApprox();
     depth = std::max(depth, d);
     sample.backpressure_waits +=
         channel->backpressure_waits.load(std::memory_order_relaxed);

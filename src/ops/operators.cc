@@ -428,12 +428,12 @@ class AggregationOperator : public Operator {
       std::vector<std::pair<std::string, std::vector<const Tuple*>>>;
 
   /// The '\x1f'-joined display form of the group-by columns: the group
-  /// identity every path shares. ToString (not raw bytes) keeps identity
-  /// aligned with what the legacy std::map grouping used.
+  /// identity every path shares. The display form (not raw bytes) keeps
+  /// identity aligned with what the legacy std::map grouping used.
   std::string GroupKey(const Tuple& t) const {
     std::string key;
     for (size_t idx : group_indexes_) {
-      key += t.value(idx).ToString();
+      t.value(idx).AppendTo(&key);
       key += '\x1f';
     }
     return key;
@@ -1851,7 +1851,7 @@ class PartitionedAggregation : public PartitionedBase<AggregationOperator> {
       if (row.tag != tag) continue;
       std::string key;
       for (size_t i = 0; i < group_count_; ++i) {
-        key += row.tuple->value(i).ToString();
+        row.tuple->value(i).AppendTo(&key);
         key += '\x1f';
       }
       rows.emplace_back(std::move(key), &row.tuple);

@@ -12,40 +12,75 @@ using stt::ValueType;
 
 namespace {
 
-/// Splits one CSV line honoring double-quoted fields with "" escapes.
-Result<std::vector<std::string>> SplitCsvLine(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool quoted = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
-          ++i;
+/// Reads a CSV text record by record. A record ends at "\n" or "\r\n"
+/// outside quotes, and nothing but that terminator is stripped: a
+/// quoted field may hold line breaks, '"' inside quotes is escaped as
+/// "", and spaces are part of their field. Blank lines and lines
+/// starting with '#' (after leading whitespace) are skipped whole.
+class RecordReader {
+ public:
+  explicit RecordReader(const std::string& csv) : csv_(csv) {}
+
+  /// Reads the next record into `fields`; false at the end of input.
+  Result<bool> Next(std::vector<std::string>* fields) {
+    fields->clear();
+    for (;;) {
+      if (pos_ >= csv_.size()) return false;
+      size_t eol = csv_.find('\n', pos_);
+      if (eol == std::string_view::npos) eol = csv_.size();
+      std::string_view text = Trim(csv_.substr(pos_, eol - pos_));
+      if (!text.empty() && text.front() != '#') break;
+      pos_ = eol + 1;
+      ++line_;
+    }
+    record_line_ = line_;
+    std::string field;
+    bool quoted = false;
+    for (; pos_ < csv_.size(); ++pos_) {
+      const char c = csv_[pos_];
+      if (quoted) {
+        if (c != '"') {
+          if (c == '\n') ++line_;
+          field.push_back(c);
+        } else if (pos_ + 1 < csv_.size() && csv_[pos_ + 1] == '"') {
+          field.push_back('"');
+          ++pos_;
         } else {
           quoted = false;
         }
+      } else if (c == '"') {
+        quoted = true;
+      } else if (c == ',') {
+        fields->push_back(std::move(field));
+        field.clear();
+      } else if (c == '\n') {
+        // Quote state only changes at '"', so a '\r' right before this
+        // '\n' was read unquoted: it is the CRLF terminator.
+        if (pos_ > 0 && csv_[pos_ - 1] == '\r') field.pop_back();
+        break;
       } else {
-        current.push_back(c);
+        field.push_back(c);
       }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
     }
+    if (quoted) {
+      return Status::ParseError(StrFormat(
+          "line %zu: unterminated quoted field", record_line_));
+    }
+    fields->push_back(std::move(field));
+    ++pos_;
+    ++line_;
+    return true;
   }
-  if (quoted) {
-    return Status::ParseError("unterminated quoted field in CSV line: " +
-                              line);
-  }
-  fields.push_back(std::move(current));
-  return fields;
-}
+
+  /// The line the last record read starts on (1-based).
+  size_t record_line() const { return record_line_; }
+
+ private:
+  std::string_view csv_;
+  size_t pos_ = 0;
+  size_t line_ = 1;
+  size_t record_line_ = 0;
+};
 
 Result<Value> ParseValue(const std::string& text, const stt::Field& field) {
   if (text.empty()) {
@@ -115,19 +150,19 @@ Result<std::vector<stt::Tuple>> ParseRecordingCsv(const std::string& csv,
   if (schema == nullptr) return Status::InvalidArgument("null schema");
   std::vector<stt::Tuple> tuples;
   bool header_seen = false;
-  size_t line_no = 0;
-  for (const auto& raw_line : Split(csv, '\n')) {
-    ++line_no;
-    std::string line(Trim(raw_line));
-    if (line.empty() || line.front() == '#') continue;
-    SL_ASSIGN_OR_RETURN(std::vector<std::string> cols, SplitCsvLine(line));
+  RecordReader reader(csv);
+  std::vector<std::string> cols;
+  for (;;) {
+    SL_ASSIGN_OR_RETURN(bool more, reader.Next(&cols));
+    if (!more) break;
+    const size_t line_no = reader.record_line();
     if (!header_seen) {
       // Validate the header against the schema.
       if (cols.size() != 4 + schema->num_fields() || cols[0] != "ts" ||
           cols[1] != "lat" || cols[2] != "lon" || cols[3] != "sensor") {
         return Status::ParseError(
             "recording header must be 'ts,lat,lon,sensor,<fields>', got: " +
-            line);
+            Join(cols, ","));
       }
       for (size_t i = 0; i < schema->num_fields(); ++i) {
         if (cols[4 + i] != schema->fields()[i].name) {

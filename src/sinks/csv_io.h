@@ -9,6 +9,21 @@
 //
 // Empty lat/lon mean "no location"; empty field values are nulls;
 // `#`-prefixed lines are comments.
+//
+// Number forms (CsvSink writes them; the benchmark's reference and any
+// consumer may rely on them byte for byte):
+//   - ts and timestamp values: "YYYY-MM-DDTHH:MM:SS.mmmZ" (UTC), the
+//     year as printf's "%04d" (AppendTimestamp);
+//   - lat, lon and geo-point coordinates: printf's "%.6f";
+//   - ints: printf's "%lld"; bools: "true"/"false";
+//   - doubles: printf's "%.10g", i.e. 10 significant digits, so a
+//     recording round-trips a double only to that precision.
+// A field is quoted when it holds a comma, a quote, "\n" or "\r"
+// (quotes inside are doubled), so a quoted field may span lines. A
+// record ends at "\n" or "\r\n" outside quotes and the parser strips
+// nothing else: string values keep leading and trailing spaces. An
+// empty string value is written as an empty field and so reads back as
+// null.
 
 #ifndef STREAMLOADER_SINKS_CSV_IO_H_
 #define STREAMLOADER_SINKS_CSV_IO_H_

@@ -1,7 +1,8 @@
 #include "sinks/streams.h"
 
+#include <algorithm>
+
 #include "util/json.h"
-#include "util/strings.h"
 
 namespace sl::sinks {
 
@@ -68,16 +69,27 @@ Status VisualizationSink::Write(const stt::TupleRef& tuple) {
 }
 
 namespace {
-std::string CsvQuote(const std::string& text) {
-  if (text.find_first_of(",\"\n") == std::string::npos) return text;
-  std::string out = "\"";
-  for (char c : text) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
+
+/// Quotes (*row)[start..] in place, doubling its quotes, when it holds
+/// a comma, a quote or a line break. '\r' counts as a line break so a
+/// value ending in it is not mistaken for a CRLF line ending.
+void QuoteCsvTail(std::string* row, size_t start) {
+  if (row->find_first_of(",\"\n\r", start) == std::string::npos) return;
+  const auto quotes = static_cast<size_t>(
+      std::count(row->begin() + static_cast<std::ptrdiff_t>(start),
+                 row->end(), '"'));
+  size_t from = row->size();
+  row->resize(from + quotes + 2);
+  size_t to = row->size();
+  (*row)[--to] = '"';
+  while (from > start) {
+    const char c = (*row)[--from];
+    (*row)[--to] = c;
+    if (c == '"') (*row)[--to] = '"';
   }
-  out += "\"";
-  return out;
+  (*row)[start] = '"';
 }
+
 }  // namespace
 
 void CsvSink::EmitLine(const std::string& line) {
@@ -97,28 +109,36 @@ Status CsvSink::WriteRow(const stt::Tuple& tuple) {
     return Status::InvalidArgument("tuple without schema");
   }
   if (!header_written_) {
-    std::string header = "ts,lat,lon,sensor";
+    row_ = "ts,lat,lon,sensor";
     for (const auto& f : tuple.schema()->fields()) {
-      header += ",";
-      header += f.name;
+      row_ += ',';
+      row_ += f.name;
     }
-    EmitLine(header);
+    EmitLine(row_);
     header_written_ = true;
   }
-  std::string line = FormatTimestamp(tuple.timestamp());
+  row_.clear();
+  AppendTimestamp(tuple.timestamp(), &row_);
   if (tuple.location().has_value()) {
-    line += StrFormat(",%.6f,%.6f", tuple.location()->lat,
-                      tuple.location()->lon);
+    row_ += ',';
+    stt::AppendCoordinate(tuple.location()->lat, &row_);
+    row_ += ',';
+    stt::AppendCoordinate(tuple.location()->lon, &row_);
   } else {
-    line += ",,";
+    row_ += ",,";
   }
-  line += ",";
-  line += CsvQuote(tuple.sensor_id());
+  row_ += ',';
+  size_t start = row_.size();
+  row_ += tuple.sensor_id();
+  QuoteCsvTail(&row_, start);
   for (const auto& v : tuple.values()) {
-    line += ",";
-    line += v.is_null() ? "" : CsvQuote(v.ToString());
+    row_ += ',';
+    if (v.is_null()) continue;
+    start = row_.size();
+    v.AppendTo(&row_);
+    QuoteCsvTail(&row_, start);
   }
-  EmitLine(line);
+  EmitLine(row_);
   CountWrite();
   return Status::OK();
 }

@@ -43,8 +43,10 @@ class VisualizationSink : public Sink {
 };
 
 /// \brief Emits CSV: a header line (on the first tuple), then one line
-/// per tuple with ts, lat, lon, sensor and all attributes. Values are
-/// quoted when they contain separators.
+/// per tuple with ts, lat, lon, sensor and all attributes (the format
+/// and its number forms are specified in sinks/csv_io.h). Fields are
+/// quoted when they contain a comma, a quote or a line break. Each row
+/// is encoded into one reused buffer, which the consumer receives.
 class CsvSink : public Sink {
  public:
   explicit CsvSink(std::string name, LineConsumer consumer = nullptr)
@@ -64,6 +66,7 @@ class CsvSink : public Sink {
 
   LineConsumer consumer_;
   std::vector<std::string> lines_;
+  std::string row_;  ///< the line being encoded; cleared per row
   bool header_written_ = false;
 };
 

@@ -1,6 +1,7 @@
 #include "stt/geo.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 #include "util/strings.h"
@@ -33,8 +34,26 @@ Result<Crs> CrsFromString(const std::string& name) {
   return Status::ParseError("unknown coordinate reference system '" + name + "'");
 }
 
+void AppendCoordinate(double value, std::string* out) {
+  // Sign, the 309 integer digits of DBL_MAX, the point and 6 decimals.
+  char buf[1 + 309 + 1 + 6];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::fixed, 6)
+                       .ptr);
+}
+
+void GeoPoint::AppendTo(std::string* out) const {
+  out->push_back('(');
+  AppendCoordinate(lat, out);
+  out->append(", ");
+  AppendCoordinate(lon, out);
+  out->push_back(')');
+}
+
 std::string GeoPoint::ToString() const {
-  return StrFormat("(%.6f, %.6f)", lat, lon);
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 std::string BBox::ToString() const {

@@ -35,8 +35,14 @@ struct GeoPoint {
   bool operator==(const GeoPoint& o) const {
     return lat == o.lat && lon == o.lon;
   }
+  /// Appends "(lat, lon)", each coordinate as AppendCoordinate writes it.
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 };
+
+/// \brief Appends a coordinate as printf's "%.6f" prints it (6 decimals,
+/// "nan"/"inf" spelled as printf spells them), without the locale.
+void AppendCoordinate(double value, std::string* out);
 
 /// \brief An axis-aligned bounding box in WGS84 degrees; `lo` is the
 /// south-west corner, `hi` the north-east corner.

@@ -1,5 +1,6 @@
 #include "stt/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <functional>
 
@@ -83,17 +84,45 @@ Result<Value> Value::CoerceTo(ValueType target) const {
                                      ValueTypeToString(target)));
 }
 
-std::string Value::ToString() const {
+void Value::AppendTo(std::string* out) const {
   switch (type()) {
-    case ValueType::kNull: return "null";
-    case ValueType::kBool: return AsBool() ? "true" : "false";
-    case ValueType::kInt: return StrFormat("%lld", static_cast<long long>(AsInt()));
-    case ValueType::kDouble: return StrFormat("%.10g", AsDouble());
-    case ValueType::kString: return AsString();
-    case ValueType::kTimestamp: return FormatTimestamp(AsTime());
-    case ValueType::kGeoPoint: return AsGeo().ToString();
+    case ValueType::kNull:
+      out->append("null");
+      return;
+    case ValueType::kBool:
+      out->append(AsBool() ? "true" : "false");
+      return;
+    case ValueType::kInt: {
+      char buf[24];  // "-9223372036854775808" is 20 characters
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf), AsInt()).ptr);
+      return;
+    }
+    case ValueType::kDouble: {
+      // Precision-10 general notation is printf's "%.10g"; its longest
+      // form, e.g. "-1.234567891e-308", is 17 characters.
+      char buf[32];
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf), AsDouble(),
+                                     std::chars_format::general, 10)
+                           .ptr);
+      return;
+    }
+    case ValueType::kString:
+      out->append(AsString());
+      return;
+    case ValueType::kTimestamp:
+      AppendTimestamp(AsTime(), out);
+      return;
+    case ValueType::kGeoPoint:
+      AsGeo().AppendTo(out);
+      return;
   }
-  return "?";
+  out->push_back('?');
+}
+
+std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 int Value::Compare(const Value& a, const Value& b) {

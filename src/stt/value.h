@@ -74,7 +74,13 @@ class Value {
   /// Null coerces to null of any type.
   Result<Value> CoerceTo(ValueType target) const;
 
-  /// Display form (unquoted strings); "null" for null.
+  /// \brief Appends the display form to `out`: unquoted strings, "null"
+  /// for null, ints as printf's "%lld", doubles as "%.10g" (10
+  /// significant digits), timestamps as AppendTimestamp and geo points
+  /// as GeoPoint::AppendTo.
+  void AppendTo(std::string* out) const;
+
+  /// The display form AppendTo writes.
   std::string ToString() const;
 
   /// Deep equality; null == null. Int/double compare numerically only if

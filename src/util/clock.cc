@@ -1,5 +1,7 @@
 #include "util/clock.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -42,9 +44,18 @@ void CivilFromDays(int64_t z, int* y, int* m, int* d) {
   *y = static_cast<int>(yy + (*m <= 2));
 }
 
+// Writes `v` in decimal, zero-padded to `width` digits (printf's
+// "%0<width>u"), and returns the end of what it wrote.
+char* PutPadded(char* p, uint32_t v, int width) {
+  char digits[10];
+  char* end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+  for (int n = width - static_cast<int>(end - digits); n > 0; --n) *p++ = '0';
+  return std::copy(digits, end, p);
+}
+
 }  // namespace
 
-std::string FormatTimestamp(Timestamp ts) {
+void AppendTimestamp(Timestamp ts, std::string* out) {
   int64_t ms = ts % 1000;
   int64_t secs = ts / 1000;
   if (ms < 0) {
@@ -59,11 +70,33 @@ std::string FormatTimestamp(Timestamp ts) {
   }
   int y, m, d;
   CivilFromDays(days, &y, &m, &d);
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", y, m,
-                d, static_cast<int>(sod / 3600), static_cast<int>(sod / 60 % 60),
-                static_cast<int>(sod % 60), static_cast<int>(ms));
-  return buf;
+  // Longest form: an 11-character year ("-2147483648") + 20 more.
+  char buf[32];
+  char* p = buf;
+  if (y < 0) *p++ = '-';
+  const uint32_t abs_year = y < 0 ? 0u - static_cast<uint32_t>(y)
+                                  : static_cast<uint32_t>(y);
+  p = PutPadded(p, abs_year, y < 0 ? 3 : 4);  // "%04d": the sign counts
+  *p++ = '-';
+  p = PutPadded(p, static_cast<uint32_t>(m), 2);
+  *p++ = '-';
+  p = PutPadded(p, static_cast<uint32_t>(d), 2);
+  *p++ = 'T';
+  p = PutPadded(p, static_cast<uint32_t>(sod / 3600), 2);
+  *p++ = ':';
+  p = PutPadded(p, static_cast<uint32_t>(sod / 60 % 60), 2);
+  *p++ = ':';
+  p = PutPadded(p, static_cast<uint32_t>(sod % 60), 2);
+  *p++ = '.';
+  p = PutPadded(p, static_cast<uint32_t>(ms), 3);
+  *p++ = 'Z';
+  out->append(buf, p);
+}
+
+std::string FormatTimestamp(Timestamp ts) {
+  std::string out;
+  AppendTimestamp(ts, &out);
+  return out;
 }
 
 bool ParseTimestamp(const std::string& text, Timestamp* out) {

@@ -27,7 +27,12 @@ inline constexpr Duration kHour = 60 * kMinute;
 inline constexpr Duration kDay = 24 * kHour;
 }  // namespace duration
 
-/// \brief Formats a timestamp as "YYYY-MM-DDTHH:MM:SS.mmmZ" (UTC).
+/// \brief Appends `ts` as "YYYY-MM-DDTHH:MM:SS.mmmZ" (UTC) to `out`. The
+/// year is printed as printf's "%04d" prints it: year -1 as "-001",
+/// year 10000 as "10000".
+void AppendTimestamp(Timestamp ts, std::string* out);
+
+/// \brief Formats a timestamp as AppendTimestamp does.
 std::string FormatTimestamp(Timestamp ts);
 
 /// \brief Parses "YYYY-MM-DD[THH:MM[:SS[.mmm]]][Z]" into a Timestamp.

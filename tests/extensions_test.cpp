@@ -117,6 +117,54 @@ TEST(RecordingTest, QuotedStringsSurvive) {
   EXPECT_EQ((*parsed)[0].value(0).AsString(), "rain, \"heavy\" rain");
 }
 
+// Property: WriteRecordingCsv then ParseRecordingCsv is the identity on
+// non-empty strings over letters, ',', '"', '\n', '\r' and space, in the
+// last column, a middle column and the sensor id. (An empty string is
+// written as an empty field, which reads back as null.)
+TEST(RecordingTest, RandomStringsRoundTrip) {
+  auto schema = *stt::Schema::Make({{"mid", stt::ValueType::kString, "", true},
+                                    {"n", stt::ValueType::kInt, "", true},
+                                    {"last", stt::ValueType::kString, "", true}});
+  const std::string alphabet = "abXY,\"\n\r ";
+  Rng rng(2016);
+  auto random_string = [&] {
+    std::string text(1 + rng.NextBounded(10), ' ');
+    for (char& c : text) c = alphabet[rng.NextBounded(alphabet.size())];
+    return text;
+  };
+  std::vector<stt::Tuple> original;
+  for (int i = 0; i < 300; ++i) {
+    std::string mid = random_string();
+    std::string last = random_string();
+    original.push_back(stt::Tuple::MakeUnsafe(
+        schema,
+        {stt::Value::String(std::move(mid)), stt::Value::Int(i),
+         stt::Value::String(std::move(last))},
+        1000 * i, std::nullopt, random_string()));
+  }
+  auto csv = sensors::WriteRecordingCsv(original);
+  ASSERT_TRUE(csv.ok()) << csv.status();
+  auto parsed = sensors::ParseRecordingCsv(*csv, schema);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->size(), original.size());
+  for (size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ((*parsed)[i].sensor_id(), original[i].sensor_id()) << i;
+    EXPECT_EQ((*parsed)[i].timestamp(), original[i].timestamp()) << i;
+    EXPECT_EQ((*parsed)[i].values(), original[i].values()) << i;
+  }
+  // CRLF line endings are still accepted.
+  std::string crlf;
+  for (char c : std::string("ts,lat,lon,sensor,mid,n,last\n"
+                            "1970-01-01T00:00:01.000Z,,,s,a,1,b \n")) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  auto from_crlf = sensors::ParseRecordingCsv(crlf, schema);
+  ASSERT_TRUE(from_crlf.ok()) << from_crlf.status();
+  ASSERT_EQ(from_crlf->size(), 1u);
+  EXPECT_EQ((*from_crlf)[0].value(2).AsString(), "b ");
+}
+
 TEST(RecordingTest, ParserRejections) {
   auto schema = TempSchema();
   EXPECT_TRUE(sensors::ParseRecordingCsv("", schema)
@@ -134,6 +182,10 @@ TEST(RecordingTest, ParserRejections) {
   EXPECT_TRUE(sensors::ParseRecordingCsv(
                   good_header + "2016-03-15T00:00:00.000Z,1,2,s,20\n", schema)
                   .status().IsParseError());  // missing column
+  EXPECT_TRUE(sensors::ParseRecordingCsv(
+                  good_header + "2016-03-15T00:00:00.000Z,1,2,\"s,20,x\n",
+                  schema)
+                  .status().IsParseError());  // unterminated quoted field
   // Non-nullable column empty (temp is non-nullable).
   EXPECT_TRUE(sensors::ParseRecordingCsv(
                   good_header + "2016-03-15T00:00:00.000Z,1,2,s,,x\n", schema)

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "sinks/factory.h"
 #include "sinks/streams.h"
 #include "sinks/warehouse.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace sl::sinks {
 namespace {
@@ -192,6 +197,138 @@ TEST(CsvSinkTest, QuotesSpecialCharacters) {
   SL_EXPECT_OK(sink.Write(t));
   EXPECT_NE(sink.lines()[1].find("\"hello, \"\"world\"\"\""),
             std::string::npos);
+}
+
+TEST(CsvSinkTest, QuotesCarriageReturns) {
+  // '\r' is quoted too, so a value ending in it is not read back as the
+  // end of a CRLF line.
+  CsvSink sink("csv");
+  auto schema = *stt::Schema::Make(
+      {{"text", stt::ValueType::kString, "", false}});
+  SL_EXPECT_OK(sink.Write(stt::Tuple::MakeUnsafe(
+      schema, {Value::String("end\r")}, 0, std::nullopt, "s")));
+  EXPECT_EQ(sink.lines()[1], "1970-01-01T00:00:00.000Z,,,s,\"end\r\"");
+}
+
+// ------------------------------------------- encoder identity battery --
+// The in-place encoder must emit exactly what the printf forms in
+// tests/test_util.h emit.
+
+/// Seeded doubles: uniform draws at several magnitudes, raw 64-bit
+/// patterns (NaN payloads of both signs, infinities, subnormals), the
+/// special values, and exact rounding ties of "%.10g" and "%.6f".
+std::vector<double> IdentityDoubles(uint64_t seed, size_t n) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> out = {
+      nan, -nan, inf, -inf, 0.0, -0.0, 5e-324, -5e-324,
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(), 1e308, -1e308, 1e-5, 1e-4,
+      123456789.0, 1234567890.0, 12345678901.0, 9999999999.5, 0.5, 1.5,
+      2.5, 0.0078125, 0.0234375, -0.0078125, 34.69, 135.5};
+  Rng rng(seed);
+  while (out.size() < n) {
+    switch (rng.NextBounded(6)) {
+      case 0: out.push_back(rng.NextDouble(-200.0, 200.0)); break;
+      case 1: out.push_back(rng.NextDouble(-1e12, 1e12)); break;
+      case 2:
+        out.push_back(rng.NextDouble(0.5, 1.0) *
+                      std::pow(10.0, rng.NextInt(-320, 308)));
+        break;
+      case 3:
+      case 4: {
+        const uint64_t bits = rng.Next();
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        out.push_back(d);
+        break;
+      }
+      default: {
+        // 11 significant digits ending in 5 (a "%.10g" tie) and an odd
+        // multiple of 2^-7 (7 decimals ending in 5, a "%.6f" tie).
+        const auto k = static_cast<double>(
+            rng.NextInt(1000000000LL, 9999999999LL));
+        out.push_back((rng.NextBounded(2) ? 1 : -1) * (k + 0.5) /
+                      std::pow(10.0, rng.NextInt(0, 9)));
+        out.push_back(k + 0.5);
+        out.push_back(static_cast<double>(2 * rng.NextInt(0, 100000) + 1) *
+                      0.0078125);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(CsvEncoderTest, ValueDisplayFormMatchesPrintf) {
+  std::vector<Value> values = {
+      Value::Null(), Value::Bool(true), Value::Bool(false),
+      Value::Int(std::numeric_limits<int64_t>::min()),
+      Value::Int(std::numeric_limits<int64_t>::max()), Value::Int(0),
+      Value::Int(-1), Value::String(""), Value::String("a, \"b\"\n"),
+      Value::Time(std::numeric_limits<int64_t>::min()),
+      Value::Time(std::numeric_limits<int64_t>::max()), Value::Time(-1),
+      Value::Geo({34.69, 135.5}), Value::Geo({1e308, -1e308})};
+  for (double d : IdentityDoubles(1, 120000)) values.push_back(Value::Double(d));
+  const std::vector<double> coords = IdentityDoubles(2, 2000);
+  for (size_t i = 0; i + 1 < coords.size(); i += 2) {
+    values.push_back(Value::Geo({coords[i], coords[i + 1]}));
+  }
+  Rng rng(3);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(Value::Int(static_cast<int64_t>(rng.Next())));
+    values.push_back(Value::Time(static_cast<int64_t>(rng.Next())));
+  }
+  for (const Value& v : values) {
+    const std::string want = sl::testing::PrintfValue(v);
+    ASSERT_EQ(v.ToString(), want);
+    std::string appended = "x";
+    v.AppendTo(&appended);
+    ASSERT_EQ(appended, "x" + want);
+  }
+}
+
+TEST(CsvEncoderTest, CsvRowsMatchPrintf) {
+  auto schema = *stt::Schema::Make(
+      {{"d", stt::ValueType::kDouble, "", true},
+       {"i", stt::ValueType::kInt, "", true},
+       {"b", stt::ValueType::kBool, "", true},
+       {"s", stt::ValueType::kString, "", true},
+       {"t", stt::ValueType::kTimestamp, "", true},
+       {"g", stt::ValueType::kGeoPoint, "", true},
+       {"e", stt::ValueType::kDouble, "", true}});
+  const std::vector<std::string> strings = {
+      "osaka", "", " lead", "trail ", "a,b", "say \"hi\"", "\"", "two\nlines",
+      ",\",\n"};
+  const std::vector<double> doubles = IdentityDoubles(4, 120000);
+  std::string last;
+  size_t lines = 0;
+  CsvSink sink("csv", [&](const std::string& line) {
+    last = line;
+    ++lines;
+  });
+  Rng rng(5);
+  for (size_t i = 0; i + 3 < doubles.size(); i += 3) {
+    auto pick = [&](Value v) { return rng.NextBounded(8) == 0 ? Value() : v; };
+    std::optional<stt::GeoPoint> loc;
+    if (rng.NextBounded(4) != 0) loc = stt::GeoPoint{doubles[i], doubles[i + 1]};
+    const auto ts = static_cast<Timestamp>(rng.Next());
+    const std::string& sensor = strings[rng.NextBounded(strings.size())];
+    // A braced list evaluates left to right, so the draws stay seeded.
+    std::vector<Value> row = {
+        pick(Value::Double(doubles[i + 2])),
+        pick(Value::Int(static_cast<int64_t>(rng.Next()))),
+        pick(Value::Bool(rng.NextBounded(2) == 0)),
+        pick(Value::String(strings[rng.NextBounded(strings.size())])),
+        pick(Value::Time(rng.NextInt(-100000000000000LL, 300000000000000LL))),
+        pick(Value::Geo({doubles[i + 3], doubles[i]})),
+        pick(Value::Double(doubles[i + 1]))};
+    stt::Tuple t =
+        stt::Tuple::MakeUnsafe(schema, std::move(row), ts, loc, sensor);
+    SL_ASSERT_OK(sink.WriteRow(t));
+    ASSERT_EQ(last, sl::testing::PrintfCsvRow(t)) << i;
+  }
+  EXPECT_EQ(lines, 1 + (doubles.size() - 1) / 3);  // header + every row
 }
 
 // --------------------------------------------------------------- factory --

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -429,6 +430,98 @@ inline std::vector<std::pair<std::string, std::string>> RingLinks(size_t n) {
                        "node_" + std::to_string((i + 1) % n));
   }
   return links;
+}
+
+// ------------------------------------------------ printf reference forms --
+// The printf formulas the CSV encoder (AppendTimestamp, Value::AppendTo,
+// stt::AppendCoordinate, CsvSink) replaced, kept as the reference its
+// output must match byte for byte.
+
+/// "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ" over Hinnant's civil-from-days,
+/// the year narrowed to int as before.
+inline std::string PrintfTimestamp(Timestamp ts) {
+  int64_t ms = ts % 1000;
+  int64_t secs = ts / 1000;
+  if (ms < 0) {
+    ms += 1000;
+    secs -= 1;
+  }
+  int64_t days = secs / 86400;
+  int64_t sod = secs % 86400;
+  if (sod < 0) {
+    sod += 86400;
+    days -= 1;
+  }
+  const int64_t z = days + 719468;
+  const int64_t era = (z >= 0 ? z : z - 146096) / 146097;
+  const unsigned doe = static_cast<unsigned>(z - era * 146097);
+  const unsigned yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
+  const int64_t yy = static_cast<int64_t>(yoe) + era * 400;
+  const unsigned doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+  const unsigned mp = (5 * doy + 2) / 153;
+  const int d = static_cast<int>(doy - (153 * mp + 2) / 5 + 1);
+  const int m = static_cast<int>(mp + (mp < 10 ? 3 : -9));
+  const int y = static_cast<int>(yy + (m <= 2));
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", y, m,
+                d, static_cast<int>(sod / 3600), static_cast<int>(sod / 60 % 60),
+                static_cast<int>(sod % 60), static_cast<int>(ms));
+  return buf;
+}
+
+/// Value::ToString in printf form: "%lld", "%.10g", "(%.6f, %.6f)".
+inline std::string PrintfValue(const stt::Value& v) {
+  char buf[700];  // two "%.6f" of DBL_MAX are 317 characters each
+  switch (v.type()) {
+    case stt::ValueType::kNull: return "null";
+    case stt::ValueType::kBool: return v.AsBool() ? "true" : "false";
+    case stt::ValueType::kInt:
+      std::snprintf(buf, sizeof(buf), "%lld",
+                    static_cast<long long>(v.AsInt()));
+      return buf;
+    case stt::ValueType::kDouble:
+      std::snprintf(buf, sizeof(buf), "%.10g", v.AsDouble());
+      return buf;
+    case stt::ValueType::kString: return v.AsString();
+    case stt::ValueType::kTimestamp: return PrintfTimestamp(v.AsTime());
+    case stt::ValueType::kGeoPoint:
+      std::snprintf(buf, sizeof(buf), "(%.6f, %.6f)", v.AsGeo().lat,
+                    v.AsGeo().lon);
+      return buf;
+  }
+  return "?";
+}
+
+/// The string-returning CSV quoting of `,`, `"` and `\n`.
+inline std::string PrintfCsvQuote(const std::string& text) {
+  if (text.find_first_of(",\"\n") == std::string::npos) return text;
+  std::string out = "\"";
+  for (char c : text) {
+    if (c == '"') out += "\"\"";
+    else out.push_back(c);
+  }
+  out += "\"";
+  return out;
+}
+
+/// One CsvSink data row in printf form.
+inline std::string PrintfCsvRow(const stt::Tuple& t) {
+  std::string line = PrintfTimestamp(t.timestamp());
+  if (t.location().has_value()) {
+    char buf[700];
+    std::snprintf(buf, sizeof(buf), ",%.6f,%.6f", t.location()->lat,
+                  t.location()->lon);
+    line += buf;
+  } else {
+    line += ",,";
+  }
+  line += ",";
+  line += PrintfCsvQuote(t.sensor_id());
+  for (const auto& v : t.values()) {
+    line += ",";
+    line += v.is_null() ? "" : PrintfCsvQuote(PrintfValue(v));
+  }
+  return line;
 }
 
 }  // namespace sl::testing

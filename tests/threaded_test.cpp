@@ -18,7 +18,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1006,6 +1009,7 @@ TEST(ThreadedChaosTest, LiveStageSamplesAreSane) {
   bool saw_queue_activity = false;
   for (const auto& sample : result->stage_samples) {
     if (sample.queue_depth > 0) saw_queue_activity = true;
+    EXPECT_LE(sample.queue_depth, options.queue_capacity);  // peak depth
   }
   EXPECT_TRUE(saw_queue_activity);
   // And they render through the monitor report paths.
@@ -1014,6 +1018,51 @@ TEST(ThreadedChaosTest, LiveStageSamplesAreSane) {
   EXPECT_NE(report.ToString().find(" q "), std::string::npos);
   EXPECT_NE(report.ToJson().find("queue_depth"), std::string::npos);
   EXPECT_NE(report.ToJson().find("backpressure_waits"), std::string::npos);
+}
+
+TEST(ThreadedChaosTest, PooledReleaseStrandsNoInput) {
+  // A producer's push races the runner's release of the stage's claim.
+  // If the producer acts on a stale claim state while the releasing
+  // runner misses the push, the stage idles with input queued and the
+  // run never finishes. Many short pooled runs; a watchdog aborts one
+  // that stalls so the failure is reported instead of hanging.
+  DirectThreaded direct(4242);
+  const exec::InputTrace trace = direct.MakeTrace(100);
+  const auto df = *dsn::TranslateFromDsn(ThFilterTransformSpec());
+  exec::ThreadedOptions options;
+  options.pool_size = std::max<size_t>(2, std::thread::hardware_concurrency());
+  for (int run = 0; run < 3000; ++run) {
+    exec::ThreadedRuntime runtime(df, direct.broker(), {}, options);
+    SL_ASSERT_OK(runtime.Start());
+    std::mutex mu;
+    std::condition_variable cv;
+    bool finished = false;
+    bool stalled = false;
+    std::thread watchdog([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      if (!cv.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return finished; })) {
+        stalled = true;
+        runtime.Abort();
+      }
+    });
+    // No assertion may return before the watchdog is joined.
+    Status fed = Status::OK();
+    for (const auto& event : trace) {
+      fed = runtime.Feed(event.source, event.tuple, event.at, event.watermark);
+      if (!fed.ok()) break;
+    }
+    auto result = runtime.Finish(trace.back().at + 1000);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      finished = true;
+    }
+    cv.notify_one();
+    watchdog.join();
+    ASSERT_FALSE(stalled) << "run " << run << " stalled with input queued";
+    SL_ASSERT_OK(fed);
+    SL_ASSERT_OK(result.status());
+  }
 }
 
 // ------------------------------------------- latent-race regressions --

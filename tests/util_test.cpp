@@ -171,6 +171,58 @@ TEST(ClockTest, FormatParseRoundTrip) {
         << FormatTimestamp(ts);
     EXPECT_EQ(back, ts);
   }
+  // Every year ParseTimestamp accepts up to 99999, five-digit years too.
+  Timestamp lo = 0, hi = 0;
+  ASSERT_TRUE(ParseTimestamp("0001-01-01", &lo));
+  ASSERT_TRUE(ParseTimestamp("99999-12-31T23:59:59.999Z", &hi));
+  for (int i = 0; i < 200; ++i) {
+    Timestamp ts = rng.NextInt(lo, hi);
+    Timestamp back = 0;
+    ASSERT_TRUE(ParseTimestamp(FormatTimestamp(ts), &back))
+        << FormatTimestamp(ts);
+    EXPECT_EQ(back, ts);
+  }
+}
+
+// AppendTimestamp writes what the printf form wrote over the whole int64
+// range: before 1970, before year 1, past 9999, and at the extremes where
+// the year no longer fits an int.
+TEST(ClockTest, FormatMatchesPrintfForm) {
+  Timestamp year1 = 0, last9999 = 0, year10000 = 0;
+  ASSERT_TRUE(ParseTimestamp("0001-01-01", &year1));
+  ASSERT_TRUE(ParseTimestamp("9999-12-31T23:59:59.999Z", &last9999));
+  ASSERT_TRUE(ParseTimestamp("10000-01-01", &year10000));
+  EXPECT_EQ(FormatTimestamp(year10000), "10000-01-01T00:00:00.000Z");
+  EXPECT_EQ(FormatTimestamp(year1 - 1), "0000-12-31T23:59:59.999Z");
+  // Year 0 is a leap year: 367 days before year 1 is in year -1.
+  EXPECT_EQ(FormatTimestamp(year1 - 367 * duration::kDay),
+            "-001-12-31T00:00:00.000Z");
+  EXPECT_EQ(FormatTimestamp(-1), "1969-12-31T23:59:59.999Z");
+
+  std::vector<Timestamp> cases = {std::numeric_limits<Timestamp>::min(),
+                                  std::numeric_limits<Timestamp>::max()};
+  for (Timestamp base : {Timestamp{0}, year1, last9999, year10000,
+                         cases[0], cases[1]}) {
+    for (Timestamp d = -1001; d <= 1001; ++d) {
+      if ((d < 0 && base < cases[0] - d) || (d > 0 && base > cases[1] - d)) {
+        continue;  // would overflow
+      }
+      cases.push_back(base + d);
+    }
+  }
+  Rng rng(13);
+  for (int i = 0; i < 50000; ++i) {
+    cases.push_back(static_cast<Timestamp>(rng.Next()));  // any int64
+    // Years about -5000 .. 15000.
+    cases.push_back(rng.NextInt(-220000000000000LL, 410000000000000LL));
+  }
+  for (Timestamp ts : cases) {
+    const std::string want = sl::testing::PrintfTimestamp(ts);
+    std::string appended = "x";
+    AppendTimestamp(ts, &appended);
+    ASSERT_EQ(appended, "x" + want) << ts;
+    ASSERT_EQ(FormatTimestamp(ts), want) << ts;
+  }
 }
 
 TEST(ClockTest, VirtualClockNeverMovesBackwards) {
