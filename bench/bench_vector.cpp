@@ -3,9 +3,9 @@
 // sizes 1 / 64 / 1024. The *Scalar entries are the reference series
 // (one VM run per tuple); the *Vector entries walk the same tuples in
 // ColumnBatch chunks. Batch 1 shows the fixed per-batch overhead, 1024
-// the amortized vectorized rate. BM_ThreadedChain* closes the loop at
-// system level: the same pipeline through the threaded runtime with
-// the columnar path on and off.
+// the amortized vectorized rate. BM_ThreadedChain closes the loop at
+// system level: the same pipeline through the threaded runtime, whose
+// batchable stages run kBatch messages through ProcessBatch.
 
 #include <benchmark/benchmark.h>
 
@@ -380,7 +380,6 @@ stt::SchemaPtr KeyedTempSchema() {
 }
 
 void BM_ThreadedChain(benchmark::State& state) {
-  const bool columnar = state.range(0) != 0;
   net::EventLoop loop;
   pubsub::Broker broker(&loop.clock());
   pubsub::SensorInfo info;
@@ -427,7 +426,6 @@ void BM_ThreadedChain(benchmark::State& state) {
   options.queue_capacity = 8192;
   options.batch_max = 1024;
   options.count_only_sinks = true;
-  options.columnar_batch = columnar;
   uint64_t delivered = 0;
   for (auto _ : state) {
     exec::ThreadedRuntime runtime(flow, &broker, {}, options);
@@ -440,10 +438,7 @@ void BM_ThreadedChain(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(delivered));
 }
-BENCHMARK(BM_ThreadedChain)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ThreadedChain)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sl

@@ -28,7 +28,6 @@ StreamLoader::StreamLoader(const StreamLoaderOptions& options)
   exec_options.placement = options.placement;
   exec_options.rebalance_threshold = options.rebalance_threshold;
   exec_options.naive_blocking = options.naive_blocking;
-  exec_options.columnar_batch = options.columnar_batch;
   executor_ = std::make_unique<exec::Executor>(loop_.get(), network_.get(),
                                                broker_.get(), monitor_.get(),
                                                sink_context, exec_options);

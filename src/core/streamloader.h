@@ -61,17 +61,6 @@ struct StreamLoaderOptions {
   /// (nested-loop join, full-recompute aggregation) instead of the
   /// hash/incremental fast paths — for equivalence checks and ablations.
   bool naive_blocking = false;
-  /// Columnar batch execution in the simulator executor
-  /// (exec::ExecutorOptions::columnar_batch): coalesce same-edge
-  /// delivery runs into vectorized ProcessBatch calls. Off by default;
-  /// sink output is bit-identical either way.
-  bool columnar_batch = false;
-  /// Which runtime RunThreaded-style execution uses. kSimulated (the
-  /// default) keeps every Deploy on the deterministic discrete-event
-  /// simulator — the semantic reference; kThreaded marks the session as
-  /// intending wall-clock execution (RunThreaded works in either mode,
-  /// this records the designer's choice and seeds its options).
-  exec::ExecutionMode execution = exec::ExecutionMode::kSimulated;
 };
 
 /// \brief One complete StreamLoader platform instance.
@@ -128,12 +117,11 @@ class StreamLoader {
   /// typically captured from a simulated run via
   /// ExecutorOptions::source_tap) and drains at `end_time`. The
   /// session's naive_blocking choice is inherited unless the options
-  /// already set it. The simulator deployments are untouched: this is
-  /// the ExecutionMode::kThreaded path, and the simulated run of the
-  /// same trace is its correctness oracle. Fails fast when the
-  /// session's network carries a non-zero fault plan (threaded mode
-  /// does not simulate faults); ThreadedOptions::allow_fault_plan
-  /// overrides the check.
+  /// already set it. The simulator deployments are untouched, and the
+  /// simulated run of the same trace is the correctness oracle of this
+  /// path. Fails fast when the session's network carries a non-zero
+  /// fault plan (threaded mode does not simulate faults);
+  /// ThreadedOptions::allow_fault_plan overrides the check.
   Result<exec::ThreadedRunResult> RunThreaded(
       const dataflow::Dataflow& dataflow, const exec::InputTrace& trace,
       Timestamp end_time, exec::ThreadedOptions options = {});

@@ -15,10 +15,6 @@ using dataflow::NodeKind;
 
 namespace {
 
-/// Columnar batching: cap on a coalesced delivery run — bounds the
-/// TupleRef buffer and keeps per-batch scratch vectors cache-sized.
-constexpr size_t kMaxPendingBatch = 1024;
-
 /// Per-deployment activation adapter: attributes trigger activations to
 /// their deployment before forwarding to the executor.
 class DeploymentActivation : public ops::ActivationHandler {
@@ -43,12 +39,6 @@ class DeploymentActivation : public ops::ActivationHandler {
 };
 
 }  // namespace
-
-// Held by Deployment through a shared_ptr<void> so the header does not
-// need the adapter type.
-struct ExecutorDetail {
-  std::unique_ptr<DeploymentActivation> activation;
-};
 
 std::string DeploymentStats::ToString() const {
   std::string out = StrFormat(
@@ -159,9 +149,7 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
   dep->id = next_id_++;
   dep->self = deployment;
   dep->dataflow = std::move(dataflow);
-  auto detail = std::make_shared<ExecutorDetail>();
-  detail->activation =
-      std::make_unique<DeploymentActivation>(this, &dep->stats);
+  dep->activation = std::make_unique<DeploymentActivation>(this, &dep->stats);
   if (options_.watermark.late_policy == ops::LatePolicy::kSideOutput) {
     dep->late_sink = std::make_unique<sinks::LateSink>(spec.name + "/late");
   }
@@ -177,7 +165,6 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
 
   // 3. Bind sources, generate and place processes (topological order, so
   // upstream placements inform locality).
-  Duration stagger_depth = 0;  // grows along the topological order
   for (const auto& name : dep->dataflow.topological_order()) {
     const Node& node = **dep->dataflow.node(name);
     switch (node.kind) {
@@ -217,21 +204,16 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
             }
           }
         }
-        ops::OperatorOptions op_options;
-        op_options.max_cache_tuples = options_.max_cache_tuples;
-        op_options.naive_blocking = options_.naive_blocking;
-        op_options.activation = detail->activation.get();
-        op_options.watermark = options_.watermark;
-        SL_ASSIGN_OR_RETURN(std::unique_ptr<ops::Operator> op,
-                            ops::MakeOperator(name, node.op, node.spec,
-                                              input_schemas, node.inputs,
-                                              op_options));
         SL_ASSIGN_OR_RETURN(std::string placed,
                             placer_.Place(upstream_nodes));
+        SL_ASSIGN_OR_RETURN(DeployedOperator deployed,
+                            BuildOperator(dep, name, node.op, node.spec,
+                                          input_schemas));
+        deployed.node_id = placed;
         // A key-partitioned operator deploys as an instance group: N
         // co-located processes behind one splitter/merger address, so
         // the node is billed one process per instance.
-        size_t instances = op->parallelism();
+        size_t instances = deployed.op->parallelism();
         SL_RETURN_IF_ERROR(network_->AdjustProcessCount(
             placed, static_cast<int>(instances)));
         if (monitor_ != nullptr) {
@@ -241,57 +223,6 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
                         name,
                         instances > 1 ? placed + StrFormat(" x%zu", instances)
                                       : placed);
-        DeployedOperator deployed;
-        deployed.op = std::move(op);
-        deployed.node_id = placed;
-        // Emission: route from wherever the operator currently runs,
-        // piggybacking the operator's current output watermark.
-        ops::Operator* op_ptr = deployed.op.get();
-        op_ptr->set_emit([this, dep, name](const stt::TupleRef& t) {
-          auto it = dep->operators.find(name);
-          if (it == dep->operators.end()) return;
-          Route(dep, name, it->second.node_id, t,
-                it->second.op->output_watermark());
-        });
-        // Late-side output stays local to the operator's node: the tuple
-        // already took its network hop; see Executor::LateSinkOf.
-        if (dep->late_sink != nullptr) {
-          op_ptr->set_late_emit([dep](const stt::TupleRef& t) {
-            Status s = dep->late_sink->Write(t);
-            (void)s;
-          });
-        }
-        // Blocking operations: periodic cache processing. The flush is
-        // staggered by topological depth (schedule optimization, §1) so
-        // cascaded blocking stages consume fresh upstream flushes within
-        // the same interval.
-        if (op_ptr->is_blocking()) {
-          Duration offset = options_.flush_stagger_ms * stagger_depth;
-          ++stagger_depth;
-          deployed.flush_timer = loop_->SchedulePeriodic(
-              op_ptr->interval(),
-              [this, dep, name] {
-                auto it = dep->operators.find(name);
-                if (it == dep->operators.end() || !dep->active) return;
-                // A flush observes cached state: settle any coalesced
-                // deliveries first so the cache is per-tuple-identical.
-                DrainPending(dep);
-                ops::Operator* op = it->second.op.get();
-                double work = static_cast<double>(op->stats().cache_size) *
-                              options_.work_per_tuple;
-                Status s = op->Flush(loop_->Now());
-                if (!s.ok()) {
-                  ++dep->stats.process_errors;
-                  SL_LOG(kError) << "flush of " << name
-                                 << " failed: " << s.ToString();
-                }
-                if (work > 0) {
-                  Status ws = network_->ReportWork(it->second.node_id, work);
-                  (void)ws;
-                }
-              },
-              /*first_at=*/loop_->Now() + op_ptr->interval() + offset);
-        }
         dep->operators.emplace(name, std::move(deployed));
         break;
       }
@@ -387,11 +318,80 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
   scn_log_.Record(loop_->Now(), ScnCommandKind::kStartDataflow, dep->id,
                   dep->dataflow.name(), "");
 
-  // Keep the activation adapter alive with the deployment.
-  deployment_details_.emplace(dep->id, std::move(detail));
   DeploymentId id = dep->id;
   deployments_.emplace(id, std::move(deployment));
   return id;
+}
+
+Result<Executor::DeployedOperator> Executor::BuildOperator(
+    Deployment* dep, const std::string& name, dataflow::OpKind kind,
+    const dataflow::OpSpec& spec,
+    const std::vector<stt::SchemaPtr>& input_schemas) {
+  ops::OperatorOptions op_options;
+  op_options.max_cache_tuples = options_.max_cache_tuples;
+  op_options.naive_blocking = options_.naive_blocking;
+  op_options.activation = dep->activation.get();
+  op_options.watermark = options_.watermark;
+  DeployedOperator deployed;
+  SL_ASSIGN_OR_RETURN(deployed.op,
+                      ops::MakeOperator(name, kind, spec, input_schemas,
+                                        (*dep->dataflow.node(name))->inputs,
+                                        op_options));
+  ops::Operator* op = deployed.op.get();
+  // Emission: route from wherever the operator currently runs,
+  // piggybacking the operator's current output watermark.
+  op->set_emit([this, dep, name](const stt::TupleRef& t) {
+    auto it = dep->operators.find(name);
+    if (it == dep->operators.end()) return;
+    Route(dep, name, it->second.node_id, t,
+          it->second.op->output_watermark());
+  });
+  // Late-side output stays local to the operator's node: the tuple
+  // already took its network hop; see Executor::LateSinkOf.
+  if (dep->late_sink != nullptr) {
+    op->set_late_emit([dep](const stt::TupleRef& t) {
+      Status s = dep->late_sink->Write(t);
+      (void)s;
+    });
+  }
+  if (!op->is_blocking()) return deployed;
+  // Blocking operations: periodic cache processing. The flush is
+  // staggered by topological depth (schedule optimization, §1) so
+  // cascaded blocking stages consume fresh upstream flushes within the
+  // same interval.
+  Duration depth = 0;
+  for (const auto& n : dep->dataflow.topological_order()) {
+    if (n == name) break;
+    auto it = dep->operators.find(n);
+    if (it != dep->operators.end() && it->second.op->is_blocking()) ++depth;
+  }
+  // Weak, like the delivery callbacks: a timer outliving a failed
+  // Deploy finds no deployment and returns.
+  std::weak_ptr<Deployment> weak = dep->self;
+  deployed.flush_timer = loop_->SchedulePeriodic(
+      op->interval(),
+      [this, weak, name] {
+        auto d = weak.lock();
+        if (!d || !d->active) return;
+        auto it = d->operators.find(name);
+        if (it == d->operators.end()) return;
+        ops::Operator* target = it->second.op.get();
+        double work = static_cast<double>(target->stats().cache_size) *
+                      options_.work_per_tuple;
+        Status s = target->Flush(loop_->Now());
+        if (!s.ok()) {
+          ++d->stats.process_errors;
+          SL_LOG(kError) << "flush of " << name
+                         << " failed: " << s.ToString();
+        }
+        if (work > 0) {
+          Status ws = network_->ReportWork(it->second.node_id, work);
+          (void)ws;
+        }
+      },
+      /*first_at=*/loop_->Now() + op->interval() +
+          options_.flush_stagger_ms * depth);
+  return deployed;
 }
 
 const std::string& Executor::ResolveOrigin(
@@ -408,11 +408,6 @@ const std::string& Executor::ResolveOrigin(
 void Executor::Route(Deployment* dep, const std::string& producer,
                      const std::string& producer_node,
                      const stt::TupleRef& tuple, Timestamp watermark) {
-  // A pending run precedes this tuple in delivery order: process it
-  // before scheduling new transfers so network-side effects (work,
-  // fault draws) keep the per-tuple sequence. Re-entrant calls during a
-  // drain see an empty buffer and fall straight through.
-  if (options_.columnar_batch) DrainPending(dep);
   auto edges_it = dep->edges.find(producer);
   if (edges_it == dep->edges.end()) return;
   size_t bytes = TupleBytes(*tuple);
@@ -490,44 +485,6 @@ void Executor::Route(Deployment* dep, const std::string& producer,
 
 void Executor::Deliver(Deployment* dep, const Edge& edge,
                        const stt::TupleRef& tuple, Timestamp watermark) {
-  if (options_.columnar_batch && !edge.to_sink) {
-    auto op_it = dep->operators.find(edge.to);
-    if (op_it != dep->operators.end() &&
-        op_it->second.op->parallelism() == 1 &&
-        op_it->second.op->batchable(edge.port)) {
-      Deployment::PendingBatch& pb = dep->pending;
-      // A run covers one (operator, port): a delivery elsewhere seals it.
-      if (!pb.tuples.empty() && (pb.op != edge.to || pb.port != edge.port)) {
-        DrainPending(dep);
-      }
-      if (pb.tuples.empty()) {
-        pb.op = edge.to;
-        pb.port = edge.port;
-      }
-      pb.tuples.push_back(tuple);
-      pb.watermarks.push_back(watermark);
-      if (pb.tuples.size() >= kMaxPendingBatch) {
-        DrainPending(dep);
-      } else if (!pb.barrier_scheduled) {
-        // Same-instant barrier: the loop's FIFO tie-break runs it after
-        // every already-queued event of this instant, so the run is
-        // processed before simulated time moves — no event scheduled
-        // from the batch can land earlier than it would have per-tuple.
-        pb.barrier_scheduled = true;
-        std::weak_ptr<Deployment> weak = dep->self;
-        loop_->Schedule(loop_->Now(), [this, weak] {
-          if (auto d = weak.lock()) {
-            d->pending.barrier_scheduled = false;
-            DrainPending(d.get());
-          }
-        });
-      }
-      return;
-    }
-  }
-  // Anything that is not appended to the pending run (sink writes,
-  // non-batchable operators) must observe fully processed state.
-  DrainPending(dep);
   if (edge.to_sink) {
     auto it = dep->sinks.find(edge.to);
     if (it == dep->sinks.end()) return;
@@ -560,67 +517,6 @@ void Executor::Deliver(Deployment* dep, const Edge& edge,
   }
 }
 
-void Executor::DrainPending(Deployment* dep) const {
-  Deployment::PendingBatch& pb = dep->pending;
-  if (pb.draining || pb.tuples.empty()) return;
-  pb.draining = true;
-  const std::string op_name = std::move(pb.op);
-  const size_t port = pb.port;
-  std::vector<stt::TupleRef> tuples = std::move(pb.tuples);
-  std::vector<Timestamp> watermarks = std::move(pb.watermarks);
-  pb.op.clear();
-  pb.tuples.clear();
-  pb.watermarks.clear();
-  auto it = dep->operators.find(op_name);
-  if (it != dep->operators.end() && dep->active) {
-    ops::Operator* op = it->second.op.get();
-    const size_t n = tuples.size();
-    Status ws = network_->ReportWork(
-        it->second.node_id,
-        options_.work_per_tuple * static_cast<double>(n));
-    (void)ws;
-    ops::Operator::BatchContext ctx;
-    // Watermark-segmented processing: per-tuple delivery observes every
-    // piggybacked watermark before its Process call, but an observation
-    // is a state no-op unless it advances the frontier (w <= min over
-    // ports implies w <= this port's max). Segments end exactly where
-    // the next observation would matter, so every tuple is processed
-    // under the identical frontier state as the per-tuple path.
-    size_t i = 0;
-    while (i < n) {
-      op->ObserveWatermark(port, watermarks[i]);
-      const Timestamp frontier = op->input_watermark();
-      size_t j = i + 1;
-      while (j < n) {
-        const Timestamp w = watermarks[j];
-        if (w != stt::kNoWatermark &&
-            (frontier == stt::kNoWatermark || w > frontier)) {
-          break;
-        }
-        ++j;
-      }
-      ctx.errors.clear();
-      Status s = op->ProcessBatch(port, &tuples[i], j - i, &ctx);
-      for (const ops::Operator::BatchRowError& e : ctx.errors) {
-        ++dep->stats.process_errors;
-        SL_LOG(kError) << "operator " << op_name
-                       << " failed: " << e.status.ToString();
-      }
-      if (!s.ok()) {
-        ++dep->stats.process_errors;
-        SL_LOG(kError) << "operator " << op_name
-                       << " failed: " << s.ToString();
-      }
-      i = j;
-    }
-  }
-  pb.draining = false;
-}
-
-void Executor::DrainAllPending() const {
-  for (const auto& [id, dep] : deployments_) DrainPending(dep.get());
-}
-
 Status Executor::Undeploy(DeploymentId id) {
   auto it = deployments_.find(id);
   if (it == deployments_.end()) {
@@ -633,9 +529,6 @@ Status Executor::Undeploy(DeploymentId id) {
         StrFormat("deployment %llu is already stopped",
                   static_cast<unsigned long long>(id)));
   }
-  // Settle coalesced deliveries while still active — tuples already
-  // delivered must reach their operator before the stop, as per-tuple.
-  DrainPending(dep);
   dep->active = false;
   for (auto sub : dep->subscriptions) broker_->Unsubscribe(sub);
   dep->subscriptions.clear();
@@ -677,9 +570,6 @@ Status Executor::ReplaceOperator(DeploymentId id, const std::string& op_name,
   if (op_it == dep->operators.end()) {
     return Status::NotFound("no operator '" + op_name + "' in deployment");
   }
-  // Settle coalesced deliveries into the outgoing operator before it is
-  // swapped out (its pending input must not land in the replacement).
-  DrainPending(dep);
   const Node& node = **dep->dataflow.node(op_name);
   // The replacement spec chooses the operation kind; a TriggerSpec keeps
   // the original On/Off polarity.
@@ -699,84 +589,29 @@ Status Executor::ReplaceOperator(DeploymentId id, const std::string& op_name,
     input_schemas.push_back(report.schemas.at(in));
   }
 
-  auto detail_it = deployment_details_.find(id);
-  ops::OperatorOptions op_options;
-  op_options.max_cache_tuples = options_.max_cache_tuples;
-  op_options.naive_blocking = options_.naive_blocking;
-  op_options.watermark = options_.watermark;
-  op_options.activation =
-      detail_it != deployment_details_.end()
-          ? static_cast<ExecutorDetail*>(detail_it->second.get())
-                ->activation.get()
-          : nullptr;
-  SL_ASSIGN_OR_RETURN(std::unique_ptr<ops::Operator> new_op,
-                      ops::MakeOperator(op_name, new_kind, new_spec,
-                                        input_schemas, node.inputs,
-                                        op_options));
+  SL_ASSIGN_OR_RETURN(DeployedOperator replacement,
+                      BuildOperator(dep, op_name, new_kind, new_spec,
+                                    input_schemas));
   // The downstream wiring is schema-typed: the replacement must keep it.
-  if (!new_op->output_schema()->Equals(
+  if (!replacement.op->output_schema()->Equals(
           *op_it->second.op->output_schema())) {
+    loop_->Cancel(replacement.flush_timer);
     return Status::ValidationError(
         "replacement for '" + op_name +
         "' changes the output schema; downstream operators would break");
   }
   // The replacement may change the instance-group size.
-  int group_delta = static_cast<int>(new_op->parallelism()) -
+  int group_delta = static_cast<int>(replacement.op->parallelism()) -
                     static_cast<int>(op_it->second.op->parallelism());
   if (group_delta != 0) {
     Status ps =
         network_->AdjustProcessCount(op_it->second.node_id, group_delta);
     (void)ps;
   }
-  // Swap: cancel the old flush timer, install the new operator.
-  if (op_it->second.flush_timer != 0) {
-    loop_->Cancel(op_it->second.flush_timer);
-    op_it->second.flush_timer = 0;
-  }
-  op_it->second.op = std::move(new_op);
-  ops::Operator* op_ptr = op_it->second.op.get();
-  op_ptr->set_emit([this, dep, op_name](const stt::TupleRef& t) {
-    auto oit = dep->operators.find(op_name);
-    if (oit == dep->operators.end()) return;
-    Route(dep, op_name, oit->second.node_id, t,
-          oit->second.op->output_watermark());
-  });
-  if (dep->late_sink != nullptr) {
-    op_ptr->set_late_emit([dep](const stt::TupleRef& t) {
-      Status s = dep->late_sink->Write(t);
-      (void)s;
-    });
-  }
-  if (op_ptr->is_blocking()) {
-    // Recompute the flush stagger depth: blocking operators preceding
-    // this one in the topological order.
-    Duration depth = 0;
-    for (const auto& n : dep->dataflow.topological_order()) {
-      if (n == op_name) break;
-      auto oit = dep->operators.find(n);
-      if (oit != dep->operators.end() && oit->second.op->is_blocking()) {
-        ++depth;
-      }
-    }
-    op_it->second.flush_timer = loop_->SchedulePeriodic(
-        op_ptr->interval(),
-        [this, dep, op_name] {
-          auto oit = dep->operators.find(op_name);
-          if (oit == dep->operators.end() || !dep->active) return;
-          DrainPending(dep);
-          ops::Operator* op = oit->second.op.get();
-          double work = static_cast<double>(op->stats().cache_size) *
-                        options_.work_per_tuple;
-          Status s = op->Flush(loop_->Now());
-          if (!s.ok()) ++dep->stats.process_errors;
-          if (work > 0) {
-            Status ws = network_->ReportWork(oit->second.node_id, work);
-            (void)ws;
-          }
-        },
-        /*first_at=*/loop_->Now() + op_ptr->interval() +
-            options_.flush_stagger_ms * depth);
-  }
+  // Swap: cancel the old flush timer, install the new operator in place.
+  loop_->Cancel(op_it->second.flush_timer);
+  replacement.node_id = op_it->second.node_id;
+  op_it->second = std::move(replacement);
   // Update the conceptual dataflow so the live canvas reflects the edit.
   // (Dataflow is immutable; rebuild it with the new spec.)
   dataflow::DataflowBuilder builder(dep->dataflow.name());
@@ -840,8 +675,6 @@ Status Executor::MigrateOperator(DeploymentId id, const std::string& op_name,
   }
   std::string from = op_it->second.node_id;
   if (from == target_node) return Status::OK();
-  // The cache estimate below must reflect every delivered tuple.
-  DrainPending(dep);
   // Simulate the state hand-off: blocking caches move over the network.
   // A failed hand-off (source crashed or partitioned — the crash-recovery
   // path) loses the cache state but does not block the re-placement.
@@ -882,8 +715,6 @@ Status Executor::RescaleOperator(DeploymentId id, const std::string& op_name,
   if (op_it == dep->operators.end()) {
     return Status::NotFound("no operator '" + op_name + "' in deployment");
   }
-  // Re-partitioning observes (and redistributes) the cached state.
-  DrainPending(dep);
   ops::Operator* op = op_it->second.op.get();
   size_t old_parallelism = op->parallelism();
   if (new_parallelism == old_parallelism) return Status::OK();
@@ -922,7 +753,6 @@ Status Executor::DrainNode(const std::string& node_id) {
     return Status::FailedPrecondition(
         "cannot drain the only node of the network");
   }
-  DrainAllPending();
   for (auto& [id, dep] : deployments_) {
     if (!dep->active) continue;
     // Operators: reuse the migration path (state transfer + logging).
@@ -970,7 +800,6 @@ Result<const DeploymentStats*> Executor::stats(DeploymentId id) const {
   if (it == deployments_.end()) {
     return Status::NotFound("no such deployment");
   }
-  DrainPending(it->second.get());
   return &it->second->stats;
 }
 
@@ -980,7 +809,6 @@ Result<ops::OperatorStats> Executor::OperatorStatsOf(
   if (it == deployments_.end()) {
     return Status::NotFound("no such deployment");
   }
-  DrainPending(it->second.get());
   auto op_it = it->second->operators.find(name);
   if (op_it == it->second->operators.end()) {
     return Status::NotFound("no operator '" + name + "' in deployment");
@@ -994,9 +822,6 @@ Result<sinks::Sink*> Executor::SinkOf(DeploymentId id,
   if (it == deployments_.end()) {
     return Status::NotFound("no such deployment");
   }
-  // Coalesced deliveries may still carry tuples bound for this sink's
-  // upstream; settle them so the sink contents are read-after-write.
-  DrainPending(it->second.get());
   auto sink_it = it->second->sinks.find(name);
   if (sink_it == it->second->sinks.end()) {
     return Status::NotFound("no sink '" + name + "' in deployment");
@@ -1009,7 +834,6 @@ Result<sinks::LateSink*> Executor::LateSinkOf(DeploymentId id) const {
   if (it == deployments_.end()) {
     return Status::NotFound("no such deployment");
   }
-  DrainPending(it->second.get());
   return it->second->late_sink.get();
 }
 
@@ -1019,7 +843,6 @@ Executor::LiveAnnotations(DeploymentId id) const {
   if (it == deployments_.end()) {
     return Status::NotFound("no such deployment");
   }
-  DrainPending(it->second.get());
   const Deployment* dep = it->second.get();
   std::map<std::string, dataflow::NodeAnnotation> annotations;
   for (const auto& [name, deployed] : dep->operators) {
@@ -1099,9 +922,6 @@ void Executor::DeactivateSensors(const std::vector<std::string>& sensor_ids,
 
 std::vector<monitor::OperatorSample> Executor::SampleOperators(
     Duration window) {
-  // Rates must count every delivered tuple of the window, including the
-  // run still sitting in the coalescing buffer.
-  DrainAllPending();
   std::vector<monitor::OperatorSample> samples;
   double seconds = static_cast<double>(window) / 1000.0;
   if (seconds <= 0) seconds = 1e-3;
@@ -1273,8 +1093,6 @@ void Executor::OnHeartbeat() {
 
 void Executor::RecoverDeployment(DeploymentId id, Deployment* dep,
                                  const std::string& node_id) {
-  // Deliveries already accepted predate the crash: settle them first.
-  DrainPending(dep);
   // Operators: reuse the migration machinery. The simulated state
   // hand-off originates on the dead node and is conclusively lost — a
   // crash loses blocking caches, which the lost transfer models.

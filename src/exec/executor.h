@@ -116,18 +116,6 @@ struct ExecutorOptions {
   std::function<void(const std::string& source, const stt::TupleRef& tuple,
                      Timestamp at, Timestamp watermark)>
       source_tap;
-  /// \brief Columnar batch execution: consecutive same-edge deliveries
-  /// into a batch-capable operator (ops::Operator::batchable) are
-  /// coalesced and handed to ProcessBatch as one columnar run instead of
-  /// one Process call per tuple. Pending runs are flushed before any
-  /// event that could observe operator state (flush timers, monitor
-  /// samples, stats reads, redeployment actions) and at a same-instant
-  /// barrier, so sink output and per-operator counters are bit-identical
-  /// to the per-tuple path for a single active deployment. With several
-  /// concurrently active deployments *and* injected network faults, the
-  /// relative order of fault-RNG draws may differ (batching reorders
-  /// work across deployments within one instant). Off by default.
-  bool columnar_batch = false;
 };
 
 /// \brief Cumulative counters of one deployment.
@@ -287,6 +275,9 @@ class Executor : public ops::ActivationHandler {
     DeploymentId id = 0;
     bool active = false;
     dataflow::Dataflow dataflow;
+    /// Counts the deployment's trigger activations before forwarding them
+    /// to the executor. Operators point at it, so it outlives them.
+    std::unique_ptr<ops::ActivationHandler> activation;
     std::map<std::string, DeployedOperator> operators;
     std::map<std::string, DeployedSink> sinks;
     std::map<std::string, std::string> source_nodes;
@@ -297,21 +288,6 @@ class Executor : public ops::ActivationHandler {
     /// Late-side sink (LatePolicy::kSideOutput only, else nullptr).
     std::unique_ptr<sinks::LateSink> late_sink;
     DeploymentStats stats;
-    /// \brief Columnar coalescing buffer (ExecutorOptions::columnar_batch):
-    /// one run of consecutive deliveries into the same (operator, port),
-    /// with each tuple's piggybacked watermark. Drained by DrainPending.
-    struct PendingBatch {
-      std::string op;
-      size_t port = 0;
-      std::vector<stt::TupleRef> tuples;
-      std::vector<Timestamp> watermarks;
-      /// A same-instant drain event is already queued on the loop.
-      bool barrier_scheduled = false;
-      /// Re-entrancy latch: a drain in progress must not recurse when
-      /// the batch's own emissions route back through the executor.
-      bool draining = false;
-    };
-    PendingBatch pending;
     /// Weak self-reference handed to event-loop callbacks: a callback
     /// firing after the deployment (or the whole executor) is gone
     /// locks nothing and returns, instead of dereferencing freed state.
@@ -327,6 +303,17 @@ class Executor : public ops::ActivationHandler {
              const std::string& producer_node, const stt::TupleRef& tuple,
              Timestamp watermark);
 
+  /// \brief Builds operator `name` of `dep` from `kind` and `spec` with
+  /// the executor's operator options, routes its emissions and late-side
+  /// output, and arms a blocking operator's periodic flush, staggered by
+  /// the blocking operators ahead of it in topological order. Deploy and
+  /// ReplaceOperator both install operators through here; the caller
+  /// stores the result in dep->operators, or cancels its flush timer.
+  Result<DeployedOperator> BuildOperator(
+      Deployment* dep, const std::string& name, dataflow::OpKind kind,
+      const dataflow::OpSpec& spec,
+      const std::vector<stt::SchemaPtr>& input_schemas);
+
   /// Network node where a sensor's tuples enter (query-bound sources).
   const std::string& ResolveOrigin(const std::string& sensor_id) const;
 
@@ -334,17 +321,6 @@ class Executor : public ops::ActivationHandler {
   /// operator/sink.
   void Deliver(Deployment* deployment, const Edge& edge,
                const stt::TupleRef& tuple, Timestamp watermark);
-
-  /// \brief Flushes the deployment's coalesced delivery run (columnar
-  /// batching) through ops::Operator::ProcessBatch, segmented so the
-  /// piggybacked watermarks advance the operator's frontier at exactly
-  /// the per-tuple points. No-op when the buffer is empty or already
-  /// draining. Const because observation paths (stats, sinks) must be
-  /// able to drain; Deployment state is reached via the shared_ptr.
-  void DrainPending(Deployment* deployment) const;
-
-  /// Drains the pending run of every deployment (monitor/global paths).
-  void DrainAllPending() const;
 
   /// Operator samples for the monitor (resets window counters).
   std::vector<monitor::OperatorSample> SampleOperators(Duration window);
@@ -390,8 +366,6 @@ class Executor : public ops::ActivationHandler {
   uint64_t monitor_ticks_ = 0;
   std::map<std::string, uint64_t> last_rescale_tick_;
   std::set<std::string> dead_nodes_;
-  /// Per-deployment activation adapters (type-erased; see executor.cc).
-  std::map<DeploymentId, std::shared_ptr<void>> deployment_details_;
   ScnLog scn_log_;
 };
 

@@ -105,13 +105,13 @@ struct ThreadedRuntime::Stage {
   Timestamp next_flush = 0;  ///< 0 = non-blocking, no flush schedule
   int64_t current_ingest_ns = 0;  ///< lineage for emissions in Process
   std::vector<int64_t> latencies_ns;  ///< sinks: Feed-to-delivery
-  /// Pending batched emissions (batch_max > 1), sealed into one kBatch
-  /// per output at the batch bound, before punctuation is forwarded,
-  /// and at the end of every quantum.
+  /// Pending emissions, sealed into one ring message per output at the
+  /// batch bound, before punctuation is forwarded, and at the end of
+  /// every quantum.
   std::vector<Message::Item> emit_buffer;
-  /// Columnar-run scratch (columnar_batch): contiguous TupleRef view of
-  /// the current kBatch message and the per-run error/lineage context.
-  /// Worker-owned; reused so steady state allocates nothing.
+  /// Columnar-run scratch: contiguous TupleRef view of the current
+  /// kBatch message and the per-run error/lineage context. Worker-owned;
+  /// reused so steady state allocates nothing.
   std::vector<stt::TupleRef> batch_refs;
   ops::Operator::BatchContext batch_ctx;
 
@@ -166,9 +166,7 @@ ThreadedRuntime::ThreadedRuntime(dataflow::Dataflow dataflow,
       broker_(broker),
       sink_context_(std::move(sink_context)),
       options_(std::move(options)),
-      recorder_(std::make_unique<Recorder>()) {
-  virtual_now_ = options_.deploy_time;
-}
+      recorder_(std::make_unique<Recorder>()) {}
 
 ThreadedRuntime::~ThreadedRuntime() {
   if (started_ && !finished_) Abort();
@@ -285,32 +283,18 @@ Status ThreadedRuntime::Build() {
   for (auto& stage : stages_) {
     if (stage->op == nullptr) continue;
     Stage* s = stage.get();
-    if (options_.batch_max > 1) {
-      // Batch-aware transfer: emissions accumulate in the stage's
-      // buffer (with the watermark a kData message would have carried)
-      // and seal into one ring message at the batch bound, before any
-      // punctuation goes out, and at the end of every quantum.
-      s->op->set_emit([this, s](const stt::TupleRef& t) {
-        s->out_count.fetch_add(1, std::memory_order_relaxed);
-        if (s->outputs.empty()) return;
-        s->emit_buffer.push_back(
-            {t, s->op->output_watermark(), s->current_ingest_ns});
-        if (s->emit_buffer.size() >= options_.batch_max) FlushEmitBuffers(s);
-      });
-    } else {
-      s->op->set_emit([this, s](const stt::TupleRef& t) {
-        s->out_count.fetch_add(1, std::memory_order_relaxed);
-        Message m;
-        m.kind = Message::Kind::kData;
-        m.tuple = t;
-        m.watermark = s->op->output_watermark();
-        m.ingest_ns = s->current_ingest_ns;
-        for (Channel* out : s->outputs) {
-          Message copy = m;
-          PushBlocking(out, std::move(copy));
-        }
-      });
-    }
+    // Batch-aware transfer: emissions accumulate in the stage's buffer
+    // (with the watermark a kData message would have carried) and seal
+    // into one ring message at the batch bound, before any punctuation
+    // goes out, and at the end of every quantum. At batch_max = 1 every
+    // emission seals at once into its own kData message.
+    s->op->set_emit([this, s](const stt::TupleRef& t) {
+      s->out_count.fetch_add(1, std::memory_order_relaxed);
+      if (s->outputs.empty()) return;
+      s->emit_buffer.push_back(
+          {t, s->op->output_watermark(), s->current_ingest_ns});
+      if (s->emit_buffer.size() >= options_.batch_max) FlushEmitBuffers(s);
+    });
     s->op->set_late_emit([this](const stt::TupleRef& t) {
       MutexLock lock(&late_mu_);
       late_rows_.push_back(t->ToString());
@@ -362,7 +346,6 @@ void ThreadedRuntime::AdvanceTime(Timestamp now) {
     }
     boundaries_.push({b.at + b.interval, b.interval});
   }
-  virtual_now_ = std::max(virtual_now_, now);
 }
 
 Status ThreadedRuntime::Feed(const std::string& source,
@@ -443,6 +426,29 @@ void ThreadedRuntime::PushBlocking(Channel* channel, Message&& message) {
   }
 }
 
+ThreadedRuntime::Message ThreadedRuntime::MakeRun(const TraceEvent* first,
+                                                  size_t n) {
+  Message m;
+  const int64_t now_ns = NowNs();
+  if (n == 1) {
+    m.kind = Message::Kind::kData;
+    m.tuple = first->tuple;
+    m.watermark = first->watermark;
+    m.ingest_ns = now_ns;
+    return m;
+  }
+  m.kind = Message::Kind::kBatch;
+  m.items.reserve(n);
+  for (const TraceEvent* e = first; e != first + n; ++e) {
+    m.items.push_back({e->tuple, e->watermark, now_ns});
+    if (e->watermark != stt::kNoWatermark &&
+        (m.watermark == stt::kNoWatermark || e->watermark > m.watermark)) {
+      m.watermark = e->watermark;
+    }
+  }
+  return m;
+}
+
 void ThreadedRuntime::HandleData(Stage* stage, size_t input_idx,
                                  Message& message) {
   stage->in_count.fetch_add(1, std::memory_order_relaxed);
@@ -480,7 +486,7 @@ void ThreadedRuntime::HandleBatch(Stage* stage, size_t input_idx,
     // barriers, which FIFO-follow the batch — so this is equivalent to
     // observing each item's watermark in turn.
     stage->op->ObserveWatermark(channel->port, message.watermark);
-    if (options_.columnar_batch && stage->op->batchable(channel->port)) {
+    if (stage->op->batchable(channel->port)) {
       // Columnar run: the whole message goes through ProcessBatch; the
       // lineage stamp is applied per row just before its emissions via
       // the on_row hook (same point the per-tuple loop would set it).
@@ -1004,13 +1010,6 @@ std::vector<monitor::OperatorSample> ThreadedRuntime::SampleStages() const {
 Result<ThreadedRunResult> ThreadedRuntime::RunTrace(const InputTrace& trace,
                                                     Timestamp end_time) {
   SL_RETURN_IF_ERROR(Start());
-  if (options_.batch_max <= 1) {
-    for (const TraceEvent& event : trace) {
-      SL_RETURN_IF_ERROR(Feed(event.source, event.tuple, event.at,
-                              event.watermark));
-    }
-    return Finish(end_time);
-  }
   // Batch-aware replay: runs of consecutive same-source events that
   // stay below the next flush boundary coalesce into one ring message.
   // Crossing a boundary would reorder data past its punctuation, so the
@@ -1036,27 +1035,7 @@ Result<ThreadedRunResult> ThreadedRuntime::RunTrace(const InputTrace& trace,
       ++j;
     }
     fed_.fetch_add(j - i, std::memory_order_relaxed);
-    Message m;
-    if (j - i == 1) {
-      m.kind = Message::Kind::kData;
-      m.tuple = first.tuple;
-      m.watermark = first.watermark;
-      m.ingest_ns = NowNs();
-    } else {
-      m.kind = Message::Kind::kBatch;
-      m.items.reserve(j - i);
-      const int64_t now_ns = NowNs();
-      Timestamp wm = stt::kNoWatermark;
-      for (size_t k = i; k < j; ++k) {
-        m.items.push_back({trace[k].tuple, trace[k].watermark, now_ns});
-        if (trace[k].watermark != stt::kNoWatermark &&
-            (wm == stt::kNoWatermark || trace[k].watermark > wm)) {
-          wm = trace[k].watermark;
-        }
-      }
-      m.watermark = wm;
-      AdvanceTime(trace[j - 1].at);  // bookkeeping; no boundary <= it
-    }
+    const Message m = MakeRun(&first, j - i);
     for (Channel* channel : it->second) {
       Message copy = m;
       PushBlocking(channel, std::move(copy));
@@ -1117,7 +1096,7 @@ void ThreadedRuntime::FeedLoop(const std::string& source,
     // boundary; paced runs feed tuple by tuple — every tuple has its
     // own wall deadline.
     size_t j = i + 1;
-    if (options_.batch_max > 1 && options_.time_scale <= 0) {
+    if (options_.time_scale <= 0) {
       const Timestamp limit = next_punct < punct_schedule_.size()
                                   ? punct_schedule_[next_punct]
                                   : std::numeric_limits<Timestamp>::max();
@@ -1127,26 +1106,7 @@ void ThreadedRuntime::FeedLoop(const std::string& source,
       }
     }
     fed_.fetch_add(j - i, std::memory_order_relaxed);
-    Message m;
-    if (j - i == 1) {
-      m.kind = Message::Kind::kData;
-      m.tuple = events[i].tuple;
-      m.watermark = events[i].watermark;
-      m.ingest_ns = NowNs();
-    } else {
-      m.kind = Message::Kind::kBatch;
-      m.items.reserve(j - i);
-      const int64_t now_ns = NowNs();
-      Timestamp wm = stt::kNoWatermark;
-      for (size_t k = i; k < j; ++k) {
-        m.items.push_back({events[k].tuple, events[k].watermark, now_ns});
-        if (events[k].watermark != stt::kNoWatermark &&
-            (wm == stt::kNoWatermark || events[k].watermark > wm)) {
-          wm = events[k].watermark;
-        }
-      }
-      m.watermark = wm;
-    }
+    const Message m = MakeRun(&events[i], j - i);
     for (Channel* channel : channels) {
       Message copy = m;
       PushBlocking(channel, std::move(copy));

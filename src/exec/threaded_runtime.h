@@ -45,7 +45,10 @@
 // workers with cooperative quantum scheduling, per-instance shard
 // threads (shard_threads) flushing a partitioned operator's shards
 // concurrently, and batch-aware channel transfer (batch_max) coalescing
-// consecutive emissions into one ring message.
+// consecutive emissions into one ring message. A kBatch message that
+// reaches a batch-capable stage (ops::Operator::batchable) goes through
+// ProcessBatch as one columnar run; other stages process its tuples one
+// by one.
 
 #ifndef STREAMLOADER_EXEC_THREADED_RUNTIME_H_
 #define STREAMLOADER_EXEC_THREADED_RUNTIME_H_
@@ -73,15 +76,6 @@
 #include "util/thread_annotations.h"
 
 namespace sl::exec {
-
-/// \brief Which runtime executes a deployment. The discrete-event
-/// simulator stays the default and the correctness oracle; kThreaded
-/// selects the wall-clock worker-pool runtime (this header), reached
-/// through StreamLoader::RunThreaded or a ThreadedRuntime directly.
-enum class ExecutionMode {
-  kSimulated,  ///< deterministic single-threaded simulation (default)
-  kThreaded,   ///< worker threads + SPSC queues + real clocks
-};
 
 /// \brief Configuration of a ThreadedRuntime.
 struct ThreadedOptions {
@@ -123,15 +117,11 @@ struct ThreadedOptions {
   size_t shard_threads = 0;
   /// Batch-aware channel transfer: up to this many consecutive
   /// emissions (or consecutive same-source trace events between flush
-  /// boundaries) coalesce into one ring message. 1 (default) = off.
+  /// boundaries) coalesce into one ring message. A run of one travels
+  /// as a kData message, so 1 (default) never forms a kBatch. A kBatch
+  /// message at a batch-capable stage (ops::Operator::batchable) goes
+  /// through ProcessBatch.
   size_t batch_max = 1;
-  /// Columnar execution of batched rings: a kBatch message arriving at
-  /// a batch-capable stage (ops::Operator::batchable) is handed to
-  /// ProcessBatch as one columnar run instead of one Process call per
-  /// item. Semantically identical to the per-tuple loop (same rows,
-  /// same error logging, same counters); on by default because it only
-  /// engages when batch_max > 1 already coalesces runs.
-  bool columnar_batch = true;
   /// Live-mode pacing: virtual milliseconds that elapse per wall-clock
   /// millisecond (e.g. 1000.0 replays one virtual second per wall
   /// millisecond). 0 = unpaced: feed threads run flat out. Ordering,
@@ -282,6 +272,10 @@ class ThreadedRuntime {
   /// (one kBatch — or kData for a single tuple — per output).
   void FlushEmitBuffers(Stage* stage);
   void PushBlocking(Channel* channel, Message&& message);
+  /// The ring message for `n` >= 1 consecutive same-source trace events
+  /// starting at `first`: kData for one event, else a kBatch sealed with
+  /// the max of the events' watermarks.
+  static Message MakeRun(const TraceEvent* first, size_t n);
   void EmitPunct(Timestamp time);
   monitor::OperatorSample SampleStage(const Stage& stage, bool final) const;
 
@@ -328,7 +322,6 @@ class ThreadedRuntime {
   std::priority_queue<Boundary, std::vector<Boundary>, std::greater<Boundary>>
       boundaries_;
   Timestamp last_punct_ = stt::kNoWatermark;
-  Timestamp virtual_now_ = 0;
 
   // started_/finished_ are atomics because Abort may race a blocked
   // Feed from another thread (the shutdown-while-draining case).

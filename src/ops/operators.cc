@@ -71,8 +71,12 @@ void CoerceComputed(stt::ColumnBatch* batch, ValueType out_type,
       }
       v = std::move(cv).ValueOrDie();
     }
-    sel[out] = sel[pos];
-    (*values)[out] = std::move(v);
+    // Compact only behind a dropped row: moving a value onto itself
+    // empties a std::string.
+    if (out != pos) {
+      sel[out] = sel[pos];
+      (*values)[out] = std::move(v);
+    }
     ++out;
   }
   sel.resize(out);

@@ -322,6 +322,41 @@ TEST_F(ExecutorTest, FlushStaggerDeliversCascadesInSameInterval) {
   EXPECT_EQ(run(0), 1u);
 }
 
+TEST_F(ExecutorTest, ReplacedAggregationKeepsFlushStagger) {
+  // The same cascade, with a2 replaced by an identical aggregation 1 ms
+  // before a1's first flush. The replacement's timer is re-armed one
+  // interval plus the stagger later, so at ~2m it trails a1's second
+  // flush and counts both of a1's results in that interval. Without the
+  // stagger it flushes just ahead of a1 and counts only the first.
+  auto run = [this](Duration stagger) -> std::vector<int64_t> {
+    ExecutorOptions options;
+    options.flush_stagger_ms = stagger;
+    auto exec = MakeExecutor(options);
+    auto df = *DataflowBuilder("cascade")
+                   .AddSource("src", "t1")
+                   .AddAggregation("a1", "src", duration::kMinute,
+                                   AggFunc::kCount, {})
+                   .AddAggregation("a2", "a1", duration::kMinute,
+                                   AggFunc::kCount, {})
+                   .AddSink("out", "a2", SinkKind::kCollect)
+                   .Build();
+    auto id = *exec->Deploy(*dsn::TranslateToDsn(df));
+    loop_.RunFor(duration::kMinute - 1);
+    dataflow::AggregationSpec count;
+    count.func = AggFunc::kCount;
+    SL_EXPECT_OK(exec->ReplaceOperator(id, "a2", count));
+    loop_.RunFor(duration::kMinute + duration::kSecond);
+    auto* sink = dynamic_cast<sinks::CollectSink*>(*exec->SinkOf(id, "out"));
+    std::vector<int64_t> counts;
+    for (const auto& t : sink->tuples()) counts.push_back(t->value(0).AsInt());
+    Status s = exec->Undeploy(id);
+    (void)s;
+    return counts;
+  };
+  EXPECT_EQ(run(50), std::vector<int64_t>{2});
+  EXPECT_EQ(run(0), std::vector<int64_t>{1});
+}
+
 TEST_F(ExecutorTest, QosViolationsCounted) {
   // Rebuild the network with brutal latency so every flow misses its
   // 500 ms bound.

@@ -19,6 +19,7 @@
 namespace sl::expr {
 namespace {
 
+using sl::testing::RandomTempBatch;
 using sl::testing::TempSchema;
 using sl::testing::TempTuple;
 using stt::Value;
@@ -660,35 +661,6 @@ void ExpectPredicateAgreement(const BoundExpr& bound,
     EXPECT_EQ(e.status.ToString(), it->second.ToString())
         << context << " @ row " << e.row;
   }
-}
-
-/// A randomized temperature batch: nulls, NaN, -0.0, missing
-/// locations, null stations, and (optionally) rows whose dynamic temp
-/// type contradicts the schema — the per-tuple type-error path.
-std::vector<stt::TupleRef> RandomTempBatch(sl::Rng* rng, size_t n,
-                                           bool with_bad_rows) {
-  auto schema = TempSchema();
-  std::vector<stt::TupleRef> refs;
-  for (size_t i = 0; i < n; ++i) {
-    Value temp;
-    switch (rng->NextBounded(with_bad_rows ? 6 : 5)) {
-      case 0: temp = Value::Null(); break;
-      case 1: temp = Value::Double(std::nan("")); break;
-      case 2: temp = Value::Double(-0.0); break;
-      case 5: temp = Value::Int(7); break;  // contradicts kDouble
-      default: temp = Value::Double(rng->NextDouble(-50, 50));
-    }
-    Value station =
-        rng->NextBounded(5) == 0 ? Value::Null() : Value::String("osaka");
-    std::optional<stt::GeoPoint> loc;
-    if (rng->NextBounded(4) != 0) {
-      loc = stt::GeoPoint{34.0 + rng->NextDouble(0, 1), 135.5};
-    }
-    refs.push_back(stt::Tuple::Share(stt::Tuple::MakeUnsafe(
-        schema, {temp, station}, 1458000000000 + Timestamp(i) * 60000, loc,
-        "sensor_7")));
-  }
-  return refs;
 }
 
 // The full program battery — arithmetic, comparisons, short-circuit

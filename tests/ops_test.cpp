@@ -162,6 +162,87 @@ TEST(VirtualPropertyOperatorTest, AppendsComputedAttribute) {
   EXPECT_EQ(h.out.size(), 2u);
 }
 
+// ------------------------------------------------ batch vs per-tuple --
+
+// ProcessBatch is the threaded runtime's path for kBatch messages; a
+// Process loop on a fresh operator is its reference. Seeded batches mix
+// null, NaN, -0.0 and type-mismatched rows, so the per-row error path
+// runs too.
+TEST(ProcessBatchOracleTest, MatchesProcessLoop) {
+  const std::pair<OpKind, dataflow::OpSpec> cases[] = {
+      {OpKind::kFilter, FilterSpec{"temp > 0 and station == 'osaka'"}},
+      {OpKind::kFilter, FilterSpec{"sqrt(temp) > 5 or $lat > 34.5"}},
+      {OpKind::kTransform, TransformSpec{"temp", "temp * 1.8 + 32", ""}},
+      {OpKind::kTransform, TransformSpec{"temp", "floor(temp)", ""}},
+      {OpKind::kVirtualProperty,
+       VirtualPropertySpec{"feels", "apparent_temp(temp, 70)", "celsius"}},
+      {OpKind::kVirtualProperty,
+       VirtualPropertySpec{"band", "if(temp > 20, 'hot', 'cold')", ""}},
+  };
+  Rng rng(431);
+  size_t total_errors = 0;
+  size_t total_out = 0;
+  for (const auto& [kind, spec] : cases) {
+    const std::string what = dataflow::SpecToString(kind, spec);
+    for (int round = 0; round < 8; ++round) {
+      const std::vector<stt::TupleRef> refs = sl::testing::RandomTempBatch(
+          &rng, 1 + rng.NextBounded(96), /*with_bad_rows=*/true);
+      const std::string context =
+          what + StrFormat(" round %d (%zu rows)", round, refs.size());
+
+      // Reference: one Process call per row. Each emission is tagged
+      // with the row that produced it.
+      Harness scalar(kind, spec);
+      ASSERT_NE(scalar.op_, nullptr) << context;
+      std::vector<size_t> scalar_rows;
+      std::vector<std::pair<size_t, std::string>> scalar_errors;
+      for (size_t row = 0; row < refs.size(); ++row) {
+        Status s = scalar.op().Process(0, refs[row]);
+        if (!s.ok()) scalar_errors.emplace_back(row, s.ToString());
+        scalar_rows.resize(scalar.out.size(), row);
+      }
+
+      // ProcessBatch on a fresh operator: each emission is tagged with
+      // the row on_row announced last.
+      Harness batched(kind, spec);
+      ASSERT_NE(batched.op_, nullptr) << context;
+      ASSERT_TRUE(batched.op().batchable(0)) << context;
+      size_t announced = refs.size();  // no row announced yet
+      std::vector<size_t> batched_rows;
+      batched.op().set_emit([&](const stt::TupleRef& t) {
+        batched.out.push_back(*t);
+        batched_rows.push_back(announced);
+      });
+      Operator::BatchContext ctx;
+      ctx.on_row = [&](size_t row) { announced = row; };
+      SL_EXPECT_OK(batched.op().ProcessBatch(0, refs.data(), refs.size(),
+                                             &ctx));
+      std::vector<std::pair<size_t, std::string>> batched_errors;
+      for (const Operator::BatchRowError& e : ctx.errors) {
+        batched_errors.emplace_back(e.row, e.status.ToString());
+      }
+
+      ASSERT_EQ(batched.out.size(), scalar.out.size()) << context;
+      for (size_t i = 0; i < scalar.out.size(); ++i) {
+        EXPECT_EQ(batched.out[i].ToString(), scalar.out[i].ToString())
+            << context << " @ emission " << i;
+      }
+      EXPECT_EQ(batched_errors, scalar_errors) << context;
+      EXPECT_EQ(batched.op().stats().tuples_in, scalar.op().stats().tuples_in)
+          << context;
+      EXPECT_EQ(batched.op().stats().tuples_out,
+                scalar.op().stats().tuples_out)
+          << context;
+      EXPECT_EQ(batched_rows, scalar_rows) << context;
+      total_errors += scalar_errors.size();
+      total_out += scalar.out.size();
+    }
+  }
+  // Neither comparison may be vacuous.
+  EXPECT_GT(total_errors, 0u);
+  EXPECT_GT(total_out, 0u);
+}
+
 // ------------------------------------------------------------------ cull --
 
 TEST(CullTimeOperatorTest, DecimatesInsideIntervalOnly) {

@@ -225,120 +225,6 @@ TEST(FastVsNaivePipelineTest, LateDataRegimeAgrees) {
   }
 }
 
-// ------------------------------- batched vs unbatched identity oracle --
-//
-// Columnar batch execution (ExecutorOptions::columnar_batch) coalesces
-// same-edge delivery runs into vectorized ProcessBatch calls at the
-// stateless expression stages. It is purely an execution strategy: the
-// same seeded run with the flag flipped must produce identical sink
-// rows, late rows, per-operator counters and deployment stats — also
-// under delay-reordered deliveries and under guaranteed-late data.
-
-/// Stateless expression chain ahead of an aggregation: virtual
-/// property, filter and transform are the batchable stages; the
-/// aggregation behind them pins the event-time window semantics the
-/// batching must not perturb. The filter drops rows (selective
-/// predicate) and the transform rewrites the aggregated attribute, so
-/// a wrong selection vector or value column shows up in the averages.
-dsn::DsnSpec ColumnarChainSpec() {
-  auto df = *dataflow::DataflowBuilder("wm_columnar")
-                 .AddSource("src", "wm_t0")
-                 .AddVirtualProperty("heat", "src", "heat_index",
-                                     "temp * 1.8 + 32", "fahrenheit")
-                 .AddFilter("keep", "heat",
-                            "heat_index > 50 and temp < 100")
-                 .AddTransform("scale", "keep", "temp", "temp * 2 + 1")
-                 .AddAggregation("agg", "scale", 2 * duration::kSecond,
-                                 dataflow::AggFunc::kAvg, {"temp"})
-                 .AddSink("out", "agg", dataflow::SinkKind::kCollect)
-                 .Build();
-  return *dsn::TranslateToDsn(df);
-}
-
-/// One seed of the identity: same fault plan, columnar_batch flipped.
-/// `batched_tuples` accumulates the columnar run's batched-tuple count
-/// so sweeps can assert the batch path actually engaged.
-void ExpectColumnarMatchesScalar(uint64_t seed, const dsn::DsnSpec& spec,
-                                 const EventTimeOptions& options,
-                                 Duration max_extra_delay,
-                                 uint64_t* batched_tuples) {
-  net::FaultPlan plan =
-      net::MakeDelayOnlyFaultPlan(seed, max_extra_delay, 0.9);
-  EventTimeResult scalar = EventTimeRun(seed, plan, spec, options);
-  ASSERT_TRUE(scalar.deployed) << scalar.deploy_error << "\n"
-                               << Context(seed);
-
-  EventTimeOptions batched = options;
-  batched.columnar_batch = true;
-  EventTimeResult columnar = EventTimeRun(seed, plan, spec, batched);
-  ASSERT_TRUE(columnar.deployed) << columnar.deploy_error << "\n"
-                                 << Context(seed);
-
-  EXPECT_EQ(scalar.sink_rows, columnar.sink_rows) << Context(seed);
-  EXPECT_EQ(scalar.late_rows, columnar.late_rows) << Context(seed);
-  EXPECT_EQ(scalar.stats, columnar.stats) << Context(seed);
-  for (const auto& [name, stats] : scalar.op_stats) {
-    auto it = columnar.op_stats.find(name);
-    ASSERT_NE(it, columnar.op_stats.end()) << name << "\n" << Context(seed);
-    const ops::OperatorStats& other = it->second;
-    // Everything except the batch counters themselves must agree.
-    EXPECT_EQ(stats.tuples_in, other.tuples_in) << name << "\n"
-                                                << Context(seed);
-    EXPECT_EQ(stats.tuples_out, other.tuples_out)
-        << name << "\n" << Context(seed);
-    EXPECT_EQ(stats.flushes, other.flushes) << name << "\n" << Context(seed);
-    EXPECT_EQ(stats.trigger_fires, other.trigger_fires)
-        << name << "\n" << Context(seed);
-    EXPECT_EQ(stats.dropped, other.dropped) << name << "\n" << Context(seed);
-    EXPECT_EQ(stats.late_dropped, other.late_dropped)
-        << name << "\n" << Context(seed);
-    EXPECT_EQ(stats.late_routed, other.late_routed)
-        << name << "\n" << Context(seed);
-    EXPECT_EQ(stats.watermark_low, other.watermark_low)
-        << name << "\n" << Context(seed);
-    EXPECT_EQ(stats.batches, 0u) << name << " scalar run batched\n"
-                                 << Context(seed);
-    if (batched_tuples != nullptr) *batched_tuples += other.batched_tuples;
-  }
-}
-
-TEST(ColumnarIdentityTest, ExpressionChainSweep) {
-  uint64_t batched_tuples = 0;
-  for (uint64_t seed : ChaosSeeds(50, 15000)) {
-    ExpectColumnarMatchesScalar(seed, ColumnarChainSpec(),
-                                EventTimeOptions{},
-                                /*max_extra_delay=*/400, &batched_tuples);
-  }
-  // The sweep is vacuous unless deliveries actually coalesced into
-  // multi-tuple batches at the expression stages.
-  EXPECT_GT(batched_tuples, 0u);
-}
-
-TEST(ColumnarIdentityTest, AggregationSweep) {
-  // No batchable stage at all (source feeds the blocking aggregation
-  // directly): the flag must be a strict no-op.
-  uint64_t batched_tuples = 0;
-  for (uint64_t seed : ChaosSeeds(10, 15500)) {
-    ExpectColumnarMatchesScalar(seed, EventAggSpec(), EventTimeOptions{},
-                                /*max_extra_delay=*/400, &batched_tuples);
-  }
-  EXPECT_EQ(batched_tuples, 0u);
-}
-
-TEST(ColumnarIdentityTest, LateDataRegimeAgrees) {
-  // Heavy delays, tight windows, zero allowed lateness: the columnar
-  // run must classify exactly the same tuples late — watermark
-  // observation points inside a drained batch included.
-  EventTimeOptions options;
-  options.late_policy = ops::LatePolicy::kSideOutput;
-  options.allowed_lateness = 0;
-  for (uint64_t seed : ChaosSeeds(5, 16000)) {
-    ExpectColumnarMatchesScalar(seed, ColumnarChainSpec(), options,
-                                /*max_extra_delay=*/5 * duration::kSecond,
-                                nullptr);
-  }
-}
-
 TEST(LateAccountingTest, DropPolicyCountsBeatenTuples) {
   // Tight tumbling windows + zero allowed lateness + heavy delays:
   // some tuples must arrive behind their fired window.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -21,6 +22,7 @@
 #include "sinks/streams.h"
 #include "stt/schema.h"
 #include "stt/tuple.h"
+#include "util/rng.h"
 
 namespace sl::testing {
 
@@ -58,6 +60,36 @@ inline stt::Tuple TempTuple(const stt::SchemaPtr& schema, double temp,
   return stt::Tuple::MakeUnsafe(
       schema, {stt::Value::Double(temp), stt::Value::String("osaka")}, ts,
       loc, sensor);
+}
+
+/// A randomized temperature batch: nulls, NaN, -0.0, missing
+/// locations, null stations, and (optionally) rows whose dynamic temp
+/// type contradicts the schema — the per-tuple type-error path.
+inline std::vector<stt::TupleRef> RandomTempBatch(Rng* rng, size_t n,
+                                                  bool with_bad_rows) {
+  auto schema = TempSchema();
+  std::vector<stt::TupleRef> refs;
+  for (size_t i = 0; i < n; ++i) {
+    stt::Value temp;
+    switch (rng->NextBounded(with_bad_rows ? 6 : 5)) {
+      case 0: temp = stt::Value::Null(); break;
+      case 1: temp = stt::Value::Double(std::nan("")); break;
+      case 2: temp = stt::Value::Double(-0.0); break;
+      case 5: temp = stt::Value::Int(7); break;  // contradicts kDouble
+      default: temp = stt::Value::Double(rng->NextDouble(-50, 50));
+    }
+    stt::Value station = rng->NextBounded(5) == 0
+                             ? stt::Value::Null()
+                             : stt::Value::String("osaka");
+    std::optional<stt::GeoPoint> loc;
+    if (rng->NextBounded(4) != 0) {
+      loc = stt::GeoPoint{34.0 + rng->NextDouble(0, 1), 135.5};
+    }
+    refs.push_back(stt::Tuple::Share(stt::Tuple::MakeUnsafe(
+        schema, {temp, station}, 1458000000000 + Timestamp(i) * 60000, loc,
+        "sensor_7")));
+  }
+  return refs;
 }
 
 /// {rain: double[mm/h]} @1m/point, weather/rain.
@@ -265,10 +297,6 @@ struct EventTimeOptions {
   /// full-recompute aggregation) instead of the fast paths — the oracle
   /// side of the fast-vs-naive equivalence property.
   bool naive_blocking = false;
-  /// Runs the executor with columnar batch execution
-  /// (exec::ExecutorOptions::columnar_batch) — the batched side of the
-  /// batched-vs-unbatched identity property.
-  bool columnar_batch = false;
 };
 
 /// Everything an event-time run produces.
@@ -378,7 +406,6 @@ inline EventTimeResult EventTimeRun(uint64_t seed, const net::FaultPlan& plan,
   exec_options.watermark.late_policy = options.late_policy;
   exec_options.watermark.allowed_lateness = options.allowed_lateness;
   exec_options.naive_blocking = options.naive_blocking;
-  exec_options.columnar_batch = options.columnar_batch;
   exec::Executor executor(&loop, &net, &broker, &monitor, sink_context,
                           exec_options);
   executor.set_fleet(&fleet);

@@ -174,17 +174,11 @@ struct DiffOptions {
   size_t queue_capacity = 1024;
   // Execution-mode matrix (each axis independently oracle-checked):
   bool live = false;        ///< RunLive feed threads instead of RunTrace
+  bool feed = false;        ///< Start, Feed per event, Finish (no RunTrace)
   double time_scale = 0;    ///< live pacing (0 = unpaced)
   size_t pool_size = 0;     ///< pooled workers (0 = thread per stage)
   size_t shard_threads = 0; ///< partitioned-instance flush threads
   size_t batch_max = 1;     ///< ring-message coalescing bound
-  /// Columnar batch execution on the threaded side
-  /// (ThreadedOptions::columnar_batch): kBatch messages at batchable
-  /// stages go through ProcessBatch. Defaults on like the runtime.
-  bool threaded_columnar = true;
-  /// Columnar batch execution on the simulated reference side
-  /// (ExecutorOptions::columnar_batch).
-  bool sim_columnar = false;
 };
 
 struct DiffResult {
@@ -240,7 +234,6 @@ DiffResult RunSimVsThreaded(uint64_t seed, const dsn::DsnSpec& spec,
   sink_context.warehouse = &warehouse;
   exec::ExecutorOptions exec_options;
   exec_options.naive_blocking = options.naive_blocking;
-  exec_options.columnar_batch = options.sim_columnar;
   if (options.event_time) {
     exec_options.watermark.time_policy = ops::TimePolicy::kEvent;
   }
@@ -302,12 +295,20 @@ DiffResult RunSimVsThreaded(uint64_t seed, const dsn::DsnSpec& spec,
   threaded_options.pool_size = options.pool_size;
   threaded_options.shard_threads = options.shard_threads;
   threaded_options.batch_max = options.batch_max;
-  threaded_options.columnar_batch = options.threaded_columnar;
   threaded_options.time_scale = options.time_scale;
   exec::ThreadedRuntime runtime(*threaded_df, &broker, threaded_context,
                                 threaded_options);
-  auto run = options.live ? runtime.RunLive(result.trace, end_time)
-                          : runtime.RunTrace(result.trace, end_time);
+  // The ingestion path perfbench drives: one Feed call per trace event.
+  auto feed = [&]() -> Result<exec::ThreadedRunResult> {
+    SL_RETURN_IF_ERROR(runtime.Start());
+    for (const exec::TraceEvent& e : result.trace) {
+      SL_RETURN_IF_ERROR(runtime.Feed(e.source, e.tuple, e.at, e.watermark));
+    }
+    return runtime.Finish(end_time);
+  };
+  auto run = options.live   ? runtime.RunLive(result.trace, end_time)
+             : options.feed ? feed()
+                            : runtime.RunTrace(result.trace, end_time);
   if (!run.ok()) {
     result.error = run.status().ToString();
     result.deployed = false;
@@ -324,9 +325,7 @@ std::string Context(uint64_t seed) {
 
 /// One seed of the oracle: the simulated run is the reference; the
 /// threaded replay must match rows, late rows and operator counters.
-void ExpectSimThreadedIdentity(uint64_t seed, const dsn::DsnSpec& spec,
-                               const DiffOptions& options = {}) {
-  DiffResult r = RunSimVsThreaded(seed, spec, options);
+void ExpectIdentity(uint64_t seed, const DiffResult& r) {
   ASSERT_TRUE(r.deployed) << r.error << "\n" << Context(seed);
   // A vacuous oracle proves nothing: the simulator must emit.
   ASSERT_FALSE(r.sim_rows.empty()) << Context(seed);
@@ -349,6 +348,11 @@ void ExpectSimThreadedIdentity(uint64_t seed, const dsn::DsnSpec& spec,
     EXPECT_EQ(it->second.trigger_fires, sim.trigger_fires)
         << name << " fired a different number of times\n" << Context(seed);
   }
+}
+
+void ExpectSimThreadedIdentity(uint64_t seed, const dsn::DsnSpec& spec,
+                               const DiffOptions& options = {}) {
+  ExpectIdentity(seed, RunSimVsThreaded(seed, spec, options));
 }
 
 // ------------------------------------------------------- SPSC basics --
@@ -484,7 +488,13 @@ TEST(SimVsThreadedOracleTest, PartitionedJoinMatchesSim) {
 
 TEST(SimVsThreadedOracleTest, FilterTransformMatchesSim) {
   for (uint64_t seed : ChaosSeeds(50, 8700)) {
-    ExpectSimThreadedIdentity(seed, ThFilterTransformSpec());
+    DiffResult r = RunSimVsThreaded(seed, ThFilterTransformSpec());
+    ExpectIdentity(seed, r);
+    // A run of one travels as kData: at the default batch_max = 1 no
+    // stage ever receives a kBatch message.
+    for (const auto& [name, stats] : r.threaded.op_stats) {
+      EXPECT_EQ(stats.batches, 0u) << name << "\n" << Context(seed);
+    }
   }
 }
 
@@ -705,16 +715,42 @@ TEST(SimVsThreadedOracleTest, AllModesCombinedMatchesSim) {
   }
 }
 
+// ------------------------------------------------ feed-driven oracle --
+
+TEST(SimVsThreadedOracleTest, FeedDrivenMatchesSim) {
+  // Start, one Feed per trace event, Finish: the only ingestion path
+  // perfbench drives, at its configuration (two pooled workers, emission
+  // batches of up to 64). Feed sends one kData message per tuple, so the
+  // batches form between stages only.
+  DiffOptions options;
+  options.feed = true;
+  options.pool_size = 2;
+  options.batch_max = 64;
+  for (uint64_t seed : ChaosSeeds(25, 12200)) {
+    ExpectSimThreadedIdentity(seed, ThAggSpec(0), options);
+  }
+  DiffOptions join = options;
+  join.with_rain = true;
+  for (uint64_t seed : ChaosSeeds(25, 12300)) {
+    ExpectSimThreadedIdentity(seed, ThJoinSpec(0), join);
+  }
+  DiffOptions event_time = options;
+  event_time.event_time = true;
+  for (uint64_t seed : ChaosSeeds(25, 12400)) {
+    ExpectSimThreadedIdentity(seed, ThAggSpec(10 * duration::kSecond),
+                              event_time);
+  }
+}
+
 // ------------------------------------------------- columnar oracle --
 //
 // Columnar batch execution at the batchable (stateless expression)
-// stages — the vectorized ProcessBatch path on both runtimes, the
-// per-tuple scalar path as its oracle.
+// stages — the threaded runtime's vectorized ProcessBatch path, with the
+// simulator's per-tuple path as its oracle.
 
 /// Virtual property → selective filter → transform: every stage is
 /// batchable, so a kBatch ring message walks the whole chain through
-/// the columnar path (and on the simulator, coalesced delivery runs
-/// do the same).
+/// the columnar path.
 dsn::DsnSpec ThColumnarChainSpec() {
   auto df = *dataflow::DataflowBuilder("th_columnar")
                  .AddSource("src", "th_t0")
@@ -746,35 +782,11 @@ TEST(SimVsThreadedOracleTest, ColumnarChainMatchesSim) {
   EXPECT_GT(batched_tuples, 0u);
 }
 
-TEST(SimVsThreadedOracleTest, ColumnarOffChainMatchesSim) {
-  // Same batched rings with the columnar path disabled: the per-item
-  // fallback is the other side of the batched-vs-unbatched identity.
-  DiffOptions options;
-  options.batch_max = 8;
-  options.threaded_columnar = false;
-  for (uint64_t seed : ChaosSeeds(25, 11800)) {
-    ExpectSimThreadedIdentity(seed, ThColumnarChainSpec(), options);
-  }
-}
-
-TEST(SimVsThreadedOracleTest, ColumnarSimMatchesColumnarThreaded) {
-  // Both runtimes batched: coalesced simulator delivery runs vs kBatch
-  // ring messages — same rows either way.
-  DiffOptions options;
-  options.batch_max = 8;
-  options.sim_columnar = true;
-  for (uint64_t seed : ChaosSeeds(25, 11900)) {
-    ExpectSimThreadedIdentity(seed, ThColumnarChainSpec(), options);
-  }
-}
-
 TEST(SimVsThreadedOracleTest, ColumnarEventTimeChainMatchesSim) {
-  // Watermarked chain into an event-time aggregation: segmentation of
-  // coalesced runs at watermark advances (simulator) and the sealed
-  // batch watermark (threaded) must both preserve window firing.
+  // Watermarked chain into an event-time aggregation: the sealed batch
+  // watermark must preserve window firing.
   DiffOptions options;
   options.batch_max = 8;
-  options.sim_columnar = true;
   options.event_time = true;
   auto spec = [] {
     auto df = *dataflow::DataflowBuilder("th_columnar_agg")
@@ -802,7 +814,6 @@ TEST(SimVsThreadedOracleTest, ColumnarAllModesCombinedMatchesSim) {
   options.shard_threads = 2;
   options.batch_max = 8;
   options.queue_capacity = 64;
-  options.sim_columnar = true;
   for (uint64_t seed : ChaosSeeds(25, 12100)) {
     ExpectSimThreadedIdentity(seed, ThColumnarChainSpec(), options);
   }
@@ -1146,7 +1157,6 @@ TEST(ThreadedFacadeTest, StreamLoaderRunThreadedMatchesDeploy) {
   // as reference, RunThreaded on the captured trace.
   StreamLoaderOptions options;
   options.network_nodes = 5;
-  options.execution = exec::ExecutionMode::kThreaded;  // records intent
   StreamLoader sl(options);
   auto sensor = ThSensor("th_t0", ThTempSchema(), "node_2", 42);
   SL_ASSERT_OK(sensor.status());
