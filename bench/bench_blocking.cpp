@@ -214,25 +214,23 @@ void BM_SlidingVsTumbling(benchmark::State& state) {
 }
 BENCHMARK(BM_SlidingVsTumbling)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// ---- fast vs reference blocking paths (before/after series) -------------
+// ---- blocking paths at system level -------------------------------------
 //
-// The same deployments run once with the hash-join / incremental-
-// aggregation fast paths and once with StreamLoaderOptions::
-// naive_blocking — paired entries in BENCH_blocking.json give the
-// system-level speedup, with output counts as the equivalence check.
+// Whole deployments through the hash-join / incremental-aggregation
+// paths; the output counts pin what each run produced. (The reference
+// implementations are test-only; bench_operators pairs them with the
+// fast paths at operator level.)
 
 /// A 1-hour tumbling aggregation over a ~3 Hz sensor: 12k tuples in
 /// the cache at every flush, the window size the flush-latency claim
 /// is made at.
-void BM_Agg10kWindowNaiveVsFast(benchmark::State& state) {
-  bool naive = state.range(0) != 0;
+void BM_Agg10kWindow(benchmark::State& state) {
   uint64_t outputs = 0;
   uint64_t inputs = 0;
   for (auto _ : state) {
     state.PauseTiming();
     StreamLoaderOptions options;
     options.network_nodes = 2;
-    options.naive_blocking = naive;
     StreamLoader loader(options);
     sensors::PhysicalConfig config;
     config.id = "t1";
@@ -269,28 +267,22 @@ void BM_Agg10kWindowNaiveVsFast(benchmark::State& state) {
     state.ResumeTiming();
   }
   double runs = static_cast<double>(state.iterations());
-  state.counters["naive"] = benchmark::Counter(naive ? 1 : 0);
   state.counters["window_tuples"] = benchmark::Counter(
       static_cast<double>(inputs) / (2 * runs));
   state.counters["outputs_per_run"] =
       benchmark::Counter(static_cast<double>(outputs) / runs);
 }
-BENCHMARK(BM_Agg10kWindowNaiveVsFast)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Agg10kWindow)->Unit(benchmark::kMillisecond);
 
 /// Equi-join of two 1 Hz temperature streams over 10-minute intervals:
-/// ~600 tuples per side per flush, so the reference nested loop pays
-/// ~360k predicate evaluations where the hash probe pays ~1.2k.
-void BM_EquiJoinNaiveVsFast(benchmark::State& state) {
-  bool naive = state.range(0) != 0;
+/// ~600 tuples per side per flush, so a nested loop would pay ~360k
+/// predicate evaluations where the hash probe pays ~1.2k.
+void BM_EquiJoin10MinInterval(benchmark::State& state) {
   uint64_t outputs = 0;
   for (auto _ : state) {
     state.PauseTiming();
     StreamLoaderOptions options;
     options.network_nodes = 2;
-    options.naive_blocking = naive;
     StreamLoader loader(options);
     if (!loader.AddSensor(FastSensor("a", 1)).ok() ||
         !loader.AddSensor(FastSensor("b", 2)).ok()) {
@@ -311,14 +303,10 @@ void BM_EquiJoinNaiveVsFast(benchmark::State& state) {
     outputs += (*loader.executor().OperatorStatsOf(id, "j")).tuples_out;
     state.ResumeTiming();
   }
-  state.counters["naive"] = benchmark::Counter(naive ? 1 : 0);
   state.counters["join_outputs"] = benchmark::Counter(
       static_cast<double>(outputs) / static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_EquiJoinNaiveVsFast)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EquiJoin10MinInterval)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sl

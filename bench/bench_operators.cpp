@@ -11,6 +11,7 @@
 #include "bench/bench_util.h"
 #include "dataflow/op_spec.h"
 #include "ops/operator.h"
+#include "tests/reference/blocking.h"
 #include "util/strings.h"
 
 namespace sl {
@@ -37,9 +38,10 @@ std::unique_ptr<ops::Operator> Build(OpKind op, dataflow::OpSpec spec,
   static NullActivation activation;
   ops::OperatorOptions options;
   options.activation = &activation;
-  options.naive_blocking = naive;
   auto result =
-      ops::MakeOperator("bench", op, std::move(spec), inputs, names, options);
+      naive ? reference::MakeBlockingReference("bench", op, spec, inputs,
+                                               names, options)
+            : ops::MakeOperator("bench", op, spec, inputs, names, options);
   if (!result.ok()) {
     std::fprintf(stderr, "operator build failed: %s\n",
                  result.status().ToString().c_str());
@@ -197,9 +199,10 @@ BENCHMARK(BM_Join)->Arg(16)->Arg(64)->Arg(256);
 // Selective integer-valued keys drawn from a small domain, so the hash
 // index groups each side into ~per_side/64 rows per key and the probe
 // replaces the O(n·m) cross product. The *Nested variants run the same
-// data through the reference implementation (OperatorOptions::
-// naive_blocking) — the tuples_per_sec ratio between paired entries in
-// BENCH_operators.json is the measured speedup.
+// data through the test-only reference implementation
+// (reference::MakeBlockingReference, tests/reference) — the
+// tuples_per_sec ratio between paired entries in BENCH_operators.json is
+// the measured speedup.
 
 /// Temperature tuples whose temp is an integer-valued double in
 /// [0, domain) — an equi-join key with realistic collision rates.

@@ -3,13 +3,14 @@
 // instances, N in {1, 2, 4, 8}, under uniform and Zipf-skewed key
 // distributions.
 //
-// Expected shape: the reference nested-loop join enumerates O(L*R)
-// candidate pairs per flush; partitioning the key space into N shards
-// cuts that to O(L*R/N), so single-core throughput rises ~linearly in
-// N on uniform keys and degrades with skew (the hottest shard
-// dominates, key_skew in the monitor names the culprit). Grouped
-// aggregation flush work is linear in the cache, so its curve is flat
-// — included as the contrast that shows where partitioning pays.
+// Expected shape: both operators run their production paths, the hash
+// equi-join and the incremental grouped aggregation. Their flush work
+// is linear in the cache (plus the join's matches), so partitioning the
+// key space N ways re-divides that work instead of cutting it: on the
+// single-threaded simulator both curves stay roughly flat in N, and the
+// partitioned wrapper's splitter/merger overhead shows as N grows. Zipf
+// keys pile the matches onto the hottest shard (key_skew in the monitor
+// names it).
 
 #include <benchmark/benchmark.h>
 
@@ -28,9 +29,8 @@ namespace {
 using dataflow::AggFunc;
 using dataflow::SinkKind;
 
-// High key cardinality keeps the join's match rate (and thus the
-// output-materialization cost, which no amount of sharding removes)
-// low relative to candidate-pair enumeration — the partitionable part.
+// High key cardinality keeps the join's match rate, and with it the
+// output-materialization cost, low.
 constexpr size_t kKeys = 256;
 constexpr Duration kPeriod = 100;  // ms → 10 Hz per stream
 
@@ -87,10 +87,10 @@ Result<std::unique_ptr<sensors::SensorSimulator>> KeyedSensor(
   return sensors::MakeReplaySensor(std::move(info), std::move(recording));
 }
 
-/// Headline: reference nested-loop equi-join, key-partitioned N ways.
-/// 10 Hz per side, 60 s interval → ~600 tuples per side per flush, so
-/// the single instance evaluates ~360k candidate pairs per flush and a
-/// shard on uniform keys ~1/N² of that, N shards ⇒ work/N overall.
+/// Headline: hash equi-join, key-partitioned N ways. 10 Hz per side,
+/// 60 s interval → ~600 tuples per side per flush; each left tuple
+/// probes only its key's bucket, so a flush costs O(L + R + matches) at
+/// every N.
 void BM_PartitionedEquiJoin(benchmark::State& state) {
   size_t parallelism = static_cast<size_t>(state.range(0));
   bool zipf = state.range(1) != 0;
@@ -102,7 +102,6 @@ void BM_PartitionedEquiJoin(benchmark::State& state) {
     state.PauseTiming();
     StreamLoaderOptions options;
     options.network_nodes = 2;
-    options.naive_blocking = true;  // the O(L*R) reference path
     StreamLoader loader(options);
     auto left = KeyedSensor("pb_l", "temp", "weather/temperature", 21, zipf);
     auto right = KeyedSensor("pb_r", "rain", "weather/rain", 22, zipf);
@@ -176,7 +175,6 @@ void BM_PartitionedAggregation(benchmark::State& state) {
     state.PauseTiming();
     StreamLoaderOptions options;
     options.network_nodes = 2;
-    options.naive_blocking = true;  // full-recompute reference path
     StreamLoader loader(options);
     auto temp = KeyedSensor("pb_t", "temp", "weather/temperature", 23, zipf);
     if (!temp.ok() || !loader.AddSensor(std::move(*temp)).ok()) {

@@ -21,6 +21,7 @@
 #include "ops/operator.h"
 #include "pubsub/broker.h"
 #include "stt/column_batch.h"
+#include "tests/reference/blocking.h"
 #include "util/strings.h"
 
 namespace sl {
@@ -305,8 +306,8 @@ BENCHMARK(BM_ChainVpropVector)->Arg(1)->Arg(64)->Arg(1024);
 // ---- hash-join probe: grouped batch probe over clustered keys ---------
 //
 // The probe-side batching (one key pass up front + candidate-list reuse
-// across key-clustered runs) against the naive nested loop, at cache
-// sizes matching the batch sweep.
+// across key-clustered runs) against the reference nested loop
+// (tests/reference), at cache sizes matching the batch sweep.
 
 void RunJoinProbe(benchmark::State& state, bool naive) {
   const size_t cache = static_cast<size_t>(state.range(0));
@@ -335,9 +336,13 @@ void RunJoinProbe(benchmark::State& state, bool naive) {
   ops::OperatorOptions options;
   static NullActivation activation;
   options.activation = &activation;
-  options.naive_blocking = naive;
-  auto made = ops::MakeOperator("bench_join", OpKind::kJoin, spec,
-                                {schema, schema}, {"left", "right"}, options);
+  auto made =
+      naive ? reference::MakeBlockingReference("bench_join", OpKind::kJoin,
+                                               spec, {schema, schema},
+                                               {"left", "right"}, options)
+            : ops::MakeOperator("bench_join", OpKind::kJoin, spec,
+                                {schema, schema}, {"left", "right"},
+                                options);
   if (!made.ok()) {
     state.SkipWithError(made.status().ToString().c_str());
     return;

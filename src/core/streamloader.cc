@@ -4,8 +4,7 @@
 
 namespace sl {
 
-StreamLoader::StreamLoader(const StreamLoaderOptions& options)
-    : options_(options) {
+StreamLoader::StreamLoader(const StreamLoaderOptions& options) {
   loop_ = std::make_unique<net::EventLoop>(options.start_time);
   network_ = std::make_unique<net::Network>(loop_.get());
   if (options.network_nodes > 0) {
@@ -27,7 +26,6 @@ StreamLoader::StreamLoader(const StreamLoaderOptions& options)
   exec::ExecutorOptions exec_options;
   exec_options.placement = options.placement;
   exec_options.rebalance_threshold = options.rebalance_threshold;
-  exec_options.naive_blocking = options.naive_blocking;
   executor_ = std::make_unique<exec::Executor>(loop_.get(), network_.get(),
                                                broker_.get(), monitor_.get(),
                                                sink_context, exec_options);
@@ -110,7 +108,6 @@ Result<exec::ThreadedRunResult> StreamLoader::RunThreaded(
         "would silently diverge from the simulator. Set "
         "ThreadedOptions::allow_fault_plan to run anyway.");
   }
-  options.naive_blocking = options.naive_blocking || options_.naive_blocking;
   sinks::SinkContext sink_context;
   sink_context.warehouse = warehouse_.get();
   exec::ThreadedRuntime runtime(dataflow, broker_.get(), sink_context,

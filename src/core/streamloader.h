@@ -57,10 +57,6 @@ struct StreamLoaderOptions {
   /// Virtual start time; defaults to 2016-03-15T00:00Z (the EDBT demo
   /// week) so diurnal generators behave realistically.
   Timestamp start_time = 1458000000000;
-  /// Deploy blocking operators with the reference implementations
-  /// (nested-loop join, full-recompute aggregation) instead of the
-  /// hash/incremental fast paths — for equivalence checks and ablations.
-  bool naive_blocking = false;
 };
 
 /// \brief One complete StreamLoader platform instance.
@@ -116,12 +112,11 @@ class StreamLoader {
   /// replays `trace` (tuples per source with virtual ingestion times —
   /// typically captured from a simulated run via
   /// ExecutorOptions::source_tap) and drains at `end_time`. The
-  /// session's naive_blocking choice is inherited unless the options
-  /// already set it. The simulator deployments are untouched, and the
-  /// simulated run of the same trace is the correctness oracle of this
-  /// path. Fails fast when the session's network carries a non-zero
-  /// fault plan (threaded mode does not simulate faults);
-  /// ThreadedOptions::allow_fault_plan overrides the check.
+  /// simulator deployments are untouched, and the simulated run of the
+  /// same trace is the correctness oracle of this path. Fails fast when
+  /// the session's network carries a non-zero fault plan (threaded mode
+  /// does not simulate faults); ThreadedOptions::allow_fault_plan
+  /// overrides the check.
   Result<exec::ThreadedRunResult> RunThreaded(
       const dataflow::Dataflow& dataflow, const exec::InputTrace& trace,
       Timestamp end_time, exec::ThreadedOptions options = {});
@@ -139,7 +134,6 @@ class StreamLoader {
   std::string MonitorView() const;
 
  private:
-  StreamLoaderOptions options_;
   std::unique_ptr<net::EventLoop> loop_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<pubsub::Broker> broker_;

@@ -329,7 +329,6 @@ Result<Executor::DeployedOperator> Executor::BuildOperator(
     const std::vector<stt::SchemaPtr>& input_schemas) {
   ops::OperatorOptions op_options;
   op_options.max_cache_tuples = options_.max_cache_tuples;
-  op_options.naive_blocking = options_.naive_blocking;
   op_options.activation = dep->activation.get();
   op_options.watermark = options_.watermark;
   DeployedOperator deployed;

@@ -46,11 +46,6 @@ struct ExecutorOptions {
   double work_per_tuple = 1.0;
   /// Blocking-operation cache bound (per input).
   size_t max_cache_tuples = 1 << 20;
-  /// Run the blocking operators' reference implementations (nested-loop
-  /// join, full per-flush aggregation recompute) instead of the indexed
-  /// fast paths. Output is identical either way; tests use this to
-  /// cross-check whole pipelines.
-  bool naive_blocking = false;
   /// Re-assign operators away from nodes above this utilization on each
   /// monitor tick (0 disables auto-rebalancing).
   double rebalance_threshold = 1.0;

@@ -25,14 +25,6 @@ int64_t NowNs() {
       .count();
 }
 
-/// Burns wall-clock time without sleeping (slow-sink stress knob; a
-/// sleep would round up to scheduler quanta and hide the queue math).
-void SpinFor(int64_t ns) {
-  const int64_t until = NowNs() + ns;
-  while (NowNs() < until) {
-  }
-}
-
 }  // namespace
 
 /// What flows through a channel: a tuple with its piggybacked watermark
@@ -191,7 +183,6 @@ Status ThreadedRuntime::Build() {
     }
     ops::OperatorOptions op_options;
     op_options.max_cache_tuples = options_.max_cache_tuples;
-    op_options.naive_blocking = options_.naive_blocking;
     op_options.watermark = options_.watermark;
     op_options.activation = recorder_.get();
     SL_ASSIGN_OR_RETURN(std::unique_ptr<ops::Operator> op,
@@ -464,7 +455,6 @@ void ThreadedRuntime::HandleData(Stage* stage, size_t input_idx,
     }
     return;
   }
-  if (options_.sink_delay_ns > 0) SpinFor(options_.sink_delay_ns);
   if (message.ingest_ns > 0) {
     stage->latencies_ns.push_back(NowNs() - message.ingest_ns);
   }
@@ -530,7 +520,6 @@ void ThreadedRuntime::HandleBatch(Stage* stage, size_t input_idx,
   }
   for (const Message::Item& item : message.items) {
     stage->in_count.fetch_add(1, std::memory_order_relaxed);
-    if (options_.sink_delay_ns > 0) SpinFor(options_.sink_delay_ns);
     if (item.ingest_ns > 0) {
       stage->latencies_ns.push_back(NowNs() - item.ingest_ns);
     }

@@ -85,9 +85,6 @@ struct ThreadedOptions {
   size_t queue_capacity = 1024;
   /// Blocking-operation cache bound (as ExecutorOptions).
   size_t max_cache_tuples = 1 << 20;
-  /// Reference implementations of the blocking operators (as
-  /// ExecutorOptions::naive_blocking).
-  bool naive_blocking = false;
   /// Event-time configuration handed to every operator.
   ops::WatermarkOptions watermark;
   /// Flush-schedule stagger, replicated from the simulator: a blocking
@@ -97,11 +94,10 @@ struct ThreadedOptions {
   /// Virtual time of the reference deployment (anchors the flush
   /// boundaries; use the simulated run's deploy timestamp).
   Timestamp deploy_time = 0;
-  /// Busy-wait this many wall-clock nanoseconds per sink write — a
-  /// deliberately slow consumer for backpressure stress tests.
-  int64_t sink_delay_ns = 0;
   /// Count sink deliveries without writing them (benchmarks that
-  /// measure transport, not sink retention).
+  /// measure transport, not sink retention: every sink kind either
+  /// retains its rows or encodes them, and either cost would swamp the
+  /// transport figure).
   bool count_only_sinks = false;
   /// Per-node worker-pool size. 0 (default) keeps one dedicated thread
   /// per stage; N > 0 multiplexes every stage of the node over N pooled

@@ -11,8 +11,11 @@ namespace sl::expr {
 using stt::Value;
 using stt::ValueType;
 
-/// One node of the bound (type-annotated, index-resolved) tree.
-struct BoundExpr::Node {
+namespace {
+
+/// One node of the bound (type-annotated, index-resolved) tree. It
+/// lives only while Bind folds and lowers it into the program.
+struct Node {
   ExprKind kind;
   ValueType type = ValueType::kNull;
   // kLiteral
@@ -32,6 +35,10 @@ struct BoundExpr::Node {
   diag::Span span;
 };
 
+void Lower(const Node& node, ExprProgram* program);
+
+}  // namespace
+
 // The typing rules themselves live in expr/typecheck.{h,cc}, shared
 // with the static analyzer so binding and linting can never disagree.
 
@@ -43,7 +50,7 @@ Result<BoundExpr> BoundExpr::Bind(ExprPtr expr, stt::SchemaPtr schema) {
   // subtrees are folded in place (the typecheck folders, so binding and
   // linting agree); folding is attempted only when every operand is
   // itself a literal — literals cannot raise per-tuple errors, so the
-  // rewrite can never hide an error the interpreter would surface.
+  // rewrite can never hide an error evaluation would surface.
   struct Binder {
     const stt::Schema& schema;
 
@@ -179,18 +186,19 @@ Result<BoundExpr> BoundExpr::Bind(ExprPtr expr, stt::SchemaPtr schema) {
   bound.expr_ = std::move(expr);
   bound.schema_ = std::move(schema);
   bound.type_ = root.type;
-  bound.root_ = std::make_shared<const Node>(std::move(root));
-  Lower(*bound.root_, &bound.program_);
+  Lower(root, &bound.program_);
   return bound;
 }
+
+namespace {
 
 /// Lowers the bound tree into postorder: operands first, then the
 /// operator instruction. and/or compile to
 ///   <left>  ShortCircuit(->end)  <right>  LogicalMerge  end:
-/// which preserves the interpreter's short-circuit (the right operand —
-/// and any error it would surface — is only reached when the left did
-/// not decide) and its Kleene merge.
-void BoundExpr::Lower(const Node& node, ExprProgram* program) {
+/// which keeps the short circuit (the right operand — and any error it
+/// would surface — is only reached when the left did not decide) and
+/// the Kleene merge.
+void Lower(const Node& node, ExprProgram* program) {
   std::vector<ExprInsn>& insns = program->insns();
   ExprInsn insn;
   insn.type = node.type;
@@ -259,6 +267,8 @@ void BoundExpr::Lower(const Node& node, ExprProgram* program) {
   }
 }
 
+}  // namespace
+
 Result<BoundExpr> BoundExpr::Parse(const std::string& source,
                                    stt::SchemaPtr schema) {
   SL_ASSIGN_OR_RETURN(ExprPtr expr, ParseExpression(source));
@@ -266,21 +276,14 @@ Result<BoundExpr> BoundExpr::Parse(const std::string& source,
 }
 
 Result<Value> BoundExpr::Eval(const stt::Tuple& tuple) const {
-  if (root_ == nullptr) {
+  if (!bound()) {
     return Status::FailedPrecondition("expression not bound");
   }
   return program_.Run(tuple);
 }
 
-Result<Value> BoundExpr::EvalInterpreted(const stt::Tuple& tuple) const {
-  if (root_ == nullptr) {
-    return Status::FailedPrecondition("expression not bound");
-  }
-  return EvalNode(*root_, tuple);
-}
-
 Result<Value> BoundExpr::EvalPair(const PairView& pair) const {
-  if (root_ == nullptr) {
+  if (!bound()) {
     return Status::FailedPrecondition("expression not bound");
   }
   return program_.RunPair(pair);
@@ -306,86 +309,6 @@ Result<bool> BoundExpr::EvalPredicate(const stt::Tuple& tuple) const {
 
 Result<bool> BoundExpr::EvalPredicatePair(const PairView& pair) const {
   return AsPredicate(EvalPair(pair));
-}
-
-Result<Value> BoundExpr::EvalNode(const Node& node,
-                                  const stt::Tuple& t) const {
-  switch (node.kind) {
-    case ExprKind::kLiteral:
-      return node.literal;
-    case ExprKind::kAttr: {
-      const Value& v = t.value(node.attr_index);
-      SL_RETURN_IF_ERROR(CheckAttrValueType(v, node.type));
-      return v;
-    }
-    case ExprKind::kMeta:
-      switch (node.meta) {
-        case MetaAttr::kTimestamp:
-          return Value::Time(t.timestamp());
-        case MetaAttr::kLat:
-          return t.location().has_value() ? Value::Double(t.location()->lat)
-                                          : Value::Null();
-        case MetaAttr::kLon:
-          return t.location().has_value() ? Value::Double(t.location()->lon)
-                                          : Value::Null();
-        case MetaAttr::kSensor:
-          return Value::String(t.sensor_id());
-        case MetaAttr::kTheme:
-          return Value::String(t.schema() != nullptr
-                                   ? t.schema()->theme().ToString()
-                                   : "*");
-      }
-      return Status::Internal("unreachable meta attr");
-    case ExprKind::kUnary: {
-      SL_ASSIGN_OR_RETURN(Value v, EvalNode(node.children[0], t));
-      if (v.is_null()) return Value::Null();
-      return EvalUnaryOp(node.uop, v);
-    }
-    case ExprKind::kBinary: {
-      // Kleene logic for and/or with short circuit.
-      if (node.bop == BinaryOp::kAnd || node.bop == BinaryOp::kOr) {
-        SL_ASSIGN_OR_RETURN(Value l, EvalNode(node.children[0], t));
-        bool is_and = node.bop == BinaryOp::kAnd;
-        if (!l.is_null()) {
-          if (is_and && !l.AsBool()) return Value::Bool(false);
-          if (!is_and && l.AsBool()) return Value::Bool(true);
-        }
-        SL_ASSIGN_OR_RETURN(Value r, EvalNode(node.children[1], t));
-        if (!r.is_null()) {
-          if (is_and && !r.AsBool()) return Value::Bool(false);
-          if (!is_and && r.AsBool()) return Value::Bool(true);
-        }
-        if (l.is_null() || r.is_null()) return Value::Null();
-        return Value::Bool(is_and);  // and: both true; or: both false -> false
-      }
-      SL_ASSIGN_OR_RETURN(Value l, EvalNode(node.children[0], t));
-      SL_ASSIGN_OR_RETURN(Value r, EvalNode(node.children[1], t));
-      if (l.is_null() || r.is_null()) return Value::Null();
-      switch (node.bop) {
-        case BinaryOp::kAdd: case BinaryOp::kSub: case BinaryOp::kMul:
-        case BinaryOp::kDiv: case BinaryOp::kMod:
-          return EvalArithOp(node.bop, node.type, l, r);
-        case BinaryOp::kEq: case BinaryOp::kNe: case BinaryOp::kLt:
-        case BinaryOp::kLe: case BinaryOp::kGt: case BinaryOp::kGe:
-          return EvalCompareOp(node.bop, l, r);
-        default:
-          return Status::Internal("unreachable binary op");
-      }
-    }
-    case ExprKind::kCall: {
-      std::vector<Value> args;
-      args.reserve(node.children.size());
-      bool any_null = false;
-      for (const auto& child : node.children) {
-        SL_ASSIGN_OR_RETURN(Value v, EvalNode(child, t));
-        any_null = any_null || v.is_null();
-        args.push_back(std::move(v));
-      }
-      if (any_null && node.fn->propagate_null) return Value::Null();
-      return node.fn->eval(args);
-    }
-  }
-  return Status::Internal("unreachable expression kind in eval");
 }
 
 }  // namespace sl::expr

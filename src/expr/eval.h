@@ -29,8 +29,9 @@ namespace sl::expr {
 /// Binding constant-folds literal subtrees (reusing the typecheck
 /// folders, so folding and the lint layer agree) and lowers the tree
 /// into a flat postorder ExprProgram — the evaluator the hot path runs.
-/// The recursive tree-walk survives as EvalInterpreted, the oracle the
-/// compiled program is property-tested against.
+/// The unfolded syntax tree stays available through expr() for static
+/// analysis and for the test-only tree-walking interpreter the program
+/// is property-tested against.
 class BoundExpr {
  public:
   BoundExpr() = default;
@@ -66,25 +67,17 @@ class BoundExpr {
   /// EvalPredicate over a pair view: null is false.
   Result<bool> EvalPredicatePair(const PairView& pair) const;
 
-  /// Reference tree-walk evaluator (identical semantics to Eval; kept
-  /// as the verification oracle for the compiled program).
-  Result<stt::Value> EvalInterpreted(const stt::Tuple& tuple) const;
-
   /// The compiled form this expression evaluates through.
   const ExprProgram& program() const { return program_; }
 
   /// True after a successful Bind.
-  bool bound() const { return root_ != nullptr; }
+  bool bound() const { return !program_.empty(); }
 
  private:
-  struct Node;
-  static void Lower(const Node& node, ExprProgram* program);
-  Result<stt::Value> EvalNode(const Node& node, const stt::Tuple& t) const;
   Result<bool> AsPredicate(Result<stt::Value> value) const;
 
   ExprPtr expr_;
   stt::SchemaPtr schema_;
-  std::shared_ptr<const Node> root_;
   ExprProgram program_;
   stt::ValueType type_ = stt::ValueType::kNull;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "expr/program.h"
 #include "stt/geo.h"
 #include "stt/granularity.h"
 #include "stt/units.h"
@@ -82,8 +83,11 @@ FunctionRegistry::FunctionRegistry() {
        },
        true,
        [](const std::vector<Value>& a) -> Result<Value> {
-         if (a[0].type() == ValueType::kInt)
-           return Value::Int(std::llabs(a[0].AsInt()));
+         if (a[0].type() == ValueType::kInt) {
+           // Wraps like unary minus: abs(INT64_MIN) is INT64_MIN.
+           int64_t v = a[0].AsInt();
+           return Value::Int(v < 0 ? IntNeg(v) : v);
+         }
          return Value::Double(std::fabs(a[0].AsDouble()));
        }});
   add({"sqrt", 1, 1, "sqrt(x: numeric) -> double",

@@ -21,7 +21,7 @@ Status CheckAttrValueType(const Value& v, ValueType declared) {
 
 Value EvalUnaryOp(UnaryOp op, const Value& v) {
   if (op == UnaryOp::kNeg) {
-    if (v.type() == ValueType::kInt) return Value::Int(-v.AsInt());
+    if (v.type() == ValueType::kInt) return Value::Int(IntNeg(v.AsInt()));
     return Value::Double(-v.AsDouble());
   }
   return Value::Bool(!v.AsBool());
@@ -38,25 +38,16 @@ Value EvalArithOp(BinaryOp op, ValueType result_type, const Value& l,
       r.type() == ValueType::kTimestamp) {
     if (op == BinaryOp::kSub && r.type() == ValueType::kTimestamp &&
         l.type() == ValueType::kTimestamp) {
-      return Value::Int(l.AsTime() - r.AsTime());
+      return Value::Int(IntArith(op, l.AsTime(), r.AsTime()));
     }
     int64_t delta = r.type() == ValueType::kTimestamp ? l.AsInt() : r.AsInt();
     Timestamp base =
         l.type() == ValueType::kTimestamp ? l.AsTime() : r.AsTime();
-    return Value::Time(op == BinaryOp::kAdd ? base + delta : base - delta);
+    return Value::Time(IntArith(op, base, delta));  // op is + or -
   }
   if (result_type == ValueType::kInt && op != BinaryOp::kDiv) {
-    int64_t a = l.AsInt();
-    int64_t b = r.AsInt();
-    switch (op) {
-      case BinaryOp::kAdd: return Value::Int(a + b);
-      case BinaryOp::kSub: return Value::Int(a - b);
-      case BinaryOp::kMul: return Value::Int(a * b);
-      case BinaryOp::kMod:
-        if (b == 0) return Value::Null();
-        return Value::Int(a % b);
-      default: break;
-    }
+    if (op == BinaryOp::kMod && r.AsInt() == 0) return Value::Null();
+    return Value::Int(IntArith(op, l.AsInt(), r.AsInt()));
   }
   double a = l.type() == ValueType::kInt ? static_cast<double>(l.AsInt())
                                          : l.AsDouble();
@@ -108,7 +99,7 @@ Value EvalCompareOp(BinaryOp op, const Value& l, const Value& r) {
 namespace {
 
 /// Materialized-tuple row: attributes and metadata come straight from
-/// the tuple, exactly as the interpreter reads them.
+/// the tuple.
 struct TupleRow {
   const stt::Tuple& t;
 

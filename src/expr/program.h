@@ -7,8 +7,9 @@
 // allocation instead of chasing child pointers, pre-folds literal
 // subtrees at bind time, and implements Kleene and/or short-circuiting
 // with forward jumps, so its observable semantics (results, null
-// propagation, error surfacing order) are exactly those of the
-// recursive interpreter it replaces.
+// propagation, error surfacing order) are exactly those of a recursive
+// walk of the unfolded tree (the test-only reference in tests/reference
+// is one).
 //
 // The program evaluates against a *row*, not only a materialized tuple:
 // a PairView presents a prospective (left, right) join pair as if it
@@ -30,10 +31,30 @@
 namespace sl::expr {
 
 // ---------------------------------------------------------------------
-// Shared evaluation semantics. The interpreter (BoundExpr::EvalNode) and
-// the compiled program both call these helpers, so the two evaluators
-// can never disagree on null propagation, numeric promotion, domain
-// errors, or comparison rules.
+// Shared evaluation semantics. The compiled program, the vectorized
+// program (expr/vector_program.h) and the test-only reference
+// interpreter all call these helpers, so the evaluators can never
+// disagree on null propagation, numeric promotion, domain errors, or
+// comparison rules.
+
+/// int64 + - * % (the divisor of % must be non-zero). + - * wrap in
+/// two's complement, keeping the low 64 bits of the exact result (what
+/// x86 computes), and a % -1 is 0 for every a, INT64_MIN included (the
+/// machine instruction traps there). SL4004 warns about possible
+/// overflow at design time.
+inline int64_t IntArith(BinaryOp op, int64_t a, int64_t b) {
+  const uint64_t ua = static_cast<uint64_t>(a);
+  const uint64_t ub = static_cast<uint64_t>(b);
+  switch (op) {
+    case BinaryOp::kAdd: return static_cast<int64_t>(ua + ub);
+    case BinaryOp::kSub: return static_cast<int64_t>(ua - ub);
+    case BinaryOp::kMul: return static_cast<int64_t>(ua * ub);
+    default: return b == -1 ? 0 : a % b;  // kMod
+  }
+}
+
+/// Unary - on int64, wrapping the same way: -INT64_MIN is INT64_MIN.
+inline int64_t IntNeg(int64_t a) { return IntArith(BinaryOp::kSub, 0, a); }
 
 /// Defense in depth on attribute access: a tuple value whose type does
 /// not match the schema the expression was bound against (a misbehaving

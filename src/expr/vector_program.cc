@@ -279,7 +279,7 @@ Status VectorProgram::ApplyUnary(const ExprInsn& in) {
   // Negation.
   if (v.kind == VReg::Kind::kI64 && v.etype == ValueType::kInt) {
     for (uint32_t p : active_) {
-      if (!v.null8[p]) v.i64[p] = -v.i64[p];
+      if (!v.null8[p]) v.i64[p] = IntNeg(v.i64[p]);
     }
     return Status::OK();
   }
@@ -322,18 +322,17 @@ void VectorProgram::ApplyArith(const ExprInsn& in) {
       for (uint32_t p : active_) {
         const bool n = l.null8[p] | r.null8[p];
         l.null8[p] = n;
-        if (!n) l.i64[p] = l.i64[p] - r.i64[p];
+        if (!n) l.i64[p] = IntArith(BinaryOp::kSub, l.i64[p], r.i64[p]);
       }
       l.etype = ValueType::kInt;
     } else {
-      const bool add = in.bop == BinaryOp::kAdd;
       for (uint32_t p : active_) {
         const bool n = l.null8[p] | r.null8[p];
         l.null8[p] = n;
         if (n) continue;
         const int64_t delta = r_ts ? l.i64[p] : r.i64[p];
         const int64_t base = l_ts ? l.i64[p] : r.i64[p];
-        l.i64[p] = add ? base + delta : base - delta;
+        l.i64[p] = IntArith(in.bop, base, delta);
       }
       l.etype = ValueType::kTimestamp;
     }
@@ -350,20 +349,10 @@ void VectorProgram::ApplyArith(const ExprInsn& in) {
         l.null8[p] = 1;
         continue;
       }
-      const int64_t a = l.i64[p];
-      const int64_t b = r.i64[p];
-      switch (op) {
-        case BinaryOp::kAdd: l.i64[p] = a + b; break;
-        case BinaryOp::kSub: l.i64[p] = a - b; break;
-        case BinaryOp::kMul: l.i64[p] = a * b; break;
-        case BinaryOp::kMod:
-          if (b == 0) {
-            l.null8[p] = 1;
-          } else {
-            l.i64[p] = a % b;
-          }
-          break;
-        default: break;
+      if (op == BinaryOp::kMod && r.i64[p] == 0) {
+        l.null8[p] = 1;
+      } else {
+        l.i64[p] = IntArith(op, l.i64[p], r.i64[p]);
       }
     }
     Pop();

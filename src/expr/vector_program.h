@@ -7,7 +7,7 @@
 // vectors (SIMD-friendly, branch-free null masks); strings, geo points
 // and function calls fall back to a boxed per-row loop through the
 // *shared* semantic helpers (EvalArithOp / EvalCompareOp / EvalUnaryOp),
-// so the three evaluators (interpreter, scalar VM, vectorized VM) can
+// so the evaluators (scalar VM, vectorized VM, reference interpreter) can
 // never disagree on null propagation, domain errors or comparison
 // quirks (NaN three-ways "equal", -0.0 == +0.0).
 //

@@ -317,12 +317,6 @@ struct OperatorOptions {
   ActivationHandler* activation = nullptr;
   /// Event-time configuration for the blocking operations.
   WatermarkOptions watermark;
-  /// Use the reference O(n·m) / full-recompute implementations of the
-  /// blocking operators instead of the hash-join and incremental
-  /// aggregation fast paths. The two are required to produce
-  /// bit-identical output; this switch exists so tests and benchmarks
-  /// can compare them.
-  bool naive_blocking = false;
 };
 
 /// \brief Builds the runtime operator for a validated spec.

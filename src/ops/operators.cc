@@ -326,12 +326,11 @@ class AggregationOperator : public Operator {
  public:
   AggregationOperator(std::string name, stt::SchemaPtr out_schema,
                       stt::SchemaPtr in_schema, AggregationSpec spec,
-                      size_t max_cache, bool naive)
+                      size_t max_cache)
       : Operator(std::move(name), OpKind::kAggregation, std::move(out_schema),
                  spec.interval),
         in_schema_(std::move(in_schema)),
         spec_(std::move(spec)),
-        naive_(naive),
         cache_(max_cache) {
     for (const auto& g : spec_.group_by) {
       group_indexes_.push_back(*in_schema_->FieldIndex(g));
@@ -354,7 +353,7 @@ class AggregationOperator : public Operator {
                            GseqRec{entry.tuple->timestamp(), pending_gseq_});
       if (gseq_by_seq_.size() > 2 * cache_.size() + 64) SweepGseqs();
     }
-    if (!naive_) IndexArrival(entry);
+    IndexArrival(entry);
     stats_.cache_size = cache_.size();
     return Status::OK();
   }
@@ -365,7 +364,6 @@ class AggregationOperator : public Operator {
     // Processing-time regime (legacy): the window ends at the flush
     // tick. Expire tuples older than the sliding window, aggregate the
     // half-open view [-inf, now), retain survivors.
-    if (naive_) return FlushProcessingNaive(now);
     return spec_.window == 0 ? FlushTumblingFast(now) : FlushSlidingFast(now);
   }
 
@@ -459,21 +457,6 @@ class AggregationOperator : public Operator {
     }
   }
 
-  Status FlushProcessingNaive(Timestamp now) {
-    if (spec_.window > 0) cache_.EvictOlderThan(now - spec_.window);
-    auto view = WindowView(cache_, std::numeric_limits<Timestamp>::min(), now,
-                           /*sorted=*/false);
-    if (shard_mode_) {
-      if (spec_.window > 0) shard_sigs_.push_back(ShardSigOfView(now, view));
-      if (!view.empty()) EmitGroups(view, now);
-    } else if (!view.empty() && ChangedSinceLastEmit(view)) {
-      EmitGroups(view, now);
-    }
-    if (spec_.window == 0) cache_.Clear();  // tumbling
-    stats_.cache_size = cache_.size();
-    return Status::OK();
-  }
-
   /// Tumbling fast path: the per-group running state already folded
   /// every arrival, so the flush is O(groups), not O(tuples) — provided
   /// the state still mirrors the cache. It stops mirroring when the
@@ -499,8 +482,8 @@ class AggregationOperator : public Operator {
 
   /// Sliding fast path: arrivals were bucketed by group key once, at
   /// Process time; the flush folds each group's live slots in arrival
-  /// order — the same fold, in the same order, the naive path runs after
-  /// re-deriving every key and rebuilding its ordered map.
+  /// order — the same fold, in the same order, a full recompute runs
+  /// after re-deriving every key and rebuilding an ordered map.
   Status FlushSlidingFast(Timestamp now) {
     cache_.EvictOlderThan(now - spec_.window);
     GroupList groups;
@@ -546,8 +529,7 @@ class AggregationOperator : public Operator {
     Timestamp oldest = oldest_override_.value_or(OldestTs(cache_));
     for (Timestamp end : event_.Advance(horizon, oldest)) {
       Timestamp begin = end - event_.effective_window();
-      auto view = naive_ ? WindowView(cache_, begin, end, /*sorted=*/true)
-                         : pane_.View(cache_, begin, end);
+      auto view = pane_.View(cache_, begin, end);
       event_.MarkFired(end);
       if (shard_mode_) {
         if (spec_.window > 0) shard_sigs_.push_back(ShardSigOfView(end, view));
@@ -555,16 +537,12 @@ class AggregationOperator : public Operator {
       } else if (view.empty() || !ChangedSinceLastEmit(view)) {
         continue;
       }
-      if (naive_) {
-        EmitGroups(view, end);
-      } else {
-        EmitGroupsKeyed(view, end);
-      }
+      EmitGroupsKeyed(view, end);
     }
     if (event_.initialized()) {
       Timestamp cutoff = event_.EvictionCutoff();
       cache_.EvictOlderThan(cutoff);
-      if (!naive_) pane_.DropBelow(cutoff);
+      pane_.DropBelow(cutoff);
     }
     stats_.cache_size = cache_.size();
     return Status::OK();
@@ -586,8 +564,8 @@ class AggregationOperator : public Operator {
     return true;
   }
 
-  /// Naive grouping: re-derive every tuple's key and build an ordered
-  /// map, exactly as the original implementation did.
+  /// Recompute grouping for the tumbling fallback: re-derive every
+  /// tuple's key and build an ordered map.
   void EmitGroups(const std::vector<const TupleCache::Entry*>& view,
                   Timestamp end) {
     std::map<std::string, std::vector<const Tuple*>> by_key;
@@ -832,7 +810,6 @@ class AggregationOperator : public Operator {
   AggregationSpec spec_;
   std::vector<size_t> group_indexes_;
   std::vector<size_t> attr_indexes_;
-  bool naive_;
   TupleCache cache_;
   EventWindow event_{spec_.interval, spec_.window};
   std::optional<uint64_t> last_signature_;
@@ -865,12 +842,10 @@ class AggregationOperator : public Operator {
 
 /// s1 |><|_{pred}^{t} s2
 ///
-/// Three pairing strategies, all required to emit identical rows in
-/// identical order:
-///  - naive: enumerate the cross product, materialize every pair, then
-///    evaluate the full predicate (the original implementation; kept as
-///    the oracle behind OperatorOptions::naive_blocking);
-///  - non-equi fast: same enumeration, but the predicate runs over a
+/// Two pairing strategies, both required to emit the rows, in the same
+/// order, that the nested loop materializing every pair before
+/// evaluating the predicate would (tests/reference holds that loop):
+///  - non-equi: enumerate the cross product; the predicate runs over a
 ///    zero-copy PairView and only matching pairs materialize;
 ///  - hash equi-join: the right cache is indexed on the predicate's
 ///    equi-conjunct columns; each left tuple probes its bucket and only
@@ -883,7 +858,7 @@ class JoinOperator : public Operator {
                expr::BoundExpr predicate,
                std::optional<expr::BoundExpr> residual,
                std::vector<size_t> left_cols, std::vector<size_t> right_cols,
-               size_t split, bool naive, size_t max_cache)
+               size_t split, size_t max_cache)
       : Operator(std::move(name), OpKind::kJoin, std::move(out_schema),
                  spec.interval),
         spec_(std::move(spec)),
@@ -892,7 +867,6 @@ class JoinOperator : public Operator {
         left_cols_(std::move(left_cols)),
         right_cols_(std::move(right_cols)),
         split_(split),
-        naive_(naive),
         left_(max_cache),
         right_(max_cache),
         right_index_(right_cols_) {}
@@ -946,11 +920,8 @@ class JoinOperator : public Operator {
             continue;
           }
           SetCurPair(le.seq, re.seq);
-          SL_RETURN_IF_ERROR(naive_
-                                 ? JoinPairNaive(*le.tuple, *re.tuple, tgran,
-                                                 &out)
-                                 : JoinPairFast(*le.tuple, *re.tuple,
-                                                predicate_, tgran, &out));
+          SL_RETURN_IF_ERROR(
+              JoinPairFast(*le.tuple, *re.tuple, predicate_, tgran, &out));
         }
       }
     }
@@ -1042,7 +1013,7 @@ class JoinOperator : public Operator {
   }
 
  private:
-  bool hash_join() const { return !naive_ && !left_cols_.empty(); }
+  bool hash_join() const { return !left_cols_.empty(); }
 
   /// Provenance of one cached arrival (shard mode only).
   struct ArrivalRec {
@@ -1205,11 +1176,8 @@ class JoinOperator : public Operator {
                 std::max(le->tuple->timestamp(), re->tuple->timestamp());
             if (pair_ts < end - interval()) continue;
             SetCurPairEvent(end, le->seq, re->seq, le->tuple, re->tuple);
-            SL_RETURN_IF_ERROR(naive_
-                                   ? JoinPairNaive(*le->tuple, *re->tuple,
-                                                   tgran, &out)
-                                   : JoinPairFast(*le->tuple, *re->tuple,
-                                                  predicate_, tgran, &out));
+            SL_RETURN_IF_ERROR(JoinPairFast(*le->tuple, *re->tuple,
+                                            predicate_, tgran, &out));
           }
         }
       }
@@ -1296,26 +1264,6 @@ class JoinOperator : public Operator {
         Tuple::MakeUnsafe(output_schema(), std::move(values), ts, loc)));
   }
 
-  /// Original pairing: materialize first, then evaluate — every
-  /// non-matching pair still pays for the concatenation. Retained
-  /// verbatim as the reference implementation.
-  Status JoinPairNaive(const Tuple& l, const Tuple& r,
-                       const stt::TemporalGranularity& tgran,
-                       stt::RefBatch* out) {
-    std::vector<Value> values;
-    values.reserve(l.values().size() + r.values().size());
-    values.insert(values.end(), l.values().begin(), l.values().end());
-    values.insert(values.end(), r.values().begin(), r.values().end());
-    Timestamp ts = tgran.Truncate(std::max(l.timestamp(), r.timestamp()));
-    std::optional<stt::GeoPoint> loc =
-        l.location().has_value() ? l.location() : r.location();
-    Tuple joined =
-        Tuple::MakeUnsafe(output_schema(), std::move(values), ts, loc);
-    SL_ASSIGN_OR_RETURN(bool match, predicate_.EvalPredicate(joined));
-    if (match && RecordPair()) out->Add(Tuple::Share(std::move(joined)));
-    return Status::OK();
-  }
-
   /// Fast pairing: the predicate runs over a zero-copy view of the
   /// prospective pair; only matches materialize.
   Status JoinPairFast(const Tuple& l, const Tuple& r,
@@ -1353,7 +1301,6 @@ class JoinOperator : public Operator {
   std::vector<size_t> left_cols_;
   std::vector<size_t> right_cols_;
   size_t split_;
-  bool naive_;
   TupleCache left_;
   TupleCache right_;
   JoinHashIndex right_index_;
@@ -1542,15 +1489,17 @@ uint64_t PartitionHash(const Tuple& t, const std::vector<size_t>& cols) {
 template <typename Inner>
 class PartitionedBase : public Operator {
  public:
-  using ShardFactory = std::function<Result<std::unique_ptr<Inner>>(size_t)>;
+  /// Makes one instance of the kind under the given name (the same
+  /// function that makes a single-instance operator).
+  using InstanceFactory =
+      std::function<std::unique_ptr<Inner>(const std::string&)>;
 
   PartitionedBase(std::string name, OpKind kind, stt::SchemaPtr out_schema,
-                  Duration interval,
-                  std::vector<std::unique_ptr<Inner>> shards,
-                  ShardFactory factory)
+                  Duration interval, size_t parallelism,
+                  InstanceFactory factory)
       : Operator(std::move(name), kind, std::move(out_schema), interval),
         factory_(std::move(factory)) {
-    AdoptShards(std::move(shards));
+    AdoptShards(MakeShardSet(parallelism));
   }
 
   size_t parallelism() const override { return shards_.size(); }
@@ -1703,22 +1652,21 @@ class PartitionedBase : public Operator {
     return fired;
   }
 
-  /// Builds a fresh shard set of size `n`, event grids restored to the
-  /// current fired end.
-  Result<std::vector<std::unique_ptr<Inner>>> MakeShardSet(size_t n) {
+  /// Builds a fresh shard set of size `n` (shard k is named "name#k"),
+  /// event grids restored to the current fired end.
+  std::vector<std::unique_ptr<Inner>> MakeShardSet(size_t n) {
     Timestamp fired = FiredEnd();
     std::vector<std::unique_ptr<Inner>> next;
     next.reserve(n);
     for (size_t k = 0; k < n; ++k) {
-      SL_ASSIGN_OR_RETURN(std::unique_ptr<Inner> shard, factory_(k));
-      if (fired != stt::kNoWatermark) shard->RestoreFiredEnd(fired);
-      next.push_back(std::move(shard));
+      next.push_back(factory_(name() + "#" + std::to_string(k)));
+      if (fired != stt::kNoWatermark) next.back()->RestoreFiredEnd(fired);
     }
     return next;
   }
 
   std::vector<std::unique_ptr<Inner>> shards_;
-  ShardFactory factory_;
+  InstanceFactory factory_;
   bool capturing_ = false;
   std::vector<CapturedRow> captured_;
   std::vector<std::vector<CapturedRow>> shard_captured_;
@@ -1734,14 +1682,13 @@ class PartitionedBase : public Operator {
 /// partition the window).
 class PartitionedAggregation : public PartitionedBase<AggregationOperator> {
  public:
-  PartitionedAggregation(
-      std::string name, stt::SchemaPtr out_schema, const AggregationSpec& spec,
-      std::vector<size_t> part_cols,
-      std::vector<std::unique_ptr<AggregationOperator>> shards,
-      ShardFactory factory)
+  PartitionedAggregation(std::string name, stt::SchemaPtr out_schema,
+                         const AggregationSpec& spec,
+                         std::vector<size_t> part_cols,
+                         InstanceFactory factory)
       : PartitionedBase(std::move(name), OpKind::kAggregation,
                         std::move(out_schema), spec.interval,
-                        std::move(shards), std::move(factory)),
+                        spec.parallelism, std::move(factory)),
         sliding_(spec.window > 0),
         group_count_(spec.group_by.size()),
         part_cols_(std::move(part_cols)) {}
@@ -1810,7 +1757,7 @@ class PartitionedAggregation : public PartitionedBase<AggregationOperator> {
       return Status::InvalidArgument("parallelism must be at least 1");
     }
     if (n == shards_.size()) return Status::OK();
-    SL_ASSIGN_OR_RETURN(auto next, MakeShardSet(n));
+    auto next = MakeShardSet(n);
     std::vector<std::unique_ptr<AggregationOperator>> old =
         std::move(shards_);
     AdoptShards(std::move(next));
@@ -1888,12 +1835,10 @@ class PartitionedJoin : public PartitionedBase<JoinOperator> {
  public:
   PartitionedJoin(std::string name, stt::SchemaPtr out_schema,
                   const JoinSpec& spec, std::vector<size_t> part_left,
-                  std::vector<size_t> part_right,
-                  std::vector<std::unique_ptr<JoinOperator>> shards,
-                  ShardFactory factory)
+                  std::vector<size_t> part_right, InstanceFactory factory)
       : PartitionedBase(std::move(name), OpKind::kJoin,
                         std::move(out_schema), spec.interval,
-                        std::move(shards), std::move(factory)),
+                        spec.parallelism, std::move(factory)),
         part_left_(std::move(part_left)),
         part_right_(std::move(part_right)) {}
 
@@ -1991,7 +1936,7 @@ class PartitionedJoin : public PartitionedBase<JoinOperator> {
     };
     tidy(&lefts);
     tidy(&rights);
-    SL_ASSIGN_OR_RETURN(auto next, MakeShardSet(n));
+    auto next = MakeShardSet(n);
     AdoptShards(std::move(next));
     capturing_ = true;  // replayed Process must not leak emissions
     auto feed = [this](const JoinOperator::ShardEntry& e,
@@ -2051,11 +1996,9 @@ class PartitionedTrigger : public PartitionedBase<TriggerOperator> {
  public:
   PartitionedTrigger(std::string name, OpKind kind, stt::SchemaPtr out_schema,
                      const TriggerSpec& spec, ActivationHandler* activation,
-                     std::vector<size_t> part_cols,
-                     std::vector<std::unique_ptr<TriggerOperator>> shards,
-                     ShardFactory factory)
+                     std::vector<size_t> part_cols, InstanceFactory factory)
       : PartitionedBase(std::move(name), kind, std::move(out_schema),
-                        spec.interval, std::move(shards), std::move(factory)),
+                        spec.interval, spec.parallelism, std::move(factory)),
         activation_(activation),
         targets_(spec.target_sensors),
         part_cols_(std::move(part_cols)) {}
@@ -2097,7 +2040,7 @@ class PartitionedTrigger : public PartitionedBase<TriggerOperator> {
       return Status::InvalidArgument("parallelism must be at least 1");
     }
     if (n == shards_.size()) return Status::OK();
-    SL_ASSIGN_OR_RETURN(auto next, MakeShardSet(n));
+    auto next = MakeShardSet(n);
     std::vector<std::unique_ptr<TriggerOperator>> old = std::move(shards_);
     AdoptShards(std::move(next));
     // Capture (and discard) the replayed pass-through emissions: they
@@ -2199,10 +2142,14 @@ Result<std::unique_ptr<Operator>> MakeOperator(
     }
     case OpKind::kAggregation: {
       const auto& s = std::get<AggregationSpec>(spec);
+      auto make = [out_schema, in, s, options](const std::string& instance) {
+        auto agg = std::make_unique<AggregationOperator>(
+            instance, out_schema, in, s, options.max_cache_tuples);
+        agg->set_watermark_options(options.watermark);
+        return agg;
+      };
       if (s.parallelism <= 1) {
-        built.reset(new AggregationOperator(name, out_schema, in, s,
-                                            options.max_cache_tuples,
-                                            options.naive_blocking));
+        built = make(name);
         break;
       }
       // Partitioned deployment: route by group key (or the declared
@@ -2227,22 +2174,8 @@ Result<std::unique_ptr<Operator>> MakeOperator(
         SL_ASSIGN_OR_RETURN(size_t idx, in->FieldIndex(p));
         part_cols.push_back(idx);
       }
-      auto make_shard = [name, out_schema, in, s, options](size_t k)
-          -> Result<std::unique_ptr<AggregationOperator>> {
-        auto shard = std::make_unique<AggregationOperator>(
-            name + "#" + std::to_string(k), out_schema, in, s,
-            options.max_cache_tuples, options.naive_blocking);
-        shard->set_watermark_options(options.watermark);
-        return shard;
-      };
-      std::vector<std::unique_ptr<AggregationOperator>> shards;
-      for (size_t k = 0; k < s.parallelism; ++k) {
-        SL_ASSIGN_OR_RETURN(auto shard, make_shard(k));
-        shards.push_back(std::move(shard));
-      }
       built.reset(new PartitionedAggregation(name, out_schema, s,
-                                             std::move(part_cols),
-                                             std::move(shards), make_shard));
+                                             std::move(part_cols), make));
       break;
     }
     case OpKind::kJoin: {
@@ -2268,11 +2201,16 @@ Result<std::unique_ptr<Operator>> MakeOperator(
         left_cols.push_back(c.left_index);
         right_cols.push_back(c.right_index - split);
       }
+      auto make = [out_schema, s, pred, residual, left_cols, right_cols, split,
+                   options](const std::string& instance) {
+        auto join = std::make_unique<JoinOperator>(
+            instance, out_schema, s, pred, residual, left_cols, right_cols,
+            split, options.max_cache_tuples);
+        join->set_watermark_options(options.watermark);
+        return join;
+      };
       if (s.parallelism <= 1) {
-        built.reset(new JoinOperator(
-            name, out_schema, s, std::move(pred), std::move(residual),
-            std::move(left_cols), std::move(right_cols), split,
-            options.naive_blocking, options.max_cache_tuples));
+        built = make(name);
         break;
       }
       // Partitioned deployment: route by equality-key columns (or the
@@ -2307,43 +2245,9 @@ Result<std::unique_ptr<Operator>> MakeOperator(
           }
         }
       }
-      auto make_shard = [name, out_schema, s, split, options](size_t k)
-          -> Result<std::unique_ptr<JoinOperator>> {
-        SL_ASSIGN_OR_RETURN(expr::BoundExpr shard_pred,
-                            expr::BoundExpr::Parse(s.predicate, out_schema));
-        dataflow::JoinPredicateAnalysis shard_analysis =
-            dataflow::AnalyzeJoinPredicate(shard_pred.expr(), *out_schema,
-                                           split);
-        std::optional<expr::BoundExpr> shard_residual;
-        if (shard_analysis.has_equi() && shard_analysis.residual != nullptr) {
-          SL_ASSIGN_OR_RETURN(
-              expr::BoundExpr bound,
-              expr::BoundExpr::Bind(shard_analysis.residual, out_schema));
-          shard_residual = std::move(bound);
-        }
-        std::vector<size_t> shard_left;
-        std::vector<size_t> shard_right;
-        for (const dataflow::EquiConjunct& c : shard_analysis.equi) {
-          shard_left.push_back(c.left_index);
-          shard_right.push_back(c.right_index - split);
-        }
-        auto shard = std::make_unique<JoinOperator>(
-            name + "#" + std::to_string(k), out_schema, s,
-            std::move(shard_pred), std::move(shard_residual),
-            std::move(shard_left), std::move(shard_right), split,
-            options.naive_blocking, options.max_cache_tuples);
-        shard->set_watermark_options(options.watermark);
-        return shard;
-      };
-      std::vector<std::unique_ptr<JoinOperator>> shards;
-      for (size_t k = 0; k < s.parallelism; ++k) {
-        SL_ASSIGN_OR_RETURN(auto shard, make_shard(k));
-        shards.push_back(std::move(shard));
-      }
       built.reset(new PartitionedJoin(name, out_schema, s,
                                       std::move(part_left),
-                                      std::move(part_right),
-                                      std::move(shards), make_shard));
+                                      std::move(part_right), make));
       break;
     }
     case OpKind::kTriggerOn:
@@ -2356,10 +2260,16 @@ Result<std::unique_ptr<Operator>> MakeOperator(
             "trigger operator '" + name +
             "' needs an ActivationHandler (OperatorOptions::activation)");
       }
+      auto make = [op, out_schema, s, cond,
+                   options](const std::string& instance) {
+        auto trigger = std::make_unique<TriggerOperator>(
+            instance, op, out_schema, s, cond, options.activation,
+            options.max_cache_tuples);
+        trigger->set_watermark_options(options.watermark);
+        return trigger;
+      };
       if (s.parallelism <= 1) {
-        built.reset(new TriggerOperator(name, op, out_schema, s,
-                                        std::move(cond), options.activation,
-                                        options.max_cache_tuples));
+        built = make(name);
         break;
       }
       // Partitioned deployment: triggers have no implicit grouping key,
@@ -2374,26 +2284,9 @@ Result<std::unique_ptr<Operator>> MakeOperator(
         SL_ASSIGN_OR_RETURN(size_t idx, in->FieldIndex(p));
         part_cols.push_back(idx);
       }
-      auto make_shard = [name, op, out_schema, in, s, options](size_t k)
-          -> Result<std::unique_ptr<TriggerOperator>> {
-        SL_ASSIGN_OR_RETURN(expr::BoundExpr shard_cond,
-                            expr::BoundExpr::Parse(s.condition, in));
-        auto shard = std::make_unique<TriggerOperator>(
-            name + "#" + std::to_string(k), op, out_schema, s,
-            std::move(shard_cond), options.activation,
-            options.max_cache_tuples);
-        shard->set_watermark_options(options.watermark);
-        return shard;
-      };
-      std::vector<std::unique_ptr<TriggerOperator>> shards;
-      for (size_t k = 0; k < s.parallelism; ++k) {
-        SL_ASSIGN_OR_RETURN(auto shard, make_shard(k));
-        shards.push_back(std::move(shard));
-      }
       built.reset(new PartitionedTrigger(name, op, out_schema, s,
                                          options.activation,
-                                         std::move(part_cols),
-                                         std::move(shards), make_shard));
+                                         std::move(part_cols), make));
       break;
     }
   }

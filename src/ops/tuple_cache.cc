@@ -71,7 +71,7 @@ bool JoinKeyEquals(const Value& a, const Value& b) {
   // doubles, everything else through Value::Compare. Both three-way
   // comparisons answer "neither less nor greater" for NaN, which makes
   // NaN equal to every numeric — kept intentionally so the index
-  // accepts exactly what the predicate interpreter accepts. Null is the
+  // accepts exactly what the predicate accepts. Null is the
   // one divergence from Value::Compare (where null == null): a null
   // operand makes `==` evaluate to null, which is non-true.
   if (a.is_null() || b.is_null()) return false;

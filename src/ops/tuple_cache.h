@@ -208,7 +208,7 @@ class EventWindow {
 
 /// \brief The equality semantics of the `==` operator, restated over a
 /// key column so the hash index accepts exactly the pairs the predicate
-/// interpreter would.
+/// would.
 ///
 /// Quirks faithfully reproduced: int and double compare numerically
 /// across types; -0.0 equals +0.0; and a NaN on either side makes the

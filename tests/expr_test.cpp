@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <optional>
 
@@ -12,6 +13,7 @@
 #include "expr/parser.h"
 #include "expr/vector_program.h"
 #include "stt/column_batch.h"
+#include "tests/reference/interpreter.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -445,10 +447,10 @@ void ExpectSameResult(const Result<Value>& a, const Result<Value>& b,
   EXPECT_EQ(a->ToString(), b->ToString()) << context;
 }
 
-// Property: the compiled postorder program agrees with the recursive
-// tree-walk (EvalInterpreted, the retained oracle) on the battery over
-// randomized tuples — including null attributes, missing locations and
-// NaN values.
+// Property: the compiled postorder program agrees with the reference
+// tree-walk over the unfolded syntax tree (reference::Interpret) on the
+// battery over randomized tuples — including null attributes, missing
+// locations and NaN values.
 TEST(ProgramTest, CompiledMatchesInterpretedOracle) {
   sl::Rng rng(71);
   auto schema = TempSchema();
@@ -471,7 +473,7 @@ TEST(ProgramTest, CompiledMatchesInterpretedOracle) {
       auto tuple = stt::Tuple::MakeUnsafe(schema, {temp, station},
                                           1458000000000 + i * 60000, loc,
                                           "sensor_7");
-      ExpectSameResult(bound->Eval(tuple), bound->EvalInterpreted(tuple),
+      ExpectSameResult(bound->Eval(tuple), reference::Interpret(*bound, tuple),
                        std::string(src) + " @ tuple " + std::to_string(i));
     }
   }
@@ -567,6 +569,32 @@ TEST(ProgramTest, BindTimeConstantFolding) {
   EXPECT_EQ((*fn_kept.Eval(TempTuple(schema, 0, 0))).AsInt(), 3);
 }
 
+// Bind-time folding against the unfolded tree: each literal-only
+// expression folds wholly or in part when it is bound, and the
+// reference interpreter, which walks the tree as parsed, must agree
+// with the folded program.
+TEST(ProgramTest, FoldedLiteralsMatchInterpreter) {
+  const char* const kLiterals[] = {
+      "2 + 3 * 4",        "7 % 3",           "-7 % 3",
+      "7 % -3",           "1 / 0",           "1 % 0",
+      "1.5 % 0",          "10 / 4",          "2.5 * 4 - 1",
+      "-(3 - 5)",         "not true",        "not (1 > 2)",
+      "'a' + 'b'",        "1 == 1.0",        "2 < 1.5",
+      "'x' != 'y'",       "null + 1",        "null == null",
+      "true and null",    "false and null",  "true or null",
+      "null or false",    "1 / 0 > 0",       "-(1 / 0)",
+      "abs(-3) + 1",      "if(1 > 0, 'pos', 'neg')",
+  };
+  auto schema = TempSchema();
+  auto tuple = TempTuple(schema, 20.0, 0);
+  for (const char* src : kLiterals) {
+    auto bound = BoundExpr::Parse(src, schema);
+    ASSERT_TRUE(bound.ok()) << src << ": " << bound.status();
+    ExpectSameResult(bound->Eval(tuple), reference::Interpret(*bound, tuple),
+                     src);
+  }
+}
+
 // Property: evaluator agrees with a trivial reference implementation on
 // random arithmetic expressions.
 TEST(EvalTest, ArithmeticAgainstOracle) {
@@ -596,7 +624,7 @@ TEST(EvalTest, ArithmeticAgainstOracle) {
 // Three-way oracle: the columnar VectorProgram must reproduce the
 // scalar VM row for row — same surviving rows, same values (type and
 // rendering, so null/NaN/-0.0 agree), same per-row error statuses —
-// while the scalar VM itself is checked against the interpreted
+// while the scalar VM itself is checked against the reference
 // tree-walk. One divergent row anywhere fails with its position.
 
 /// Value-program agreement over one batch.
@@ -615,7 +643,7 @@ void ExpectVectorAgreement(const BoundExpr& bound,
   for (uint32_t r = 0; r < refs.size(); ++r) {
     std::string at = context + " @ row " + std::to_string(r);
     Result<Value> scalar = bound.Eval(*refs[r]);
-    ExpectSameResult(scalar, bound.EvalInterpreted(*refs[r]), at);
+    ExpectSameResult(scalar, reference::Interpret(bound, *refs[r]), at);
     if (scalar.ok()) {
       ASSERT_LT(pos, batch.selection().size()) << at;
       EXPECT_EQ(batch.selection()[pos], r) << at;
@@ -749,6 +777,81 @@ TEST(VectorProgramTest, IntExtremesAndSignedZero) {
     auto bound = BoundExpr::Parse(src, schema);
     ASSERT_TRUE(bound.ok()) << src << ": " << bound.status();
     ExpectVectorAgreement(*bound, refs, src);
+  }
+
+  // The int64 edges. + - * and unary - wrap in two's complement, a % -1
+  // is 0 (INT64_MIN % -1 traps in hardware) and abs(INT64_MIN) wraps to
+  // itself. Every operand pair runs once as attributes and once as
+  // literals, which bind-time folding handles where it can; the scalar
+  // VM, the vector VM and the reference interpreter must all give the
+  // expected value.
+  auto pair_schema = *stt::Schema::Make(
+      {{"a", ValueType::kInt, "", true}, {"b", ValueType::kInt, "", true}},
+      *tgran, stt::SpatialGranularity::Point(), *theme);
+  const int64_t kEdges[] = {INT64_MIN, INT64_MAX, -1, 0};
+  auto wrap = [](uint64_t v) { return static_cast<int64_t>(v); };
+  auto literal = [](int64_t v) {
+    return v == INT64_MIN ? std::string("(-9223372036854775807 - 1)")
+                          : sl::StrFormat("(%lld)", static_cast<long long>(v));
+  };
+  struct Case {
+    std::string attr_form, literal_form;
+    Value expected;
+  };
+  std::vector<stt::TupleRef> pair_refs;
+  std::vector<std::vector<Case>> cases;  // per row
+  for (int64_t a : kEdges) {
+    for (int64_t b : kEdges) {
+      const uint64_t ua = static_cast<uint64_t>(a);
+      const uint64_t ub = static_cast<uint64_t>(b);
+      const std::string la = literal(a), lb = literal(b);
+      pair_refs.push_back(stt::Tuple::Share(stt::Tuple::MakeUnsafe(
+          pair_schema, {Value::Int(a), Value::Int(b)}, 1458000000000,
+          std::nullopt, "x")));
+      cases.push_back({
+          {"a + b", la + " + " + lb, Value::Int(wrap(ua + ub))},
+          {"a - b", la + " - " + lb, Value::Int(wrap(ua - ub))},
+          {"a * b", la + " * " + lb, Value::Int(wrap(ua * ub))},
+          {"a % b", la + " % " + lb,
+           b == 0 ? Value::Null() : Value::Int(b == -1 ? 0 : a % b)},
+          {"-a", "-" + la, Value::Int(wrap(uint64_t{0} - ua))},
+          {"abs(a)", "abs(" + la + ")",
+           Value::Int(a < 0 ? wrap(uint64_t{0} - ua) : a)},
+      });
+    }
+  }
+  auto expect_all = [](const BoundExpr& bound,
+                       const std::vector<stt::TupleRef>& rows,
+                       const std::vector<Value>& want,
+                       const std::string& context) {
+    stt::ColumnBatch batch(bound.schema(), rows.data(), rows.size());
+    VectorProgram vector(&bound.program());
+    std::vector<Value> values;
+    std::vector<VectorProgram::RowError> errors;
+    SL_ASSERT_OK(vector.RunValues(&batch, &values, &errors));
+    ASSERT_TRUE(errors.empty()) << context;
+    ASSERT_EQ(values.size(), rows.size()) << context;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      std::string at = context + " @ row " + std::to_string(r);
+      ExpectSameResult(bound.Eval(*rows[r]), want[r], at);
+      ExpectSameResult(values[r], want[r], at);
+      ExpectSameResult(reference::Interpret(bound, *rows[r]), want[r], at);
+    }
+  };
+  for (size_t c = 0; c < cases.front().size(); ++c) {
+    const std::string& src = cases.front()[c].attr_form;
+    auto bound = BoundExpr::Parse(src, pair_schema);
+    ASSERT_TRUE(bound.ok()) << src << ": " << bound.status();
+    std::vector<Value> want;
+    for (const auto& row : cases) want.push_back(row[c].expected);
+    expect_all(*bound, pair_refs, want, src);
+  }
+  for (size_t r = 0; r < cases.size(); ++r) {
+    for (const Case& k : cases[r]) {
+      auto bound = BoundExpr::Parse(k.literal_form, pair_schema);
+      ASSERT_TRUE(bound.ok()) << k.literal_form << ": " << bound.status();
+      expect_all(*bound, {pair_refs[r]}, {k.expected}, k.literal_form);
+    }
   }
 }
 

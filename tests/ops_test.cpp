@@ -9,6 +9,7 @@
 #include "ops/debugger.h"
 #include "ops/operator.h"
 #include "pubsub/broker.h"
+#include "tests/reference/blocking.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -539,12 +540,13 @@ TEST(JoinOperatorTest, CrossProductBound) {
 
 // ------------------------------------------- fast vs naive blocking oracles --
 //
-// OperatorOptions::naive_blocking selects the reference implementations
-// of the blocking operators (nested-loop join, full-recompute
-// aggregation). The hash-join / incremental-state fast paths are
-// required to be BIT-identical to them — same rows, same order — for
-// any input, including the key-equality edge cases (null keys never
-// match, NaN matches every numeric, -0.0 == +0.0, int 5 == double 5.0).
+// reference::MakeBlockingReference (tests/reference) builds the naive
+// blocking operators (nested-loop join, full-recompute aggregation).
+// The hash-join / incremental-state fast paths are required to be
+// BIT-identical to them — same rows, same order, same late rows and
+// counters — for any input, including the key-equality edge cases (null
+// keys never match, NaN matches every numeric, -0.0 == +0.0, int 5 ==
+// double 5.0).
 
 /// {rain: int[mm/h]} @1m/point — an integer-keyed right side, so the
 /// equi-join oracle also crosses the int/double canonicalization.
@@ -555,21 +557,29 @@ stt::SchemaPtr IntRainSchema() {
                             stt::SpatialGranularity::Point(), *theme);
 }
 
+/// The production operator, or with `naive` its reference. Emissions
+/// go to `out`, late-side rows to `late` (when given).
 std::unique_ptr<Operator> MakeBlocking(OpKind op, dataflow::OpSpec spec,
                                        std::vector<stt::SchemaPtr> inputs,
                                        std::vector<std::string> names,
                                        bool naive, std::vector<Tuple>* out,
                                        size_t max_cache = 1 << 20,
-                                       WatermarkOptions wm = {}) {
+                                       WatermarkOptions wm = {},
+                                       std::vector<Tuple>* late = nullptr) {
   OperatorOptions options;
   options.max_cache_tuples = max_cache;
-  options.naive_blocking = naive;
   options.watermark = wm;
-  auto result = MakeOperator("op", op, std::move(spec), std::move(inputs),
-                             std::move(names), options);
+  auto result =
+      naive ? reference::MakeBlockingReference("op", op, spec, inputs, names,
+                                               options)
+            : MakeOperator("op", op, spec, inputs, names, options);
   EXPECT_TRUE(result.ok()) << result.status();
   auto oper = std::move(result).ValueOrDie();
   oper->set_emit([out](const stt::TupleRef& t) { out->push_back(*t); });
+  if (late != nullptr) {
+    oper->set_late_emit(
+        [late](const stt::TupleRef& t) { late->push_back(*t); });
+  }
   return oper;
 }
 
@@ -581,6 +591,47 @@ void ExpectSameRows(const std::vector<Tuple>& fast,
   for (size_t i = 0; i < fast.size(); ++i) {
     ASSERT_EQ(fast[i].ToString(), naive[i].ToString())
         << what << ", row " << i << ", seed " << seed;
+  }
+}
+
+/// Same per-operator counters: inputs, outputs, late drops, late
+/// routings and cache evictions.
+void ExpectSameCounters(const Operator& fast, const Operator& naive,
+                        uint64_t seed, const char* what) {
+  const OperatorStats& f = fast.stats();
+  const OperatorStats& n = naive.stats();
+  EXPECT_EQ(f.tuples_in, n.tuples_in) << what << ", seed " << seed;
+  EXPECT_EQ(f.tuples_out, n.tuples_out) << what << ", seed " << seed;
+  EXPECT_EQ(f.late_dropped, n.late_dropped) << what << ", seed " << seed;
+  EXPECT_EQ(f.late_routed, n.late_routed) << what << ", seed " << seed;
+  EXPECT_EQ(f.dropped, n.dropped) << what << ", seed " << seed;
+}
+
+/// Event-time configuration with a random allowed lateness and late
+/// policy.
+WatermarkOptions RandomEventTime(Rng* rng) {
+  const LatePolicy kPolicies[] = {LatePolicy::kAdmit, LatePolicy::kDrop,
+                                  LatePolicy::kSideOutput};
+  WatermarkOptions wm;
+  wm.time_policy = TimePolicy::kEvent;
+  wm.allowed_lateness = rng->NextBounded(2) * 30000;
+  wm.late_policy = kPolicies[rng->NextBounded(3)];
+  return wm;
+}
+
+/// Delivers `t` to both operators the way Executor::Deliver does: the
+/// port's piggybacked watermark, advanced by a random step, is observed
+/// first. Now and then a flush timer fires between deliveries.
+void DeliverBoth(Operator* fast, Operator* naive, size_t port,
+                 const Tuple& t, Timestamp* watermark, Rng* rng) {
+  *watermark += rng->NextBounded(1000);
+  for (Operator* op : {fast, naive}) {
+    op->ObserveWatermark(port, *watermark);
+    SL_ASSERT_OK(op->Process(port, t));
+  }
+  if (rng->NextBounded(8) == 0) {
+    SL_ASSERT_OK(fast->Flush(0));
+    SL_ASSERT_OK(naive->Flush(0));
   }
 }
 
@@ -752,6 +803,7 @@ TEST(FastVsNaiveOracleTest, EventTimeAggregationSweep) {
   const AggFunc kFuncs[] = {AggFunc::kAvg, AggFunc::kSum, AggFunc::kMin,
                             AggFunc::kMax, AggFunc::kCount};
   const char* kStations[] = {"osaka", "kyoto", "nara"};
+  uint64_t late_total = 0;
   for (uint64_t seed = 300; seed < 350; ++seed) {
     Rng rng(seed);
     AggregationSpec spec;
@@ -760,30 +812,28 @@ TEST(FastVsNaiveOracleTest, EventTimeAggregationSweep) {
     spec.func = kFuncs[rng.NextBounded(5)];
     spec.attributes = {"temp"};
     if (rng.NextBounded(2) == 0) spec.group_by = {"station"};
-    WatermarkOptions wm;
-    wm.time_policy = TimePolicy::kEvent;
-    wm.allowed_lateness = rng.NextBounded(2) * 30000;
-    std::vector<Tuple> fast_out, naive_out;
+    WatermarkOptions wm = RandomEventTime(&rng);
+    std::vector<Tuple> fast_out, naive_out, fast_late, naive_late;
     auto fast = MakeBlocking(OpKind::kAggregation, spec, {TempSchema()},
-                             {"in"}, /*naive=*/false, &fast_out, 1 << 20, wm);
+                             {"in"}, /*naive=*/false, &fast_out, 1 << 20, wm,
+                             &fast_late);
     auto naive = MakeBlocking(OpKind::kAggregation, spec, {TempSchema()},
                               {"in"}, /*naive=*/true, &naive_out, 1 << 20,
-                              wm);
+                              wm, &naive_late);
     Timestamp watermark = 0;
     for (int round = 0; round < 5; ++round) {
       size_t n = rng.NextBounded(60);
       for (size_t i = 0; i < n; ++i) {
-        // Unordered event times, some behind the fired horizon (late,
-        // admitted by default) — the pane index and the sorted scan
-        // must agree on every window's membership.
+        // Unordered event times, some behind the fired horizon (late) —
+        // the pane index and the sorted scan must agree on every
+        // window's membership, and both sides on which tuples are late.
         Timestamp ts = rng.NextBounded(5 * 60000);
         Tuple t = Tuple::MakeUnsafe(
             TempSchema(),
             {Value::Double(rng.NextDouble(-10, 35)),
              Value::String(kStations[rng.NextBounded(3)])},
             ts, stt::GeoPoint{34.5, 135.5}, "s");
-        SL_ASSERT_OK(fast->Process(0, t));
-        SL_ASSERT_OK(naive->Process(0, t));
+        DeliverBoth(fast.get(), naive.get(), 0, t, &watermark, &rng);
       }
       watermark += rng.NextBounded(90000);
       fast->ObserveWatermark(0, watermark);
@@ -796,44 +846,50 @@ TEST(FastVsNaiveOracleTest, EventTimeAggregationSweep) {
     SL_ASSERT_OK(fast->Flush(0));
     SL_ASSERT_OK(naive->Flush(0));
     ExpectSameRows(fast_out, naive_out, seed, "event-time aggregation");
+    ExpectSameRows(fast_late, naive_late, seed, "event-time aggregation late");
+    ExpectSameCounters(*fast, *naive, seed, "event-time aggregation");
+    late_total += naive->stats().late_dropped + naive->stats().late_routed;
   }
+  // The late paths must actually run — a sweep with no late tuple would
+  // vacuously agree on them.
+  EXPECT_GT(late_total, 0u);
 }
 
 TEST(FastVsNaiveOracleTest, EventTimeJoinSweep) {
+  uint64_t late_total = 0;
   for (uint64_t seed = 400; seed < 450; ++seed) {
     Rng rng(seed);
     JoinSpec spec;
     spec.interval = duration::kMinute;
     spec.window = rng.NextBounded(3) * duration::kMinute;
     spec.predicate = kJoinPredicates[rng.NextBounded(5)];
-    WatermarkOptions wm;
-    wm.time_policy = TimePolicy::kEvent;
-    wm.allowed_lateness = rng.NextBounded(2) * 30000;
-    std::vector<Tuple> fast_out, naive_out;
+    WatermarkOptions wm = RandomEventTime(&rng);
+    std::vector<Tuple> fast_out, naive_out, fast_late, naive_late;
     auto fast = MakeBlocking(OpKind::kJoin, spec,
                              {TempSchema(), IntRainSchema()}, {"l", "r"},
-                             /*naive=*/false, &fast_out, 1 << 20, wm);
+                             /*naive=*/false, &fast_out, 1 << 20, wm,
+                             &fast_late);
     auto naive = MakeBlocking(OpKind::kJoin, spec,
                               {TempSchema(), IntRainSchema()}, {"l", "r"},
-                              /*naive=*/true, &naive_out, 1 << 20, wm);
-    Timestamp watermark = 0;
+                              /*naive=*/true, &naive_out, 1 << 20, wm,
+                              &naive_late);
+    // Per-port watermarks: the frontier is their minimum.
+    Timestamp watermark[2] = {0, 0};
     for (int round = 0; round < 5; ++round) {
       size_t nl = rng.NextBounded(15), nr = rng.NextBounded(15);
       for (size_t i = 0; i < nl; ++i) {
         Tuple t = KeyedTemp(TempSchema(), rng, rng.NextBounded(4 * 60000));
-        SL_ASSERT_OK(fast->Process(0, t));
-        SL_ASSERT_OK(naive->Process(0, t));
+        DeliverBoth(fast.get(), naive.get(), 0, t, &watermark[0], &rng);
       }
       for (size_t i = 0; i < nr; ++i) {
         Tuple t =
             KeyedRain(IntRainSchema(), rng, rng.NextBounded(4 * 60000));
-        SL_ASSERT_OK(fast->Process(1, t));
-        SL_ASSERT_OK(naive->Process(1, t));
+        DeliverBoth(fast.get(), naive.get(), 1, t, &watermark[1], &rng);
       }
-      watermark += rng.NextBounded(90000);
       for (size_t port = 0; port < 2; ++port) {
-        fast->ObserveWatermark(port, watermark);
-        naive->ObserveWatermark(port, watermark);
+        watermark[port] += rng.NextBounded(90000);
+        fast->ObserveWatermark(port, watermark[port]);
+        naive->ObserveWatermark(port, watermark[port]);
       }
       SL_ASSERT_OK(fast->Flush(0));
       SL_ASSERT_OK(naive->Flush(0));
@@ -845,7 +901,11 @@ TEST(FastVsNaiveOracleTest, EventTimeJoinSweep) {
     SL_ASSERT_OK(fast->Flush(0));
     SL_ASSERT_OK(naive->Flush(0));
     ExpectSameRows(fast_out, naive_out, seed, "event-time join");
+    ExpectSameRows(fast_late, naive_late, seed, "event-time join late");
+    ExpectSameCounters(*fast, *naive, seed, "event-time join");
+    late_total += naive->stats().late_dropped + naive->stats().late_routed;
   }
+  EXPECT_GT(late_total, 0u);
 }
 
 // --------------------------------------------------------------- trigger --

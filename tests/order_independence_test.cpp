@@ -121,110 +121,6 @@ TEST(OrderIndependenceTest, ZeroPlanMatchesUninstalledBaseline) {
   }
 }
 
-// ------------------------------------- fast vs naive pipeline oracle --
-//
-// The hash-join / incremental-aggregation fast paths must be
-// observationally equivalent to the reference implementations at the
-// whole-pipeline level too: same seeded run, same fault plan, flipped
-// ExecutorOptions::naive_blocking — identical sink rows, late rows and
-// per-operator counters, under reordered deliveries and late data.
-
-/// Discretised equi-join: both sides are transformed onto a small
-/// integer key domain first, so the hash index actually groups rows
-/// (the raw doubles would almost never compare equal) and the residual
-/// conjunct exercises the pair-view path.
-dsn::DsnSpec EventEquiJoinSpec() {
-  auto df = *dataflow::DataflowBuilder("wm_join_eq")
-                 .AddSource("left", "wm_t0")
-                 .AddSource("right", "wm_r0")
-                 .AddTransform("lkey", "left", "temp", "floor(temp) % 4")
-                 .AddTransform("rkey", "right", "rain",
-                               "floor(rain * 10) % 4")
-                 .AddJoin("join", "lkey", "rkey", 5 * duration::kSecond,
-                          "temp == rain and temp >= 0",
-                          10 * duration::kSecond)
-                 .AddSink("out", "join", dataflow::SinkKind::kCollect)
-                 .Build();
-  return *dsn::TranslateToDsn(df);
-}
-
-/// One seed of the equivalence: run the same delayed deployment with
-/// the fast blocking operators and with the naive references.
-void ExpectFastMatchesNaive(uint64_t seed, const dsn::DsnSpec& spec,
-                            const EventTimeOptions& options,
-                            Duration max_extra_delay,
-                            size_t* total_rows = nullptr) {
-  net::FaultPlan delays =
-      net::MakeDelayOnlyFaultPlan(seed, max_extra_delay, 0.9);
-  EventTimeResult fast = EventTimeRun(seed, delays, spec, options);
-  ASSERT_TRUE(fast.deployed) << fast.deploy_error << "\n" << Context(seed);
-
-  EventTimeOptions reference = options;
-  reference.naive_blocking = true;
-  EventTimeResult naive = EventTimeRun(seed, delays, spec, reference);
-  ASSERT_TRUE(naive.deployed) << naive.deploy_error << "\n" << Context(seed);
-
-  EXPECT_EQ(fast.sink_rows, naive.sink_rows) << Context(seed);
-  EXPECT_EQ(fast.late_rows, naive.late_rows) << Context(seed);
-  if (total_rows != nullptr) *total_rows += fast.sink_rows.size();
-  for (const auto& [name, stats] : fast.op_stats) {
-    auto it = naive.op_stats.find(name);
-    ASSERT_NE(it, naive.op_stats.end()) << name << "\n" << Context(seed);
-    EXPECT_EQ(stats.tuples_in, it->second.tuples_in)
-        << name << "\n" << Context(seed);
-    EXPECT_EQ(stats.tuples_out, it->second.tuples_out)
-        << name << "\n" << Context(seed);
-    EXPECT_EQ(stats.late_dropped, it->second.late_dropped)
-        << name << "\n" << Context(seed);
-    EXPECT_EQ(stats.late_routed, it->second.late_routed)
-        << name << "\n" << Context(seed);
-  }
-}
-
-TEST(FastVsNaivePipelineTest, AggregationSweep) {
-  for (uint64_t seed : ChaosSeeds(50, 11000)) {
-    ExpectFastMatchesNaive(seed, EventAggSpec(), EventTimeOptions{},
-                           /*max_extra_delay=*/400);
-  }
-}
-
-TEST(FastVsNaivePipelineTest, EquiJoinSweep) {
-  EventTimeOptions options;
-  options.with_rain = true;
-  size_t total_rows = 0;
-  for (uint64_t seed : ChaosSeeds(15, 12000)) {
-    ExpectFastMatchesNaive(seed, EventEquiJoinSpec(), options,
-                           /*max_extra_delay=*/400, &total_rows);
-  }
-  // The discretised keys must actually collide — an all-empty sweep
-  // would vacuously "agree".
-  EXPECT_GT(total_rows, 0u);
-}
-
-TEST(FastVsNaivePipelineTest, CrossJoinSweep) {
-  // No equi-conjunct: the fast side must take the nested-loop fallback
-  // and still agree with the reference bit for bit.
-  EventTimeOptions options;
-  options.with_rain = true;
-  for (uint64_t seed : ChaosSeeds(5, 13000)) {
-    ExpectFastMatchesNaive(seed, EventJoinSpec(), options,
-                           /*max_extra_delay=*/400);
-  }
-}
-
-TEST(FastVsNaivePipelineTest, LateDataRegimeAgrees) {
-  // Heavy delays against tight windows with zero allowed lateness: both
-  // implementations must classify exactly the same tuples as late and
-  // route them to the same side output.
-  EventTimeOptions options;
-  options.late_policy = ops::LatePolicy::kSideOutput;
-  options.allowed_lateness = 0;
-  for (uint64_t seed : ChaosSeeds(5, 14000)) {
-    ExpectFastMatchesNaive(seed, TightAggSpec(), options,
-                           /*max_extra_delay=*/5 * duration::kSecond);
-  }
-}
-
 TEST(LateAccountingTest, DropPolicyCountsBeatenTuples) {
   // Tight tumbling windows + zero allowed lateness + heavy delays:
   // some tuples must arrive behind their fired window.

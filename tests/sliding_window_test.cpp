@@ -10,6 +10,7 @@
 #include "dsn/translate.h"
 #include "ops/operator.h"
 #include "sensors/generators.h"
+#include "tests/reference/blocking.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -47,9 +48,10 @@ struct Harness {
           std::vector<std::string> names = {"in"}, bool naive = false) {
     ops::OperatorOptions options;
     options.activation = &activation;
-    options.naive_blocking = naive;
-    auto result = ops::MakeOperator("op", op, std::move(spec), inputs, names,
-                                    options);
+    auto result = naive ? reference::MakeBlockingReference(
+                              "op", op, spec, inputs, names, options)
+                        : ops::MakeOperator("op", op, spec, inputs, names,
+                                            options);
     EXPECT_TRUE(result.ok()) << result.status();
     op_ = std::move(result).ValueOrDie();
     op_->set_emit([this](const stt::TupleRef& t) { out.push_back(*t); });

@@ -293,10 +293,6 @@ struct EventTimeOptions {
   bool install_plan = true;
   /// Adds the rain sensor "wm_r0" (join dataflows need a second stream).
   bool with_rain = false;
-  /// Deploys with the reference blocking operators (nested-loop join,
-  /// full-recompute aggregation) instead of the fast paths — the oracle
-  /// side of the fast-vs-naive equivalence property.
-  bool naive_blocking = false;
 };
 
 /// Everything an event-time run produces.
@@ -405,7 +401,6 @@ inline EventTimeResult EventTimeRun(uint64_t seed, const net::FaultPlan& plan,
   exec_options.watermark.time_policy = ops::TimePolicy::kEvent;
   exec_options.watermark.late_policy = options.late_policy;
   exec_options.watermark.allowed_lateness = options.allowed_lateness;
-  exec_options.naive_blocking = options.naive_blocking;
   exec::Executor executor(&loop, &net, &broker, &monitor, sink_context,
                           exec_options);
   executor.set_fleet(&fleet);

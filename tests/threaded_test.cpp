@@ -95,8 +95,10 @@ Result<std::unique_ptr<sensors::SensorSimulator>> ThSensor(
 
 // ------------------------------------------------------------- specs --
 
-dsn::DsnSpec ThAggSpec(Duration window, size_t parallelism = 1,
-                       Duration interval = 5 * duration::kSecond) {
+dsn::DsnSpec ThAggSpec(
+    Duration window, size_t parallelism = 1,
+    Duration interval = 5 * duration::kSecond,
+    dataflow::SinkKind sink = dataflow::SinkKind::kCollect) {
   dataflow::AggregationSpec agg;
   agg.interval = interval;
   agg.window = window;
@@ -108,7 +110,7 @@ dsn::DsnSpec ThAggSpec(Duration window, size_t parallelism = 1,
                  .AddSource("src", "th_t0")
                  .AddOperator("agg", dataflow::OpKind::kAggregation, agg,
                               {"src"})
-                 .AddSink("out", "agg", dataflow::SinkKind::kCollect)
+                 .AddSink("out", "agg", sink)
                  .Build();
   return *dsn::TranslateToDsn(df);
 }
@@ -146,7 +148,8 @@ dsn::DsnSpec ThTriggerSpec(Duration window) {
 
 /// A non-blocking filter → transform chain (no flush schedule at all —
 /// exercises the pure streaming path).
-dsn::DsnSpec ThFilterTransformSpec() {
+dsn::DsnSpec ThFilterTransformSpec(
+    dataflow::SinkKind sink = dataflow::SinkKind::kCollect) {
   dataflow::FilterSpec filter;
   filter.condition = "temp > 5";
   dataflow::TransformSpec transform;
@@ -158,7 +161,7 @@ dsn::DsnSpec ThFilterTransformSpec() {
                               {"src"})
                  .AddOperator("f2c", dataflow::OpKind::kTransform, transform,
                               {"flt"})
-                 .AddSink("out", "f2c", dataflow::SinkKind::kCollect)
+                 .AddSink("out", "f2c", sink)
                  .Build();
   return *dsn::TranslateToDsn(df);
 }
@@ -168,7 +171,6 @@ dsn::DsnSpec ThFilterTransformSpec() {
 struct DiffOptions {
   bool event_time = false;
   bool with_rain = false;
-  bool naive_blocking = false;
   Duration active_for = 30 * duration::kSecond;
   Duration drain_for = 15 * duration::kSecond;
   size_t queue_capacity = 1024;
@@ -233,7 +235,6 @@ DiffResult RunSimVsThreaded(uint64_t seed, const dsn::DsnSpec& spec,
   sinks::SinkContext sink_context;
   sink_context.warehouse = &warehouse;
   exec::ExecutorOptions exec_options;
-  exec_options.naive_blocking = options.naive_blocking;
   if (options.event_time) {
     exec_options.watermark.time_policy = ops::TimePolicy::kEvent;
   }
@@ -288,7 +289,6 @@ DiffResult RunSimVsThreaded(uint64_t seed, const dsn::DsnSpec& spec,
   sinks::SinkContext threaded_context;
   threaded_context.warehouse = &threaded_warehouse;
   exec::ThreadedOptions threaded_options;
-  threaded_options.naive_blocking = options.naive_blocking;
   threaded_options.watermark = exec_options.watermark;
   threaded_options.deploy_time = deploy_time;
   threaded_options.queue_capacity = options.queue_capacity;
@@ -495,17 +495,6 @@ TEST(SimVsThreadedOracleTest, FilterTransformMatchesSim) {
     for (const auto& [name, stats] : r.threaded.op_stats) {
       EXPECT_EQ(stats.batches, 0u) << name << "\n" << Context(seed);
     }
-  }
-}
-
-TEST(SimVsThreadedOracleTest, NaiveBlockingAgreesToo) {
-  // The reference operator implementations under the threaded runtime —
-  // the two orthogonal oracles (fast-vs-naive, sim-vs-threaded) compose.
-  DiffOptions options;
-  options.naive_blocking = true;
-  for (uint64_t seed : ChaosSeeds(10, 8800)) {
-    ExpectSimThreadedIdentity(seed, ThAggSpec(10 * duration::kSecond),
-                              options);
   }
 }
 
@@ -867,6 +856,21 @@ class DirectThreaded {
   std::unique_ptr<pubsub::Broker> broker_;
 };
 
+/// A deliberately slow consumer for backpressure stress: a CSV sink
+/// whose line consumer busy-waits `ns` wall-clock nanoseconds per line
+/// (a sleep would round up to scheduler quanta and hide the queue
+/// math).
+sinks::SinkContext SlowCsvSink(int64_t ns) {
+  sinks::SinkContext context;
+  context.csv_consumer = [ns](const std::string&) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  return context;
+}
+
 TEST(ThreadedChaosTest, BackpressureSaturationLosesNothing) {
   // Tiny rings and a deliberately slow sink: the credit chain must stall
   // the driver instead of dropping or deadlocking, and every fed tuple
@@ -876,9 +880,10 @@ TEST(ThreadedChaosTest, BackpressureSaturationLosesNothing) {
     exec::InputTrace trace = direct.MakeTrace(5000);
     exec::ThreadedOptions options;
     options.queue_capacity = 4;
-    options.sink_delay_ns = 2000;
-    auto df = *dsn::TranslateFromDsn(ThFilterTransformSpec());
-    exec::ThreadedRuntime runtime(df, direct.broker(), {}, options);
+    auto df = *dsn::TranslateFromDsn(
+        ThFilterTransformSpec(dataflow::SinkKind::kCsv));
+    exec::ThreadedRuntime runtime(df, direct.broker(), SlowCsvSink(2000),
+                                  options);
     auto result = runtime.RunTrace(trace, trace.back().at + 1000);
     ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n"
                              << Context(seed);
@@ -908,9 +913,10 @@ TEST(ThreadedChaosTest, ShutdownWhileDrainingStopsPromptly) {
     exec::InputTrace trace = direct.MakeTrace(3000);
     exec::ThreadedOptions options;
     options.queue_capacity = 8;
-    options.sink_delay_ns = 1000;
-    auto df = *dsn::TranslateFromDsn(ThAggSpec(0));
-    exec::ThreadedRuntime runtime(df, direct.broker(), {}, options);
+    auto df = *dsn::TranslateFromDsn(ThAggSpec(
+        0, 1, 5 * duration::kSecond, dataflow::SinkKind::kCsv));
+    exec::ThreadedRuntime runtime(df, direct.broker(), SlowCsvSink(1000),
+                                  options);
     SL_ASSERT_OK(runtime.Start());
     for (size_t i = 0; i < feed_before_abort; ++i) {
       const auto& event = trace[i];
@@ -930,9 +936,11 @@ TEST(ThreadedChaosTest, AbortFromSecondThreadUnblocksSaturatedFeed) {
   exec::InputTrace trace = direct.MakeTrace(20000);
   exec::ThreadedOptions options;
   options.queue_capacity = 2;
-  options.sink_delay_ns = 100000;  // 0.1 ms per tuple: instant saturation
-  auto df = *dsn::TranslateFromDsn(ThFilterTransformSpec());
-  exec::ThreadedRuntime runtime(df, direct.broker(), {}, options);
+  auto df = *dsn::TranslateFromDsn(
+      ThFilterTransformSpec(dataflow::SinkKind::kCsv));
+  // 0.1 ms per tuple: instant saturation.
+  exec::ThreadedRuntime runtime(df, direct.broker(), SlowCsvSink(100000),
+                                options);
   SL_ASSERT_OK(runtime.Start());
   std::thread aborter([&runtime] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -991,9 +999,10 @@ TEST(ThreadedChaosTest, LiveStageSamplesAreSane) {
   exec::InputTrace trace = direct.MakeTrace(20000);
   exec::ThreadedOptions options;
   options.queue_capacity = 64;
-  options.sink_delay_ns = 500;
-  auto df = *dsn::TranslateFromDsn(ThFilterTransformSpec());
-  exec::ThreadedRuntime runtime(df, direct.broker(), {}, options);
+  auto df = *dsn::TranslateFromDsn(
+      ThFilterTransformSpec(dataflow::SinkKind::kCsv));
+  exec::ThreadedRuntime runtime(df, direct.broker(), SlowCsvSink(500),
+                                options);
   SL_ASSERT_OK(runtime.Start());
   std::atomic<bool> stop{false};
   std::thread sampler([&] {
