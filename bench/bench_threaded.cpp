@@ -131,14 +131,13 @@ dataflow::Dataflow TumblingAggFlow(size_t parallelism) {
 
 /// Runs `flow` over a fresh `tuples`-long trace each iteration and
 /// reports delivered-tuple throughput plus Feed→sink wall latency
-/// percentiles from the final iteration. `extra` layers this PR's mode
-/// knobs (pool_size, shard_threads, batch_max, live) onto the shared
+/// percentiles from the final iteration. `knobs` layers the execution
+/// modes (pool_size, shard_threads, batch_max) onto the shared
 /// large-ring, count-only-sink baseline.
 struct PipelineKnobs {
   size_t pool_size = 0;
   size_t shard_threads = 0;
   size_t batch_max = 1;
-  bool live = false;  ///< unpaced feed threads instead of trace replay
 };
 
 void RunPipeline(benchmark::State& state, const dataflow::Dataflow& flow,
@@ -156,8 +155,7 @@ void RunPipeline(benchmark::State& state, const dataflow::Dataflow& flow,
   exec::LatencySummary latency;
   for (auto _ : state) {
     exec::ThreadedRuntime runtime(flow, fixture.broker(), {}, options);
-    auto result = knobs.live ? runtime.RunLive(trace, end_time)
-                             : runtime.RunTrace(trace, end_time);
+    auto result = runtime.RunTrace(trace, end_time);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -191,28 +189,6 @@ BENCHMARK(BM_ThreadedPartitionedAgg)->Arg(2)->Arg(4)->Unit(
     benchmark::kMillisecond);
 
 // ------------------------------------------------ phase-2 mode knobs --
-
-/// Live (traceless) ingestion, unpaced: measures the feed-thread path —
-/// source-side punctuation minting plus the same downstream pipeline.
-void BM_ThreadedLiveFilterTransform(benchmark::State& state) {
-  PipelineKnobs knobs;
-  knobs.live = true;
-  RunPipeline(state, FilterTransformFlow(),
-              static_cast<size_t>(state.range(0)), knobs);
-}
-BENCHMARK(BM_ThreadedLiveFilterTransform)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ThreadedLiveTumblingAgg(benchmark::State& state) {
-  PipelineKnobs knobs;
-  knobs.live = true;
-  RunPipeline(state, TumblingAggFlow(1), static_cast<size_t>(state.range(0)),
-              knobs);
-}
-BENCHMARK(BM_ThreadedLiveTumblingAgg)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
 
 /// Pooled scheduling: every stage multiplexed over Arg(0) workers
 /// instead of one dedicated thread per stage.

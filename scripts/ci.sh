@@ -25,6 +25,22 @@ count_lines() {
 echo "==> src/ size: $(count_lines "${root}/src") lines in *.h and *.cc"
 echo "==> tests/reference/ size: $(count_lines "${root}/tests/reference")" \
   "lines in *.h and *.cc"
+# So is the number of knobs: the fields of each options struct, counted
+# as the lines ending in ';' between `struct X {` and `};` once `//`
+# comments are stripped.
+count_fields() {
+  awk -v open="struct $2 {" '
+    index($0, open) == 1 { inside = 1; next }
+    inside && /^};/ { exit }
+    inside { sub(/\/\/.*/, ""); if ($0 ~ /;[ \t]*$/) n++ }
+    END { print n + 0 }' "${root}/$1"
+}
+echo "==> option fields:" \
+  "ThreadedOptions $(count_fields src/exec/threaded_runtime.h ThreadedOptions)," \
+  "ExecutorOptions $(count_fields src/exec/executor.h ExecutorOptions)," \
+  "StreamLoaderOptions $(count_fields src/core/streamloader.h StreamLoaderOptions)," \
+  "OperatorOptions $(count_fields src/ops/operator.h OperatorOptions)," \
+  "TransferOptions $(count_fields src/net/network.h TransferOptions)"
 
 run_config() {
   local build_dir="$1"
@@ -115,10 +131,10 @@ ctest --test-dir "${root}/build-asan" --output-on-failure \
   -R 'Chaos' --repeat-until-fail 3 -j "${jobs}"
 
 # Threaded runtime interleaving shake-out: repeat the threaded chaos
-# suite (backpressure saturation, shutdown-while-draining,
-# abort-while-timer-pending, SPSC stress) under TSan, where scheduler
-# jitter between repeats explores different interleavings of the
-# worker/driver/feed threads.
+# suite (backpressure saturation, shutdown-while-draining, abort from a
+# second thread, pooled release, SPSC stress) under TSan, where
+# scheduler jitter between repeats explores different interleavings of
+# the worker and driver threads.
 echo "==> threaded chaos suite under TSan, repeated"
 ctest --test-dir "${root}/build-tsan" --output-on-failure \
   -R 'Chaos' --repeat-until-fail 3 -j "${jobs}"
@@ -130,15 +146,14 @@ echo "==> live stage-sample gauges under TSan, repeated"
 ctest --test-dir "${root}/build-tsan" --output-on-failure \
   -R 'LiveStageSamplesAreSane' --repeat-until-fail 10
 
-# The phase-2 execution-mode matrix (live feed threads, pooled workers
-# with work-stealing help, shard pools, batched rings — and all of them
-# combined — plus the Feed-driven run perfbench uses) is where new
-# lock-free orderings live; repeat those differential identities under
-# TSan too. The full 50-seed batteries already ran once in the
-# build-tsan ctest pass above.
+# The phase-2 execution-mode matrix (pooled workers with work-stealing
+# help, shard pools, batched rings — and all of them combined — plus the
+# Feed-driven run perfbench uses) is where new lock-free orderings live;
+# repeat those differential identities under TSan too. The full 50-seed
+# batteries already ran once in the build-tsan ctest pass above.
 echo "==> threaded mode-matrix oracle under TSan, repeated"
 ctest --test-dir "${root}/build-tsan" --output-on-failure \
-  -R 'Live|Pooled|ShardThreads|Batched|AllModesCombined|Columnar|Feed' \
+  -R 'Pooled|ShardThreads|Batched|AllModesCombined|Columnar|Feed' \
   --repeat-until-fail 2 -j "${jobs}"
 
 echo "==> fault benchmark"

@@ -15,6 +15,18 @@ using dataflow::NodeKind;
 
 namespace {
 
+/// Work units a node spends per tuple processed; a flush and a rescale
+/// bill each cached tuple at the same rate.
+constexpr double kWorkPerTuple = 1.0;
+/// Approximate per-tuple network framing overhead in bytes.
+constexpr size_t kTupleOverheadBytes = 24;
+
+size_t TupleBytes(const stt::Tuple& tuple) {
+  // The value portion is memoized in the tuple itself, so a tuple routed
+  // across many edges (or re-routed downstream) is measured once.
+  return kTupleOverheadBytes + tuple.ApproxValueBytes();
+}
+
 /// Per-deployment activation adapter: attributes trigger activations to
 /// their deployment before forwarding to the executor.
 class DeploymentActivation : public ops::ActivationHandler {
@@ -123,12 +135,6 @@ Executor::~Executor() {
     monitor_->set_tick_listener(nullptr);
     monitor_->set_fault_sampler(nullptr);
   }
-}
-
-size_t Executor::TupleBytes(const stt::Tuple& tuple) const {
-  // The value portion is memoized in the tuple itself, so a tuple routed
-  // across many edges (or re-routed downstream) is measured once.
-  return options_.tuple_overhead_bytes + tuple.ApproxValueBytes();
 }
 
 Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
@@ -375,8 +381,8 @@ Result<Executor::DeployedOperator> Executor::BuildOperator(
         auto it = d->operators.find(name);
         if (it == d->operators.end()) return;
         ops::Operator* target = it->second.op.get();
-        double work = static_cast<double>(target->stats().cache_size) *
-                      options_.work_per_tuple;
+        double work =
+            static_cast<double>(target->stats().cache_size) * kWorkPerTuple;
         Status s = target->Flush(loop_->Now());
         if (!s.ok()) {
           ++d->stats.process_errors;
@@ -487,8 +493,7 @@ void Executor::Deliver(Deployment* dep, const Edge& edge,
   if (edge.to_sink) {
     auto it = dep->sinks.find(edge.to);
     if (it == dep->sinks.end()) return;
-    Status ws = network_->ReportWork(it->second.node_id,
-                                     options_.work_per_tuple);
+    Status ws = network_->ReportWork(it->second.node_id, kWorkPerTuple);
     (void)ws;
     Status s = it->second.sink->Write(tuple);
     if (s.ok()) {
@@ -501,8 +506,7 @@ void Executor::Deliver(Deployment* dep, const Edge& edge,
   }
   auto it = dep->operators.find(edge.to);
   if (it == dep->operators.end()) return;
-  Status ws =
-      network_->ReportWork(it->second.node_id, options_.work_per_tuple);
+  Status ws = network_->ReportWork(it->second.node_id, kWorkPerTuple);
   (void)ws;
   // Fold the piggybacked watermark into the input frontier *before*
   // processing: the promise was made when the tuple was sent, so it
@@ -721,8 +725,7 @@ Status Executor::RescaleOperator(DeploymentId id, const std::string& op_name,
   // cached state is re-read and re-routed across the new instance set,
   // billed as node work proportional to the cache. Instances are
   // co-located, so no network transfer is simulated.
-  double work = static_cast<double>(op->stats().cache_size) *
-                options_.work_per_tuple;
+  double work = static_cast<double>(op->stats().cache_size) * kWorkPerTuple;
   SL_RETURN_IF_ERROR(op->Rescale(new_parallelism));
   if (work > 0) {
     Status ws = network_->ReportWork(op_it->second.node_id, work);
@@ -978,8 +981,6 @@ std::vector<monitor::OperatorSample> Executor::SampleOperators(
 }
 
 void Executor::OnMonitorTick(const monitor::MonitorReport& report) {
-  ++monitor_ticks_;
-  if (options_.elastic_scaling) ElasticTick(report);
   if (options_.rebalance_threshold <= 0) return;
   for (const auto& node : report.nodes) {
     if (node.utilization <= options_.rebalance_threshold) continue;
@@ -1003,50 +1004,6 @@ void Executor::OnMonitorTick(const monitor::MonitorReport& report) {
         SL_LOG(kWarning) << "auto-migration failed: " << s.ToString();
       }
       break;
-    }
-  }
-}
-
-void Executor::ElasticTick(const monitor::MonitorReport& report) {
-  for (const auto& sample : report.operators) {
-    // Locate the live operator; only wrapper-deployed (key-partitioned)
-    // operators support Rescale — detected by their per-instance
-    // counters, so a group shrunk to one instance can still grow back.
-    DeploymentId owner_id = 0;
-    ops::Operator* op = nullptr;
-    for (auto& [id, dep] : deployments_) {
-      if (!dep->active || dep->dataflow.name() != sample.dataflow) continue;
-      auto op_it = dep->operators.find(sample.op_name);
-      if (op_it == dep->operators.end()) continue;
-      owner_id = id;
-      op = op_it->second.op.get();
-      break;
-    }
-    if (op == nullptr || op->instance_stats(0) == nullptr) continue;
-    std::string key = sample.dataflow + "/" + sample.op_name;
-    auto last = last_rescale_tick_.find(key);
-    if (last != last_rescale_tick_.end() &&
-        monitor_ticks_ - last->second <
-            static_cast<uint64_t>(options_.elastic_cooldown_ticks)) {
-      continue;
-    }
-    size_t par = op->parallelism();
-    double per_instance = sample.in_per_sec / static_cast<double>(par);
-    size_t target = par;
-    if (per_instance > options_.elastic_high_load &&
-        par < options_.elastic_max_instances) {
-      target = std::min(par * 2, options_.elastic_max_instances);
-    } else if (per_instance < options_.elastic_low_load &&
-               par > options_.elastic_min_instances) {
-      target = std::max(par / 2, options_.elastic_min_instances);
-    }
-    if (target == par) continue;
-    Status s = RescaleOperator(owner_id, sample.op_name, target);
-    if (s.ok()) {
-      last_rescale_tick_[key] = monitor_ticks_;
-    } else {
-      SL_LOG(kWarning) << "elastic rescale of '" << sample.op_name
-                       << "' failed: " << s.ToString();
     }
   }
 }

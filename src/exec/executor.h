@@ -42,15 +42,11 @@ using DeploymentId = uint64_t;
 /// \brief Executor configuration.
 struct ExecutorOptions {
   PlacementStrategy placement = PlacementStrategy::kLeastLoaded;
-  /// Work units a node spends per tuple processed.
-  double work_per_tuple = 1.0;
   /// Blocking-operation cache bound (per input).
   size_t max_cache_tuples = 1 << 20;
   /// Re-assign operators away from nodes above this utilization on each
   /// monitor tick (0 disables auto-rebalancing).
   double rebalance_threshold = 1.0;
-  /// Approximate per-tuple network framing overhead in bytes.
-  size_t tuple_overhead_bytes = 24;
   /// Schedule optimization (§1: "optimize the schedule for the execution
   /// of the dataflow"): blocking operators flush `flush_stagger_ms` *
   /// depth after the interval boundary, where depth is the operator's
@@ -82,25 +78,6 @@ struct ExecutorOptions {
   /// LatePolicy::kSideOutput adds one LateSink per deployment
   /// (LateSinkOf) receiving the diverted late tuples.
   ops::WatermarkOptions watermark;
-  /// \brief Elastic scaling of key-partitioned blocking operators
-  /// (deployed with parallelism > 1): on each monitor tick the policy
-  /// compares every instance group's per-instance input rate against the
-  /// band below, doubling the instance count on overload and halving it
-  /// when underloaded. Off by default — fixed parallelism keeps runs
-  /// reproducible without a monitor.
-  bool elastic_scaling = false;
-  /// Per-instance input rate (tuples/s) above which an instance group
-  /// doubles (up to elastic_max_instances).
-  double elastic_high_load = 1000.0;
-  /// Per-instance input rate below which an instance group halves (down
-  /// to elastic_min_instances). Keep well under elastic_high_load / 2:
-  /// the gap is the hysteresis that prevents grow/shrink oscillation.
-  double elastic_low_load = 100.0;
-  size_t elastic_min_instances = 1;
-  size_t elastic_max_instances = 8;
-  /// Monitor ticks an operator sits out after a rescale before the
-  /// policy may touch it again (the rescale itself perturbs the rates).
-  int elastic_cooldown_ticks = 2;
   /// \brief Observer of every tuple entering a source, invoked with the
   /// source node name, the tuple, the virtual ingestion time and the
   /// broker watermark piggybacked on the delivery. This is how the
@@ -199,8 +176,7 @@ class Executor : public ops::ActivationHandler {
   /// count by the difference. Only operators deployed with
   /// parallelism > 1 in their spec support this; the re-partitioning
   /// hand-off is billed as node work proportional to the cache, and the
-  /// action is counted as a migration. Also used by the elastic_scaling
-  /// policy on monitor ticks.
+  /// action is counted as a migration.
   Status RescaleOperator(DeploymentId id, const std::string& op_name,
                          size_t new_parallelism);
 
@@ -323,10 +299,6 @@ class Executor : public ops::ActivationHandler {
   /// Auto-rebalance hook run on each monitor tick.
   void OnMonitorTick(const monitor::MonitorReport& report);
 
-  /// Elastic-scaling policy (options_.elastic_scaling): grows/shrinks
-  /// the instance count of partitioned operators from per-instance load.
-  void ElasticTick(const monitor::MonitorReport& report);
-
   /// Heartbeat tick: polls node liveness, declares a node dead after
   /// `heartbeat_misses` consecutive down-polls, then recovers its
   /// processes (P4-style fault handling).
@@ -336,9 +308,6 @@ class Executor : public ops::ActivationHandler {
   /// `node_id` onto surviving nodes; counts recoveries.
   void RecoverDeployment(DeploymentId id, Deployment* dep,
                          const std::string& node_id);
-
-  size_t TupleBytes(const stt::Tuple& tuple) const;
-
 
   net::EventLoop* loop_;
   net::Network* network_;
@@ -356,10 +325,6 @@ class Executor : public ops::ActivationHandler {
   /// node, and nodes already declared dead (so a crash recovers once).
   net::EventLoop::TimerId heartbeat_timer_ = 0;
   std::map<std::string, int> missed_heartbeats_;
-  /// Elastic scaling: running monitor-tick counter and the tick of each
-  /// operator's last rescale ("dataflow/op"), for cooldown enforcement.
-  uint64_t monitor_ticks_ = 0;
-  std::map<std::string, uint64_t> last_rescale_tick_;
   std::set<std::string> dead_nodes_;
   ScnLog scn_log_;
 };

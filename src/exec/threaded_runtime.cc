@@ -25,6 +25,19 @@ int64_t NowNs() {
       .count();
 }
 
+Status NotASource(const std::string& source, const dataflow::Dataflow& df) {
+  return Status::NotFound("'" + source + "' is not a source of dataflow '" +
+                          df.name() + "'");
+}
+
+Status TimeGoesBack(const std::string& source, Timestamp at,
+                    Timestamp reached) {
+  return Status::InvalidArgument(
+      "tuple for '" + source + "' at virtual time " + std::to_string(at) +
+      " is behind the time already reached (" + std::to_string(reached) +
+      "); times must be non-decreasing");
+}
+
 }  // namespace
 
 /// What flows through a channel: a tuple with its piggybacked watermark
@@ -124,6 +137,16 @@ struct ThreadedRuntime::Stage {
   std::atomic<uint64_t> process_errors{0};
   std::atomic<size_t> cache_gauge{0};
   std::atomic<uint64_t> quanta{0};  ///< pooled/help quanta executed
+
+  /// Counts one failed process, flush or sink write. Only the stage's
+  /// first failure is logged; FinishCollect reports the total, so a
+  /// stage that fails on every tuple logs two lines, not one per tuple.
+  void RecordError(const char* what, const Status& status) {
+    if (process_errors.fetch_add(1, std::memory_order_relaxed) == 0) {
+      SL_LOG(kError) << "threaded " << what << " of " << name
+                     << " failed: " << status.ToString();
+    }
+  }
 };
 
 /// Thread-safe trigger activation recorder: trigger stages run on their
@@ -243,7 +266,12 @@ Status ThreadedRuntime::Build() {
     stages_.push_back(std::move(stage));
   }
 
-  // Channels: one ring per edge, input order = port order.
+  // Channels: one ring per edge, input order = port order. Every
+  // source has an entry, so one that nothing consumes is still a
+  // source: feeding it reaches no stage.
+  for (const auto& name : dataflow_.SourceNames()) {
+    source_channels_.try_emplace(name);
+  }
   for (auto& stage : stages_) {
     const Node& node = **dataflow_.node(stage->name);
     for (size_t port = 0; port < node.inputs.size(); ++port) {
@@ -328,6 +356,7 @@ void ThreadedRuntime::EmitPunct(Timestamp time) {
 }
 
 void ThreadedRuntime::AdvanceTime(Timestamp now) {
+  if (now > reached_) reached_ = now;
   while (!boundaries_.empty() && boundaries_.top().at <= now) {
     Boundary b = boundaries_.top();
     boundaries_.pop();
@@ -346,10 +375,8 @@ Status ThreadedRuntime::Feed(const std::string& source,
     return Status::FailedPrecondition("threaded runtime is not running");
   }
   auto it = source_channels_.find(source);
-  if (it == source_channels_.end()) {
-    return Status::NotFound("'" + source + "' is not a source of dataflow '" +
-                            dataflow_.name() + "'");
-  }
+  if (it == source_channels_.end()) return NotASource(source, dataflow_);
+  if (at < reached_) return TimeGoesBack(source, at, reached_);
   // Punctuation for boundaries <= `at` goes first: a flush at B must
   // not see a tuple ingested at B (the simulator's tie-break — the
   // re-armed flush timer has the smaller sequence number).
@@ -448,11 +475,7 @@ void ThreadedRuntime::HandleData(Stage* stage, size_t input_idx,
     stage->current_ingest_ns = message.ingest_ns;
     stage->op->ObserveWatermark(channel->port, message.watermark);
     Status status = stage->op->Process(channel->port, message.tuple);
-    if (!status.ok()) {
-      stage->process_errors.fetch_add(1, std::memory_order_relaxed);
-      SL_LOG(kError) << "threaded process of " << stage->name
-                     << " failed: " << status.ToString();
-    }
+    if (!status.ok()) stage->RecordError("process", status);
     return;
   }
   if (message.ingest_ns > 0) {
@@ -460,9 +483,7 @@ void ThreadedRuntime::HandleData(Stage* stage, size_t input_idx,
   }
   if (!options_.count_only_sinks) {
     Status status = stage->sink->Write(message.tuple);
-    if (!status.ok()) {
-      stage->process_errors.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (!status.ok()) stage->RecordError("write", status);
   }
 }
 
@@ -494,15 +515,9 @@ void ThreadedRuntime::HandleBatch(Stage* stage, size_t input_idx,
           stage->op->ProcessBatch(channel->port, stage->batch_refs.data(),
                                   stage->batch_refs.size(), &stage->batch_ctx);
       for (const ops::Operator::BatchRowError& e : stage->batch_ctx.errors) {
-        stage->process_errors.fetch_add(1, std::memory_order_relaxed);
-        SL_LOG(kError) << "threaded process of " << stage->name
-                       << " failed: " << e.status.ToString();
+        stage->RecordError("process", e.status);
       }
-      if (!status.ok()) {
-        stage->process_errors.fetch_add(1, std::memory_order_relaxed);
-        SL_LOG(kError) << "threaded process of " << stage->name
-                       << " failed: " << status.ToString();
-      }
+      if (!status.ok()) stage->RecordError("process", status);
       stage->batch_ctx.on_row = nullptr;
       return;
     }
@@ -510,11 +525,7 @@ void ThreadedRuntime::HandleBatch(Stage* stage, size_t input_idx,
       stage->in_count.fetch_add(1, std::memory_order_relaxed);
       stage->current_ingest_ns = item.ingest_ns;
       Status status = stage->op->Process(channel->port, item.tuple);
-      if (!status.ok()) {
-        stage->process_errors.fetch_add(1, std::memory_order_relaxed);
-        SL_LOG(kError) << "threaded process of " << stage->name
-                       << " failed: " << status.ToString();
-      }
+      if (!status.ok()) stage->RecordError("process", status);
     }
     return;
   }
@@ -525,9 +536,7 @@ void ThreadedRuntime::HandleBatch(Stage* stage, size_t input_idx,
     }
     if (!options_.count_only_sinks) {
       Status status = stage->sink->Write(item.tuple);
-      if (!status.ok()) {
-        stage->process_errors.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (!status.ok()) stage->RecordError("write", status);
     }
   }
 }
@@ -590,11 +599,7 @@ void ThreadedRuntime::AdvanceFrontier(Stage* stage) {
     while (stage->next_flush <= new_min) {
       stage->current_ingest_ns = 0;  // flush emissions have no lineage
       Status status = stage->op->Flush(stage->next_flush);
-      if (!status.ok()) {
-        stage->process_errors.fetch_add(1, std::memory_order_relaxed);
-        SL_LOG(kError) << "threaded flush of " << stage->name
-                       << " failed: " << status.ToString();
-      }
+      if (!status.ok()) stage->RecordError("flush", status);
       stage->next_flush += stage->interval;
     }
   }
@@ -816,13 +821,9 @@ void ThreadedRuntime::PoolLoop() {
 }
 
 void ThreadedRuntime::JoinWorkers() {
-  // Feed threads (live mode) first: they are the producers the worker
-  // drain depends on. The mutex makes joining idempotent when Abort
-  // races Finish/WaitLive from another thread.
+  // The mutex makes joining idempotent when Abort races Finish from
+  // another thread.
   MutexLock lock(&join_mu_);
-  for (auto& thread : feed_threads_) {
-    if (thread.joinable()) thread.join();
-  }
   for (auto& stage : stages_) {
     if (stage->thread.joinable()) stage->thread.join();
   }
@@ -837,11 +838,6 @@ Result<ThreadedRunResult> ThreadedRuntime::Finish(Timestamp end_time) {
   }
   if (finished_) {
     return Status::FailedPrecondition("threaded runtime already finished");
-  }
-  if (live_) {
-    return Status::FailedPrecondition(
-        "live runs finish via WaitLive (the feed threads already own the "
-        "punctuation schedule and end-of-stream)");
   }
   AdvanceTime(end_time);
   for (Channel* channel : all_source_channels_) {
@@ -871,8 +867,13 @@ Result<ThreadedRunResult> ThreadedRuntime::FinishCollect() {
 
   std::vector<int64_t> latencies;
   for (auto& stage : stages_) {
-    result.process_errors +=
+    const uint64_t errors =
         stage->process_errors.load(std::memory_order_relaxed);
+    result.process_errors += errors;
+    if (errors > 1) {
+      SL_LOG(kError) << "threaded stage " << stage->name << " failed "
+                     << errors << " times (only the first is logged)";
+    }
     if (stage->op != nullptr) {
       result.op_stats[stage->name] = stage->op->stats();
     } else {
@@ -998,6 +999,21 @@ std::vector<monitor::OperatorSample> ThreadedRuntime::SampleStages() const {
 
 Result<ThreadedRunResult> ThreadedRuntime::RunTrace(const InputTrace& trace,
                                                     Timestamp end_time) {
+  // Checked before Start, so a malformed trace spawns no worker. A
+  // source is looked up only where it differs from the previous event's.
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const TraceEvent& event = trace[i];
+    const TraceEvent* previous = i > 0 ? &trace[i - 1] : nullptr;
+    if (previous == nullptr || event.source != previous->source) {
+      auto node = dataflow_.node(event.source);
+      if (!node.ok() || (*node)->kind != NodeKind::kSource) {
+        return NotASource(event.source, dataflow_);
+      }
+    }
+    if (previous != nullptr && event.at < previous->at) {
+      return TimeGoesBack(event.source, event.at, previous->at);
+    }
+  }
   SL_RETURN_IF_ERROR(Start());
   // Batch-aware replay: runs of consecutive same-source events that
   // stay below the next flush boundary coalesce into one ring message.
@@ -1006,12 +1022,7 @@ Result<ThreadedRunResult> ThreadedRuntime::RunTrace(const InputTrace& trace,
   size_t i = 0;
   while (i < trace.size()) {
     const TraceEvent& first = trace[i];
-    auto it = source_channels_.find(first.source);
-    if (it == source_channels_.end()) {
-      return Status::NotFound("'" + first.source +
-                              "' is not a source of dataflow '" +
-                              dataflow_.name() + "'");
-    }
+    const std::vector<Channel*>& channels = source_channels_.at(first.source);
     AdvanceTime(first.at);
     // After AdvanceTime every scheduled boundary is strictly ahead of
     // first.at, so events below the heap top batch safely.
@@ -1025,156 +1036,13 @@ Result<ThreadedRunResult> ThreadedRuntime::RunTrace(const InputTrace& trace,
     }
     fed_.fetch_add(j - i, std::memory_order_relaxed);
     const Message m = MakeRun(&first, j - i);
-    for (Channel* channel : it->second) {
-      Message copy = m;
-      PushBlocking(channel, std::move(copy));
-    }
-    i = j;
-  }
-  return Finish(end_time);
-}
-
-// -- live wall-clock ingestion -----------------------------------------------
-
-void ThreadedRuntime::PaceUntil(Timestamp at) {
-  if (options_.time_scale <= 0) return;
-  // Virtual milliseconds after deploy -> wall nanoseconds after start.
-  const double wall_ns = static_cast<double>(at - options_.deploy_time) *
-                         1e6 / options_.time_scale;
-  const auto deadline =
-      wall_start_ + std::chrono::nanoseconds(static_cast<int64_t>(wall_ns));
-  while (!abort_.load(std::memory_order_relaxed)) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return;
-    // Abortable slices: never oversleep a shutdown by more than ~1 ms.
-    const auto remaining = deadline - now;
-    std::this_thread::sleep_for(std::min<std::chrono::steady_clock::duration>(
-        remaining, std::chrono::milliseconds(1)));
-  }
-}
-
-void ThreadedRuntime::FeedLoop(const std::string& source,
-                               std::vector<TraceEvent> events) {
-  const std::vector<Channel*>& channels = source_channels_.at(source);
-  size_t next_punct = 0;
-  // Timer-minted punctuation: every boundary due at or before `through`
-  // goes out before any tuple stamped at or past it — the simulator
-  // tie-break, enforced per source thread. Under pacing each boundary
-  // waits for its own wall deadline, which is what makes it a flush
-  // timer: it fires even when the next tuple is far in the future.
-  auto mint_through = [&](Timestamp through) {
-    while (next_punct < punct_schedule_.size() &&
-           punct_schedule_[next_punct] <= through) {
-      const Timestamp boundary = punct_schedule_[next_punct++];
-      PaceUntil(boundary);
-      if (abort_.load(std::memory_order_relaxed)) return;
-      for (Channel* channel : channels) {
-        Message m;
-        m.kind = Message::Kind::kPunct;
-        m.time = boundary;
-        PushBlocking(channel, std::move(m));
-      }
-    }
-  };
-  size_t i = 0;
-  while (i < events.size() && !abort_.load(std::memory_order_relaxed)) {
-    mint_through(events[i].at);
-    PaceUntil(events[i].at);
-    if (abort_.load(std::memory_order_relaxed)) return;
-    // Unpaced runs may coalesce events up to (not across) the next
-    // boundary; paced runs feed tuple by tuple — every tuple has its
-    // own wall deadline.
-    size_t j = i + 1;
-    if (options_.time_scale <= 0) {
-      const Timestamp limit = next_punct < punct_schedule_.size()
-                                  ? punct_schedule_[next_punct]
-                                  : std::numeric_limits<Timestamp>::max();
-      while (j < events.size() && j - i < options_.batch_max &&
-             events[j].at < limit) {
-        ++j;
-      }
-    }
-    fed_.fetch_add(j - i, std::memory_order_relaxed);
-    const Message m = MakeRun(&events[i], j - i);
     for (Channel* channel : channels) {
       Message copy = m;
       PushBlocking(channel, std::move(copy));
     }
     i = j;
   }
-  // Tail: the rest of the flush schedule (on its wall deadlines when
-  // paced), then end-of-stream.
-  mint_through(std::numeric_limits<Timestamp>::max());
-  if (abort_.load(std::memory_order_relaxed)) return;
-  for (Channel* channel : channels) {
-    Message m;
-    m.kind = Message::Kind::kEos;
-    PushBlocking(channel, std::move(m));
-  }
-}
-
-Status ThreadedRuntime::StartLive(const InputTrace& trace,
-                                  Timestamp end_time) {
-  SL_RETURN_IF_ERROR(Start());
-  live_ = true;
-  // Precompute the union flush schedule once. Every feed thread mints
-  // the full (deduplicated) schedule into its own source's channels —
-  // exactly what the trace-replay driver spreads over EmitPunct calls —
-  // so each stage's min-over-open-inputs barrier sees the identical
-  // punctuation stream on every port.
-  while (!boundaries_.empty() && boundaries_.top().at <= end_time) {
-    Boundary b = boundaries_.top();
-    boundaries_.pop();
-    if (b.at > last_punct_) {
-      punct_schedule_.push_back(b.at);
-      last_punct_ = b.at;
-    }
-    boundaries_.push({b.at + b.interval, b.interval});
-  }
-  // Partition the trace by source; every source feeds — one without
-  // events still carries the punctuation schedule and end-of-stream.
-  std::map<std::string, std::vector<TraceEvent>> per_source;
-  for (const auto& entry : source_channels_) per_source[entry.first];
-  for (const TraceEvent& event : trace) {
-    auto it = per_source.find(event.source);
-    if (it == per_source.end()) {
-      return Status::NotFound("'" + event.source +
-                              "' is not a source of dataflow '" +
-                              dataflow_.name() + "'");
-    }
-    it->second.push_back(event);
-  }
-  feed_threads_.reserve(per_source.size());
-  for (auto& entry : per_source) {
-    std::string source = entry.first;
-    std::vector<TraceEvent> events = std::move(entry.second);
-    feed_threads_.emplace_back(
-        [this, source = std::move(source),
-         events = std::move(events)]() mutable {
-          FeedLoop(source, std::move(events));
-        });
-  }
-  return Status::OK();
-}
-
-Result<ThreadedRunResult> ThreadedRuntime::WaitLive() {
-  if (!started_) {
-    return Status::FailedPrecondition("threaded runtime was never started");
-  }
-  if (!live_) {
-    return Status::FailedPrecondition(
-        "not a live run: trace replay finishes via Finish");
-  }
-  if (finished_) {
-    return Status::FailedPrecondition("threaded runtime already finished");
-  }
-  return FinishCollect();
-}
-
-Result<ThreadedRunResult> ThreadedRuntime::RunLive(const InputTrace& trace,
-                                                   Timestamp end_time) {
-  SL_RETURN_IF_ERROR(StartLive(trace, end_time));
-  return WaitLive();
+  return Finish(end_time);
 }
 
 }  // namespace sl::exec

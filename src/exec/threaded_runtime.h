@@ -27,28 +27,23 @@
 // produces the identical multiset of sink rows — enforced by the
 // SimVsThreadedOracleTest battery (tests/threaded_test.cpp).
 //
-// Two ingestion modes share that contract:
-//  - Trace replay (RunTrace/Feed): the driver thread replays a
-//    simulator-captured trace (ExecutorOptions::source_tap) in global
-//    virtual order and mints the punctuation inline.
-//  - Live ingestion (StartLive/WaitLive/RunLive): one feed thread per
-//    source plays that source's events on the wall clock and mints the
-//    full punctuation schedule itself — the wall-clock analogue of
-//    flush timers. No driver-side global ordering exists, and none is
-//    needed: blocking operators only act at punctuation barriers, and
-//    each channel still delivers its source's tuples in virtual order
-//    with punct(B) ahead of any tuple stamped >= B.
+// One driver plays the sources: the caller of Start/Feed/AdvanceTime/
+// Finish, or RunTrace, which replays a simulator-captured trace
+// (ExecutorOptions::source_tap) in global virtual order on the same
+// AdvanceTime. The driver mints the punctuation inline as its virtual
+// clock passes each boundary, so a driver with no data to feed calls
+// AdvanceTime to make the due flushes fire.
 //
-// Execution modes, orthogonal to ingestion: dedicated worker threads
-// (one per stage, the default), a bounded per-node worker pool
-// (ThreadedOptions::pool_size) multiplexing every stage over N pooled
-// workers with cooperative quantum scheduling, per-instance shard
-// threads (shard_threads) flushing a partitioned operator's shards
-// concurrently, and batch-aware channel transfer (batch_max) coalescing
-// consecutive emissions into one ring message. A kBatch message that
-// reaches a batch-capable stage (ops::Operator::batchable) goes through
-// ProcessBatch as one columnar run; other stages process its tuples one
-// by one.
+// Execution modes: dedicated worker threads (one per stage, the
+// default), a bounded per-node worker pool (ThreadedOptions::pool_size)
+// multiplexing every stage over N pooled workers with cooperative
+// quantum scheduling, per-instance shard threads (shard_threads)
+// flushing a partitioned operator's shards concurrently, and
+// batch-aware channel transfer (batch_max) coalescing consecutive
+// emissions into one ring message. A kBatch message that reaches a
+// batch-capable stage (ops::Operator::batchable) goes through
+// ProcessBatch as one columnar run; other stages process its tuples
+// one by one.
 
 #ifndef STREAMLOADER_EXEC_THREADED_RUNTIME_H_
 #define STREAMLOADER_EXEC_THREADED_RUNTIME_H_
@@ -118,12 +113,6 @@ struct ThreadedOptions {
   /// message at a batch-capable stage (ops::Operator::batchable) goes
   /// through ProcessBatch.
   size_t batch_max = 1;
-  /// Live-mode pacing: virtual milliseconds that elapse per wall-clock
-  /// millisecond (e.g. 1000.0 replays one virtual second per wall
-  /// millisecond). 0 = unpaced: feed threads run flat out. Ordering,
-  /// not pacing, carries correctness — pacing only shapes wall-clock
-  /// latency and throughput measurements.
-  double time_scale = 0;
   /// StreamLoader::RunThreaded only: run even though the session's
   /// network has a non-zero fault plan installed. The threaded runtime
   /// does not simulate network faults, so results then diverge from a
@@ -175,11 +164,11 @@ struct ThreadedRunResult {
 
 /// \brief Executes one validated dataflow on worker threads.
 ///
-/// Lifecycle: construct → Start() → Feed()* → Finish(end_time), or
-/// Abort() at any point for a hard stop (shutdown-while-draining). The
-/// driver thread (the caller of Feed/Finish) plays the sources; it
-/// blocks when a source edge is out of credits, which is the intended
-/// backpressure behavior.
+/// Lifecycle: construct → Start() → {Feed(), AdvanceTime()}* →
+/// Finish(end_time), or Abort() at any point for a hard stop
+/// (shutdown-while-draining). The driver thread (the caller of
+/// Feed/AdvanceTime/Finish) plays the sources; it blocks when a source
+/// edge is out of credits, which is the intended backpressure behavior.
 class ThreadedRuntime {
  public:
   ThreadedRuntime(dataflow::Dataflow dataflow, const pubsub::Broker* broker,
@@ -194,15 +183,20 @@ class ThreadedRuntime {
   /// one worker thread per stage.
   Status Start();
 
-  /// Feeds one tuple into `source` at virtual time `at` (trace times
-  /// must be non-decreasing). Emits any flush punctuation due before
-  /// `at` first, so a tuple stamped exactly on a boundary lands after
-  /// the flush — the simulator's tie-break. Blocks while the source's
+  /// Feeds one tuple into `source` at virtual time `at`. Times must be
+  /// non-decreasing: an `at` below the time the driver has already
+  /// reached (the previous Feed's `at` or AdvanceTime's `now`) is
+  /// InvalidArgument, because the punctuation for the boundaries in
+  /// between has gone out. Emits any flush punctuation due before `at`
+  /// first, so a tuple stamped exactly on a boundary lands after the
+  /// flush — the simulator's tie-break. Blocks while the source's
   /// out-edges are saturated (backpressure).
   Status Feed(const std::string& source, const stt::TupleRef& tuple,
               Timestamp at, Timestamp watermark = stt::kNoWatermark);
 
-  /// Advances virtual time without data (emits due punctuation).
+  /// Advances virtual time to `now` without data: emits the punctuation
+  /// due by then, so the flushes it fires run without a tuple behind
+  /// them.
   void AdvanceTime(Timestamp now);
 
   /// Emits punctuation up to `end_time`, closes every source with an
@@ -220,30 +214,10 @@ class ThreadedRuntime {
   std::vector<monitor::OperatorSample> SampleStages() const;
 
   /// Convenience: Start, replay `trace` in order, Finish(end_time).
+  /// The whole trace is checked first (every event's source exists,
+  /// times never decrease), so a malformed trace spawns no worker.
   Result<ThreadedRunResult> RunTrace(const InputTrace& trace,
                                      Timestamp end_time);
-
-  // -- live wall-clock ingestion ------------------------------------------
-
-  /// Starts live ingestion: spawns one feed thread per source. Each
-  /// thread plays its source's share of `trace` in virtual-time order
-  /// (paced against the wall clock when time_scale > 0) and mints the
-  /// full flush-punctuation schedule up to `end_time` itself — the
-  /// wall-clock analogue of per-stage flush timers: when a boundary's
-  /// deadline passes, punct(B) is sent even though no tuple carried the
-  /// clock forward. Sources without events still get a feed thread, so
-  /// punctuation and end-of-stream flow on every channel. Returns
-  /// immediately; do not call Feed/AdvanceTime/Finish afterwards.
-  Status StartLive(const InputTrace& trace, Timestamp end_time);
-
-  /// Joins the live feed threads, drains and joins all workers, and
-  /// returns the collected result (as Finish, which StartLive already
-  /// scheduled: feeds send their own punctuation-to-end and EOS).
-  Result<ThreadedRunResult> WaitLive();
-
-  /// Convenience: StartLive + WaitLive.
-  Result<ThreadedRunResult> RunLive(const InputTrace& trace,
-                                    Timestamp end_time);
 
  private:
   struct Channel;
@@ -288,11 +262,6 @@ class ThreadedRuntime {
   void PoolLoop();
   void JoinWorkers();
 
-  // -- live ingestion ------------------------------------------------------
-  void FeedLoop(const std::string& source, std::vector<TraceEvent> events);
-  /// Sleeps (in abortable slices) until `at`'s wall deadline under
-  /// time_scale pacing; returns immediately when unpaced or aborted.
-  void PaceUntil(Timestamp at);
   Result<ThreadedRunResult> FinishCollect();
 
   dataflow::Dataflow dataflow_;
@@ -318,6 +287,9 @@ class ThreadedRuntime {
   std::priority_queue<Boundary, std::vector<Boundary>, std::greater<Boundary>>
       boundaries_;
   Timestamp last_punct_ = stt::kNoWatermark;
+  /// The latest virtual time the driver has reached (Feed's `at`,
+  /// AdvanceTime's `now`); Feed refuses to go back behind it.
+  Timestamp reached_ = stt::kNoWatermark;
 
   // started_/finished_ are atomics because Abort may race a blocked
   // Feed from another thread (the shutdown-while-draining case).
@@ -342,13 +314,6 @@ class ThreadedRuntime {
 
   // -- shard threads (shard_threads > 1) -----------------------------------
   std::unique_ptr<TaskPool> shard_pool_;
-
-  // -- live ingestion ------------------------------------------------------
-  bool live_ = false;
-  /// The deduplicated union flush schedule up to the live end time;
-  /// every feed thread walks it with its own cursor.
-  std::vector<Timestamp> punct_schedule_;
-  std::vector<std::thread> feed_threads_;
 };
 
 }  // namespace sl::exec

@@ -8,6 +8,13 @@
 
 namespace sl::net {
 
+namespace {
+
+/// Bytes an ack occupies on the reverse path.
+constexpr size_t kAckBytes = 16;
+
+}  // namespace
+
 Status Network::AddNode(const NodeConfig& config) {
   if (!IsIdentifier(config.id)) {
     return Status::InvalidArgument("node id '" + config.id +
@@ -408,15 +415,14 @@ void Network::SendAck(PendingTransfer* transfer) {
   }
   Duration extra = 0;
   bool duplicated = false;
-  if (!TraverseLinks(route, transfer->options.ack_bytes, &extra,
-                     &duplicated)) {
+  if (!TraverseLinks(route, kAckBytes, &extra, &duplicated)) {
     ++fault_stats_.acks_dropped;
     return;
   }
-  total_bytes_sent_ += transfer->options.ack_bytes;
+  total_bytes_sent_ += kAckBytes;
   total_messages_ += 1;
   uint64_t id = transfer->id;
-  Duration delay = route.Delay(transfer->options.ack_bytes) + extra;
+  Duration delay = route.Delay(kAckBytes) + extra;
   loop_->ScheduleAfter(delay, [this, id] { OnAckArrival(id); });
   if (duplicated) {
     loop_->ScheduleAfter(delay, [this, id] { OnAckArrival(id); });

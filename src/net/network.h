@@ -114,8 +114,6 @@ struct TransferOptions {
   /// Retransmit budget; after this many retries an undelivered message
   /// is conclusively lost (`on_lost` fires).
   int max_retransmits = 4;
-  /// Bytes an ack occupies on the reverse path.
-  size_t ack_bytes = 16;
   /// Runs once when the message is conclusively lost: dropped without
   /// reliability, retransmit budget exhausted undelivered, or an
   /// endpoint crashed. Never runs after `on_delivered`.

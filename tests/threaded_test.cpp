@@ -22,6 +22,7 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,9 +176,7 @@ struct DiffOptions {
   Duration drain_for = 15 * duration::kSecond;
   size_t queue_capacity = 1024;
   // Execution-mode matrix (each axis independently oracle-checked):
-  bool live = false;        ///< RunLive feed threads instead of RunTrace
   bool feed = false;        ///< Start, Feed per event, Finish (no RunTrace)
-  double time_scale = 0;    ///< live pacing (0 = unpaced)
   size_t pool_size = 0;     ///< pooled workers (0 = thread per stage)
   size_t shard_threads = 0; ///< partitioned-instance flush threads
   size_t batch_max = 1;     ///< ring-message coalescing bound
@@ -295,7 +294,6 @@ DiffResult RunSimVsThreaded(uint64_t seed, const dsn::DsnSpec& spec,
   threaded_options.pool_size = options.pool_size;
   threaded_options.shard_threads = options.shard_threads;
   threaded_options.batch_max = options.batch_max;
-  threaded_options.time_scale = options.time_scale;
   exec::ThreadedRuntime runtime(*threaded_df, &broker, threaded_context,
                                 threaded_options);
   // The ingestion path perfbench drives: one Feed call per trace event.
@@ -306,9 +304,7 @@ DiffResult RunSimVsThreaded(uint64_t seed, const dsn::DsnSpec& spec,
     }
     return runtime.Finish(end_time);
   };
-  auto run = options.live   ? runtime.RunLive(result.trace, end_time)
-             : options.feed ? feed()
-                            : runtime.RunTrace(result.trace, end_time);
+  auto run = options.feed ? feed() : runtime.RunTrace(result.trace, end_time);
   if (!run.ok()) {
     result.error = run.status().ToString();
     result.deployed = false;
@@ -498,89 +494,6 @@ TEST(SimVsThreadedOracleTest, FilterTransformMatchesSim) {
   }
 }
 
-// -------------------------------------------------- live-mode oracle --
-// Live (traceless) ingestion: per-source wall-clock feed threads mint
-// the timer punctuation themselves instead of replaying driver-ordered
-// punctuation. Unpaced by default — ordering, not pacing, carries the
-// correctness contract, so the differential identity must hold exactly.
-
-DiffOptions LiveOptions() {
-  DiffOptions options;
-  options.live = true;
-  return options;
-}
-
-TEST(SimVsThreadedOracleTest, LiveTumblingAggMatchesSim) {
-  for (uint64_t seed : ChaosSeeds(50, 10000)) {
-    ExpectSimThreadedIdentity(seed, ThAggSpec(0), LiveOptions());
-  }
-}
-
-TEST(SimVsThreadedOracleTest, LiveSlidingAggMatchesSim) {
-  for (uint64_t seed : ChaosSeeds(50, 10100)) {
-    ExpectSimThreadedIdentity(seed, ThAggSpec(10 * duration::kSecond),
-                              LiveOptions());
-  }
-}
-
-TEST(SimVsThreadedOracleTest, LiveEventTimeAggMatchesSim) {
-  DiffOptions options = LiveOptions();
-  options.event_time = true;
-  for (uint64_t seed : ChaosSeeds(50, 10200)) {
-    ExpectSimThreadedIdentity(seed, ThAggSpec(10 * duration::kSecond),
-                              options);
-  }
-}
-
-TEST(SimVsThreadedOracleTest, LiveTumblingJoinMatchesSim) {
-  // Two sources = two independent feed threads; the min-over-open-inputs
-  // barrier must reassemble their unsynchronized punctuation streams.
-  DiffOptions options = LiveOptions();
-  options.with_rain = true;
-  for (uint64_t seed : ChaosSeeds(50, 10300)) {
-    ExpectSimThreadedIdentity(seed, ThJoinSpec(0), options);
-  }
-}
-
-TEST(SimVsThreadedOracleTest, LiveTriggerMatchesSim) {
-  for (uint64_t seed : ChaosSeeds(50, 10400)) {
-    ExpectSimThreadedIdentity(seed, ThTriggerSpec(5 * duration::kSecond),
-                              LiveOptions());
-  }
-}
-
-TEST(SimVsThreadedOracleTest, LivePartitionedAggMatchesSim) {
-  for (uint64_t seed : ChaosSeeds(25, 10500)) {
-    ExpectSimThreadedIdentity(seed, ThAggSpec(0, /*parallelism=*/2),
-                              LiveOptions());
-    ExpectSimThreadedIdentity(seed, ThAggSpec(0, /*parallelism=*/4),
-                              LiveOptions());
-  }
-}
-
-TEST(SimVsThreadedOracleTest, LivePartitionedJoinMatchesSim) {
-  DiffOptions options = LiveOptions();
-  options.with_rain = true;
-  for (uint64_t seed : ChaosSeeds(25, 10600)) {
-    ExpectSimThreadedIdentity(seed, ThJoinSpec(0, /*parallelism=*/2),
-                              options);
-    ExpectSimThreadedIdentity(seed, ThJoinSpec(0, /*parallelism=*/4),
-                              options);
-  }
-}
-
-TEST(SimVsThreadedOracleTest, LivePacedMatchesSim) {
-  // Wall-clock pacing: flush timers fire on their own deadlines between
-  // tuples. 3000 virtual ms per wall ms compresses the 45 s virtual run
-  // into ~15 ms wall; the output must still be bit-identical.
-  DiffOptions options = LiveOptions();
-  options.time_scale = 3000.0;
-  for (uint64_t seed : ChaosSeeds(5, 10700)) {
-    ExpectSimThreadedIdentity(seed, ThAggSpec(10 * duration::kSecond),
-                              options);
-  }
-}
-
 // ----------------------------------------------- pooled-worker oracle --
 
 TEST(SimVsThreadedOracleTest, PooledSingleWorkerMatchesSim) {
@@ -686,9 +599,9 @@ TEST(SimVsThreadedOracleTest, BatchedEventTimeAggMatchesSim) {
 }
 
 TEST(SimVsThreadedOracleTest, AllModesCombinedMatchesSim) {
-  // Every new axis at once: live feed threads into pooled workers with
+  // Every axis at once: trace replay into pooled workers with
   // shard-threaded partitioned flushes and batched rings.
-  DiffOptions options = LiveOptions();
+  DiffOptions options;
   options.pool_size = 2;
   options.shard_threads = 2;
   options.batch_max = 8;
@@ -796,9 +709,9 @@ TEST(SimVsThreadedOracleTest, ColumnarEventTimeChainMatchesSim) {
 }
 
 TEST(SimVsThreadedOracleTest, ColumnarAllModesCombinedMatchesSim) {
-  // Columnar stages under every concurrency axis at once: live feeds,
-  // pooled workers, shard threads, batched rings.
-  DiffOptions options = LiveOptions();
+  // Columnar stages under every concurrency axis at once: pooled
+  // workers, shard threads, batched rings.
+  DiffOptions options;
   options.pool_size = 2;
   options.shard_threads = 2;
   options.batch_max = 8;
@@ -955,30 +868,6 @@ TEST(ThreadedChaosTest, AbortFromSecondThreadUnblocksSaturatedFeed) {
   SUCCEED();
 }
 
-TEST(ThreadedChaosTest, AbortWhileTimerPending) {
-  // Live paced run with an absurdly slow clock: the feed threads park in
-  // PaceUntil waiting for a flush-timer deadline hours of wall time away.
-  // Abort must interrupt the sleep slices and join promptly — a feed
-  // thread sleeping out its full deadline would hang the test suite.
-  DirectThreaded direct(31337);
-  exec::InputTrace trace = direct.MakeTrace(100);
-  exec::ThreadedOptions options;
-  options.time_scale = 0.001;  // 1 virtual ms takes 1 wall second
-  auto df = *dsn::TranslateFromDsn(ThAggSpec(0));
-  exec::ThreadedRuntime runtime(df, direct.broker(), {}, options);
-  SL_ASSERT_OK(runtime.StartLive(trace, trace.back().at + 1000));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const auto abort_start = std::chrono::steady_clock::now();
-  runtime.Abort();
-  const auto abort_wall = std::chrono::steady_clock::now() - abort_start;
-  EXPECT_LT(abort_wall, std::chrono::seconds(5))
-      << "Abort must interrupt feed threads parked on timer deadlines";
-  // The run was torn down, not completed: collecting it is an error,
-  // and saying so must not hang either.
-  auto result = runtime.WaitLive();
-  EXPECT_FALSE(result.ok());
-}
-
 TEST(ThreadedChaosTest, SameTraceTwiceIsIdentical) {
   // Thread scheduling varies between runs; the output must not.
   for (uint64_t seed : ChaosSeeds(10, 9200)) {
@@ -1083,6 +972,189 @@ TEST(ThreadedChaosTest, PooledReleaseStrandsNoInput) {
     SL_ASSERT_OK(fed);
     SL_ASSERT_OK(result.status());
   }
+}
+
+// ------------------------------------------------------------ driver --
+
+/// A kCsv sink context whose consumer appends every line (header first)
+/// to `lines` under `mu`; the sink stage's worker calls it.
+sinks::SinkContext CapturingCsvSink(std::mutex* mu,
+                                    std::vector<std::string>* lines) {
+  sinks::SinkContext context;
+  context.csv_consumer = [mu, lines](const std::string& line) {
+    std::lock_guard<std::mutex> lock(*mu);
+    lines->push_back(line);
+  };
+  return context;
+}
+
+TEST(ThreadedRuntimeTest, FailingStageLogsFirstFailureAndTotal) {
+  // Every tuple's temp is a string, so the filter fails on each one.
+  // All 1,000 failures are counted, but the log gets the first one with
+  // its Status and one total per failing stage, not a line per tuple —
+  // on the per-tuple path (batch 1) and the columnar one (batch 64).
+  DirectThreaded direct(99);
+  const stt::SchemaPtr schema = ThTempSchema();
+  exec::InputTrace trace;
+  for (Timestamp i = 0; i < 1000; ++i) {
+    const Timestamp at = direct.now() + 10 * i;
+    trace.push_back(
+        {at, "src",
+         stt::Tuple::Share(stt::Tuple::MakeUnsafe(
+             schema, {stt::Value::String("hot"), stt::Value::String("s1")},
+             at, stt::GeoPoint{34.69, 135.50}, "th_t0")),
+         stt::kNoWatermark});
+  }
+  const auto df = *dsn::TranslateFromDsn(ThFilterTransformSpec());
+  Logger& logger = Logger::Get();
+  for (size_t batch_max : {size_t{1}, size_t{64}}) {
+    std::mutex mu;
+    std::vector<std::string> lines;
+    logger.set_sink([&](LogLevel, const std::string& line) {
+      std::lock_guard<std::mutex> lock(mu);
+      lines.push_back(line);
+    });
+    exec::ThreadedOptions options;
+    options.batch_max = batch_max;
+    exec::ThreadedRuntime runtime(df, direct.broker(), {}, options);
+    auto result = runtime.RunTrace(trace, trace.back().at + 1000);
+    logger.set_sink(nullptr);
+    SL_ASSERT_OK(result.status());
+    EXPECT_EQ(result->process_errors, 1000u) << "batch_max " << batch_max;
+    size_t first = 0;
+    size_t total = 0;
+    for (const std::string& line : lines) {
+      if (line.find("threaded process of flt failed") != std::string::npos) {
+        ++first;
+        EXPECT_NE(line.find("TypeError"), std::string::npos) << line;
+      }
+      if (line.find("threaded stage flt failed 1000 times") !=
+          std::string::npos) {
+        ++total;
+      }
+    }
+    EXPECT_EQ(first, 1u) << "batch_max " << batch_max;
+    EXPECT_EQ(total, 1u) << "batch_max " << batch_max;
+    EXPECT_EQ(lines.size(), 2u) << "batch_max " << batch_max;
+  }
+}
+
+TEST(ThreadedRuntimeTest, FeedRejectsTimeGoingBack) {
+  // Once the driver has reached a time, the punctuation for every
+  // boundary up to it has gone out; a tuple stamped behind it would
+  // land in a window that may already be flushed.
+  DirectThreaded direct(5);
+  const exec::InputTrace trace = direct.MakeTrace(800);  // 8 virtual s
+  const auto df = *dsn::TranslateFromDsn(ThAggSpec(0));
+  exec::ThreadedRuntime runtime(df, direct.broker());
+  SL_ASSERT_OK(runtime.Start());
+  const exec::TraceEvent& early = trace[100];  // 1 s
+  const exec::TraceEvent& late = trace[700];   // 7 s
+  SL_ASSERT_OK(runtime.Feed(late.source, late.tuple, late.at, late.watermark));
+  Status back =
+      runtime.Feed(early.source, early.tuple, early.at, early.watermark);
+  EXPECT_EQ(back.code(), StatusCode::kInvalidArgument) << back.ToString();
+  // The same time again is not going back.
+  SL_EXPECT_OK(
+      runtime.Feed(late.source, late.tuple, late.at, late.watermark));
+  // AdvanceTime moves the reached time too.
+  runtime.AdvanceTime(late.at + 1000);
+  Status behind = runtime.Feed(late.source, late.tuple, late.at + 500,
+                               late.watermark);
+  EXPECT_EQ(behind.code(), StatusCode::kInvalidArgument)
+      << behind.ToString();
+  auto result = runtime.Finish(late.at + 2000);
+  SL_ASSERT_OK(result.status());
+  EXPECT_EQ(result->tuples_fed, 2u);
+}
+
+TEST(ThreadedRuntimeTest, RunTraceChecksTraceBeforeStart) {
+  // A trace whose times decrease, or that names a source the dataflow
+  // lacks, is refused before any worker starts: the same runtime can
+  // still run a good trace afterwards.
+  DirectThreaded direct(6);
+  const exec::InputTrace trace = direct.MakeTrace(200);
+  const Timestamp end_time = trace.back().at + 1000;
+  const auto df = *dsn::TranslateFromDsn(ThAggSpec(0));
+  exec::ThreadedRuntime runtime(df, direct.broker());
+
+  exec::InputTrace swapped = trace;
+  std::swap(swapped[50], swapped[150]);
+  auto back = runtime.RunTrace(swapped, end_time);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument)
+      << back.status().ToString();
+
+  exec::InputTrace unknown = trace;
+  unknown[120].source = "nowhere";
+  auto missing = runtime.RunTrace(unknown, end_time);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound)
+      << missing.status().ToString();
+
+  auto good = runtime.RunTrace(trace, end_time);
+  SL_ASSERT_OK(good.status());
+  EXPECT_EQ(good->tuples_fed, 200u);
+}
+
+TEST(ThreadedRuntimeTest, AdvanceTimeFlushesWithoutData) {
+  // A driver with nothing to feed calls AdvanceTime to make a due flush
+  // fire: the first 5 s window's rows reach the sink with no tuple fed
+  // behind them, and the run as a whole matches RunTrace.
+  DirectThreaded direct(7);
+  const exec::InputTrace trace = direct.MakeTrace(1000);  // 10 virtual s
+  const Timestamp end_time = trace.back().at + 1000;
+  const auto df = *dsn::TranslateFromDsn(
+      ThAggSpec(0, 1, 5 * duration::kSecond, dataflow::SinkKind::kCsv));
+  const Timestamp boundary = direct.now() + 5 * duration::kSecond;
+  size_t first_window = 0;  // trace events before the first boundary
+  std::set<std::string> stations;
+  while (trace[first_window].at < boundary) {
+    stations.insert(trace[first_window].tuple->value(1).AsString());
+    ++first_window;
+  }
+
+  std::mutex mu;
+  std::vector<std::string> lines;
+  exec::ThreadedRuntime runtime(df, direct.broker(),
+                                CapturingCsvSink(&mu, &lines));
+  SL_ASSERT_OK(runtime.Start());
+  for (size_t i = 0; i < first_window; ++i) {
+    SL_ASSERT_OK(runtime.Feed(trace[i].source, trace[i].tuple, trace[i].at,
+                              trace[i].watermark));
+  }
+  runtime.AdvanceTime(boundary);
+  // The header plus one row per station of the first window.
+  const size_t want = 1 + stations.size();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  size_t got = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      got = lines.size();
+    }
+    if (got >= want) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(got, want) << "the flush AdvanceTime made due did not fire";
+  for (size_t i = first_window; i < trace.size(); ++i) {
+    SL_ASSERT_OK(runtime.Feed(trace[i].source, trace[i].tuple, trace[i].at,
+                              trace[i].watermark));
+  }
+  auto fed = runtime.Finish(end_time);
+  SL_ASSERT_OK(fed.status());
+
+  std::mutex replay_mu;
+  std::vector<std::string> replay_lines;
+  exec::ThreadedRuntime replay(df, direct.broker(),
+                               CapturingCsvSink(&replay_mu, &replay_lines));
+  auto replayed = replay.RunTrace(trace, end_time);
+  SL_ASSERT_OK(replayed.status());
+  std::sort(lines.begin(), lines.end());
+  std::sort(replay_lines.begin(), replay_lines.end());
+  EXPECT_GT(replay_lines.size(), want);
+  EXPECT_EQ(lines, replay_lines);
 }
 
 // ------------------------------------------- latent-race regressions --
