@@ -9,10 +9,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cmath>
+
 #include "bench_util.h"
 
 #include "core/streamloader.h"
+#include "ops/operator.h"
 #include "sensors/generators.h"
+#include "tests/reference/blocking.h"
 #include "util/strings.h"
 
 namespace sl {
@@ -307,6 +312,184 @@ void BM_EquiJoin10MinInterval(benchmark::State& state) {
       static_cast<double>(outputs) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_EquiJoin10MinInterval)->Unit(benchmark::kMillisecond);
+
+// ---- the blocking operators alone, in the shape of live_windows ---------
+//
+// perfbench's live_windows workload without the runtime around it: 1,000
+// stations, temperature and rain readings 1 ms apart, 1 s event-time
+// windows with 200 ms allowed lateness, 3 % of the readings reordered
+// within the lateness and 0.5 % beyond it (dropped as late), and the 1 %
+// of temperatures its filter rejects left out. A per-station average
+// and a station equi-join are fed single-threaded, each port's
+// watermark at its latest reading, and flushed on every 1 s boundary.
+// Process and Flush are timed separately, per input of the operator.
+// Arg 0 runs the production operators, arg 1 the test-only reference
+// (nested-loop join, full-recompute aggregation) on the same input.
+
+struct LiveInput {
+  size_t port;  ///< 0 temperature, 1 rain
+  stt::TupleRef tuple;
+  Timestamp watermark;  ///< the port's watermark after this reading
+};
+
+constexpr Timestamp kLiveT0 = 1458000000000;
+constexpr size_t kLiveInputs = 100000;
+
+stt::SchemaPtr StationSchema(const std::string& attribute,
+                             const std::string& theme) {
+  return *stt::Schema::Make(
+      {{attribute, stt::ValueType::kDouble, "", false},
+       {"station", stt::ValueType::kString, "", false},
+       {"seq", stt::ValueType::kInt, "", false}},
+      *stt::TemporalGranularity::Make(duration::kSecond),
+      stt::SpatialGranularity::Point(), *stt::Theme::Parse(theme));
+}
+
+/// The schema of port 0 (temperature) or 1 (rain).
+const stt::SchemaPtr& LiveSchema(size_t port) {
+  static const stt::SchemaPtr schemas[2] = {
+      StationSchema("temp", "weather/temperature"),
+      StationSchema("rain", "weather/rain")};
+  return schemas[port];
+}
+
+const std::vector<LiveInput>& LiveWindowsInputs() {
+  static const std::vector<LiveInput> inputs = [] {
+    Rng rng(7);
+    std::vector<LiveInput> out;
+    Timestamp watermark[2] = {kLiveT0, kLiveT0};
+    for (size_t i = 0; i < kLiveInputs; ++i) {
+      const size_t port = rng.NextBool(0.5) ? 0 : 1;
+      const std::string station = StrFormat(
+          "s%03llu", static_cast<unsigned long long>(rng.NextBounded(1000)));
+      const double value = port == 0 ? rng.NextDouble(-5.0, 35.0)
+                                     : 5.0 * -std::log(1.0 - rng.NextDouble());
+      const bool filtered = port == 0 && rng.NextBool(0.01);
+      Timestamp ts = kLiveT0 + static_cast<Timestamp>(i);
+      const double u = rng.NextDouble();
+      if (u < 0.005) {
+        ts -= 2300 + static_cast<Timestamp>(rng.NextBounded(600));
+      } else if (u < 0.035) {
+        ts -= 1 + static_cast<Timestamp>(rng.NextBounded(100));
+      }
+      ts = std::max(ts, kLiveT0);
+      watermark[port] = std::max(watermark[port], ts);
+      if (filtered) continue;
+      out.push_back(
+          {port,
+           stt::Tuple::Share(stt::Tuple::MakeUnsafe(
+               LiveSchema(port),
+               {stt::Value::Double(value), stt::Value::String(station),
+                stt::Value::Int(static_cast<int64_t>(i))},
+               ts, stt::GeoPoint{34.69, 135.50}, port == 0 ? "t" : "r")),
+           watermark[port]});
+    }
+    return out;
+  }();
+  return inputs;
+}
+
+void BM_LiveWindowsOperators(benchmark::State& state) {
+  const bool reference = state.range(0) != 0;
+  const auto& inputs = LiveWindowsInputs();
+  const stt::SchemaPtr& temp_schema = LiveSchema(0);
+  const stt::SchemaPtr& rain_schema = LiveSchema(1);
+  dataflow::AggregationSpec agg_spec;
+  agg_spec.interval = duration::kSecond;
+  agg_spec.func = AggFunc::kAvg;
+  agg_spec.attributes = {"temp"};
+  agg_spec.group_by = {"station"};
+  dataflow::JoinSpec join_spec;
+  join_spec.interval = duration::kSecond;
+  join_spec.predicate = "valid_station == rain_station";
+  ops::OperatorOptions options;
+  options.watermark.time_policy = ops::TimePolicy::kEvent;
+  options.watermark.late_policy = ops::LatePolicy::kDrop;
+  options.watermark.allowed_lateness = 200;
+  auto make = [&](dataflow::OpKind kind, const dataflow::OpSpec& spec,
+                  std::vector<stt::SchemaPtr> schemas,
+                  std::vector<std::string> names) {
+    return reference ? reference::MakeBlockingReference("op", kind, spec,
+                                                        schemas, names, options)
+                     : ops::MakeOperator("op", kind, spec, schemas, names,
+                                         options);
+  };
+  using Clock = std::chrono::steady_clock;
+  auto ns = [](Clock::duration d) {
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  };
+  double agg_process = 0, agg_flush = 0, join_process = 0, join_flush = 0;
+  uint64_t rows = 0, agg_inputs = 0, join_inputs = 0;
+  for (auto _ : state) {
+    auto agg_made = make(dataflow::OpKind::kAggregation, agg_spec,
+                         {temp_schema}, {"valid"});
+    auto join_made = make(dataflow::OpKind::kJoin, join_spec,
+                          {temp_schema, rain_schema}, {"valid", "rain"});
+    if (!agg_made.ok() || !join_made.ok()) {
+      state.SkipWithError("operator construction failed");
+      return;
+    }
+    std::unique_ptr<ops::Operator> agg = std::move(agg_made).ValueOrDie();
+    std::unique_ptr<ops::Operator> join = std::move(join_made).ValueOrDie();
+    agg->set_emit([&rows](const stt::TupleRef&) { ++rows; });
+    join->set_emit([&rows](const stt::TupleRef&) { ++rows; });
+    // Runs of one second of input, then the flush of that boundary.
+    size_t begin = 0;
+    Timestamp boundary = kLiveT0 + duration::kSecond;
+    while (begin < inputs.size()) {
+      size_t end = begin;
+      while (end < inputs.size() &&
+             inputs[end].tuple->timestamp() < boundary + 1000) {
+        ++end;
+      }
+      if (end == begin) end = begin + 1;
+      auto t0 = Clock::now();
+      for (size_t i = begin; i < end; ++i) {
+        if (inputs[i].port != 0) continue;
+        agg->ObserveWatermark(0, inputs[i].watermark);
+        benchmark::DoNotOptimize(agg->Process(0, inputs[i].tuple));
+        ++agg_inputs;
+      }
+      auto t1 = Clock::now();
+      for (size_t i = begin; i < end; ++i) {
+        join->ObserveWatermark(inputs[i].port, inputs[i].watermark);
+        benchmark::DoNotOptimize(
+            join->Process(inputs[i].port, inputs[i].tuple));
+        ++join_inputs;
+      }
+      auto t2 = Clock::now();
+      benchmark::DoNotOptimize(agg->Flush(boundary));
+      auto t3 = Clock::now();
+      benchmark::DoNotOptimize(join->Flush(boundary));
+      auto t4 = Clock::now();
+      agg_process += ns(t1 - t0);
+      join_process += ns(t2 - t1);
+      agg_flush += ns(t3 - t2);
+      join_flush += ns(t4 - t3);
+      boundary += duration::kSecond;
+      begin = end;
+    }
+  }
+  const double per_agg = agg_inputs > 0 ? 1.0 / static_cast<double>(agg_inputs) : 0;
+  const double per_join =
+      join_inputs > 0 ? 1.0 / static_cast<double>(join_inputs) : 0;
+  state.counters["reference"] = benchmark::Counter(reference ? 1 : 0);
+  state.counters["agg_process_ns"] = benchmark::Counter(agg_process * per_agg);
+  state.counters["agg_flush_ns"] = benchmark::Counter(agg_flush * per_agg);
+  state.counters["join_process_ns"] =
+      benchmark::Counter(join_process * per_join);
+  state.counters["join_flush_ns"] = benchmark::Counter(join_flush * per_join);
+  state.counters["total_ns"] =
+      benchmark::Counter((agg_process + agg_flush) * per_agg +
+                         (join_process + join_flush) * per_join);
+  state.counters["rows_per_run"] = benchmark::Counter(
+      static_cast<double>(rows) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_LiveWindowsOperators)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sl

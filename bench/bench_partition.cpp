@@ -73,7 +73,7 @@ Result<std::unique_ptr<sensors::SensorSimulator>> KeyedSensor(
     recording.push_back(stt::Tuple::MakeUnsafe(
         schema,
         {stt::Value::Double(rng.NextDouble(0, 100)),
-         stt::Value::String("s" + std::to_string(key))},
+         stt::Value::String(std::string("s").append(std::to_string(key)))},
         0, stt::GeoPoint{34.69, 135.50}, id));
   }
 

@@ -25,8 +25,6 @@ bool Bounded(const AbstractValue& v) {
   return std::isfinite(v.lo) && std::isfinite(v.hi) && v.lo <= v.hi;
 }
 
-AbstractValue NumericTop(ValueType t) { return AbstractValue::TopOf(t); }
-
 /// Interval of l op r over the four endpoint combinations (add/sub/mul).
 void EndpointInterval(BinaryOp op, const AbstractValue& l,
                       const AbstractValue& r, double* lo, double* hi) {

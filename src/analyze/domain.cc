@@ -116,10 +116,12 @@ std::string AbstractValue::ToString() const {
       break;
     case ValueType::kString:
       if (strings.has_value()) {
-        out = "{";
+        out += '{';
         for (size_t i = 0; i < strings->size(); ++i) {
           if (i > 0) out += ",";
-          out += "\"" + (*strings)[i] + "\"";
+          out += '"';
+          out += (*strings)[i];
+          out += '"';
         }
         out += "}";
       } else {

@@ -91,12 +91,23 @@ size_t ExpectedInputs(OpKind kind) {
   return kind == OpKind::kJoin ? 2 : 1;
 }
 
+namespace {
+
+/// "/<window>" for a sliding window, empty for a tumbling one.
+std::string WindowSuffix(Duration window) {
+  if (window <= 0) return std::string();
+  std::string out(1, '/');
+  out += FormatDuration(window);
+  return out;
+}
+
+}  // namespace
+
 std::string SpecToString(OpKind kind, const OpSpec& spec) {
   switch (kind) {
     case OpKind::kAggregation: {
       const auto& s = std::get<AggregationSpec>(spec);
-      std::string win =
-          s.window > 0 ? "/" + FormatDuration(s.window) : std::string();
+      std::string win = WindowSuffix(s.window);
       return StrFormat("@_{%s%s,{%s}}^%s", FormatDuration(s.interval).c_str(),
                        win.c_str(), Join(s.attributes, ",").c_str(),
                        AggFuncToString(s.func));
@@ -119,8 +130,7 @@ std::string SpecToString(OpKind kind, const OpSpec& spec) {
     }
     case OpKind::kJoin: {
       const auto& s = std::get<JoinSpec>(spec);
-      std::string win =
-          s.window > 0 ? "/" + FormatDuration(s.window) : std::string();
+      std::string win = WindowSuffix(s.window);
       return StrFormat("|><|_{%s}^{%s%s}", s.predicate.c_str(),
                        FormatDuration(s.interval).c_str(), win.c_str());
     }
@@ -131,8 +141,7 @@ std::string SpecToString(OpKind kind, const OpSpec& spec) {
     case OpKind::kTriggerOn:
     case OpKind::kTriggerOff: {
       const auto& s = std::get<TriggerSpec>(spec);
-      std::string win =
-          s.window > 0 ? "/" + FormatDuration(s.window) : std::string();
+      std::string win = WindowSuffix(s.window);
       return StrFormat("(+)_{%s,%s%s}({%s}, %s)",
                        kind == OpKind::kTriggerOn ? "ON" : "OFF",
                        FormatDuration(s.interval).c_str(), win.c_str(),

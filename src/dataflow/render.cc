@@ -58,7 +58,10 @@ struct Renderer {
     if (schemas != nullptr) {
       auto it = schemas->find(name);
       if (it != schemas->end()) {
-        extra += "\n" + std::string(8, ' ') + ": " + it->second->ToString();
+        extra += '\n';
+        extra.append(8, ' ');
+        extra += ": ";
+        extra += it->second->ToString();
       }
     }
     return extra;

@@ -63,13 +63,21 @@ std::string MetaExpr::ToString() const {
 }
 
 std::string UnaryExpr::ToString() const {
-  if (op_ == UnaryOp::kNot) return "(not " + operand_->ToString() + ")";
-  return "(-" + operand_->ToString() + ")";
+  std::string out = op_ == UnaryOp::kNot ? "(not " : "(-";
+  out += operand_->ToString();
+  out += ')';
+  return out;
 }
 
 std::string BinaryExpr::ToString() const {
-  return "(" + left_->ToString() + " " + BinaryOpToString(op_) + " " +
-         right_->ToString() + ")";
+  std::string out = "(";
+  out += left_->ToString();
+  out += ' ';
+  out += BinaryOpToString(op_);
+  out += ' ';
+  out += right_->ToString();
+  out += ')';
+  return out;
 }
 
 std::string CallExpr::ToString() const {

@@ -4,11 +4,9 @@
 // with timestamp() == end belongs to the *next* window (DESIGN.md §8).
 
 #include <algorithm>
-#include <deque>
-#include <limits>
 #include <map>
 #include <optional>
-#include <unordered_map>
+#include <span>
 
 #include "dataflow/validate.h"
 #include "expr/eval.h"
@@ -305,13 +303,23 @@ class CullSpaceOperator : public Operator {
 // ---------------------------------------------------------------------------
 // Blocking operations: maintain a cache of tuples processed every t
 // time intervals (Table 1).
+//
+// Aggregation, join and trigger keep one window state, a PaneStore per
+// input (ops/tuple_cache.h), under both time policies, and each has one
+// flush path: it picks the windows that close — the aligned ends the
+// lateness-adjusted watermark passed (event time) or the flush tick
+// (processing time) — reads each from the store and hands it to the
+// operator's one emitter.
 // ---------------------------------------------------------------------------
 
-// TupleCache, WindowView, SeqSignature, EventWindow and the join/pane
-// index structures live in ops/tuple_cache.h, shared with tests and
-// benchmarks.
+using Slot = PaneStore::Slot;
+using View = PaneStore::View;
 
-/// @_{t,{a1..an}}^{op}(s)
+/// The key table is compacted once it holds this many more keys than
+/// twice the live tuples, so keys the cache no longer holds cannot pile
+/// up.
+constexpr size_t kKeySlack = 1024;
+
 /// SplitMix64 finalizer: spreads a wrapper-assigned global sequence
 /// number into a well-mixed 64-bit word so the XOR-combined window
 /// signatures below behave like a random hash of the member set.
@@ -322,64 +330,134 @@ uint64_t MixGseq(uint64_t g) {
   return g ^ (g >> 31);
 }
 
-class AggregationOperator : public Operator {
+/// What the three blocking operators share: the event grid, the pane an
+/// arrival goes to, and the window a fired end reads.
+class BlockingOperator : public Operator {
+ public:
+  /// The fired end a rescaled shard set restores (kNoWatermark before
+  /// the grid initialized).
+  Timestamp shard_fired_end() const {
+    return event_.initialized() ? event_.fired_end() : stt::kNoWatermark;
+  }
+  /// Re-anchors a fresh event grid at `end` (interval-aligned): fires
+  /// nothing, but IsLate and the next Advance behave as if this
+  /// instance had fired up to `end` already.
+  void RestoreFiredEnd(Timestamp end) { event_.Advance(end, {}); }
+
+ protected:
+  BlockingOperator(std::string name, OpKind kind, stt::SchemaPtr out_schema,
+                   Duration interval, Duration window)
+      : Operator(std::move(name), kind, std::move(out_schema), interval),
+        event_(interval, window),
+        window_(window) {}
+
+  bool sliding() const { return window_ > 0; }
+
+  /// Applies the late policy to a tuple behind the fired horizon; true
+  /// when the tuple should be cached.
+  bool Admit(const TupleRef& tuple) {
+    return !event_time() || !event_.IsLate(tuple->timestamp()) ||
+           ApplyLatePolicy(tuple);
+  }
+
+  /// The pane an arrival goes to: its interval of event time, or the open
+  /// flush epoch under processing time.
+  Timestamp PaneOf(const PaneStore& store, Timestamp ts) const {
+    return event_time() ? stt::AlignDown(ts, interval()) : store.epoch();
+  }
+
+  /// The lateness-adjusted input frontier; kNoWatermark until every
+  /// input port carried one.
+  Timestamp Horizon() const {
+    Timestamp horizon = input_watermark();
+    if (horizon == stt::kNoWatermark) return horizon;
+    return horizon - watermark_options().allowed_lateness;
+  }
+
+  /// The event-time window that ends at `end`.
+  PaneStore::Range WindowRange(Timestamp end) const {
+    Timestamp begin = end - event_.effective_window();
+    return {stt::AlignDown(begin, interval()), end, begin, end};
+  }
+
+  /// The output promise of the operators that emit window results.
+  Timestamp FiredWatermark() const {
+    if (!event_time()) return input_watermark();
+    return shard_fired_end();
+  }
+
+  EventWindow event_;
+  Duration window_;
+};
+
+/// @_{t,{a1..an}}^{op}(s)
+class AggregationOperator : public BlockingOperator {
  public:
   AggregationOperator(std::string name, stt::SchemaPtr out_schema,
                       stt::SchemaPtr in_schema, AggregationSpec spec,
                       size_t max_cache)
-      : Operator(std::move(name), OpKind::kAggregation, std::move(out_schema),
-                 spec.interval),
-        in_schema_(std::move(in_schema)),
+      : BlockingOperator(std::move(name), OpKind::kAggregation,
+                         std::move(out_schema), spec.interval, spec.window),
         spec_(std::move(spec)),
-        cache_(max_cache) {
+        store_(max_cache) {
     for (const auto& g : spec_.group_by) {
-      group_indexes_.push_back(*in_schema_->FieldIndex(g));
+      group_indexes_.push_back(*in_schema->FieldIndex(g));
     }
     for (const auto& a : spec_.attributes) {
-      attr_indexes_.push_back(*in_schema_->FieldIndex(a));
+      attr_indexes_.push_back(*in_schema->FieldIndex(a));
     }
+    if (group_indexes_.empty()) keys_.Intern("");  // the one group, id 0
   }
 
   Status Process(size_t, const TupleRef& tuple) override {
     CountIn();
-    if (event_time() && event_.IsLate(tuple->timestamp()) &&
-        !ApplyLatePolicy(tuple)) {
-      return Status::OK();
-    }
-    stats_.dropped += cache_.Add(tuple);
-    const TupleCache::Entry& entry = cache_.entries().back();
-    if (shard_mode_) {
-      gseq_by_seq_.emplace(entry.seq,
-                           GseqRec{entry.tuple->timestamp(), pending_gseq_});
-      if (gseq_by_seq_.size() > 2 * cache_.size() + 64) SweepGseqs();
-    }
-    IndexArrival(entry);
-    stats_.cache_size = cache_.size();
+    if (!Admit(tuple)) return Status::OK();
+    stats_.dropped +=
+        store_.Add(PaneOf(store_, tuple->timestamp()), tuple, KeyOf(*tuple),
+                   shard_mode_ ? pending_gseq_ : store_.next_seq());
+    if (keys_.size() > 2 * store_.size() + kKeySlack) CompactKeys();
+    stats_.cache_size = store_.size();
     return Status::OK();
   }
 
   Status Flush(Timestamp now) override {
     ++stats_.flushes;
-    if (event_time()) return FlushEvent();
-    // Processing-time regime (legacy): the window ends at the flush
-    // tick. Expire tuples older than the sliding window, aggregate the
-    // half-open view [-inf, now), retain survivors.
-    return spec_.window == 0 ? FlushTumblingFast(now) : FlushSlidingFast(now);
+    if (event_time()) {
+      Timestamp horizon = Horizon();
+      if (horizon == stt::kNoWatermark) return Status::OK();
+      for (Timestamp end : event_.Advance(horizon, store_.PaneKeys())) {
+        store_.Read(WindowRange(end), /*sorted=*/true, &view_);
+        FireWindow(end);
+      }
+      store_.EvictOlderThan(event_.EvictionCutoff());
+    } else {
+      // The window closes at the flush tick: expire tuples older than
+      // the sliding window, aggregate the ones stamped before the tick
+      // in arrival order, then start over (tumbling) or keep the
+      // survivors (sliding).
+      if (sliding()) store_.EvictOlderThan(now - spec_.window);
+      PaneStore::Range before_tick;
+      before_tick.ts_hi = now;
+      store_.Read(before_tick, /*sorted=*/false, &view_);
+      FireWindow(now);
+      if (sliding()) {
+        store_.CloseEpoch();
+      } else {
+        store_.Clear();
+      }
+    }
+    stats_.cache_size = store_.size();
+    return Status::OK();
   }
 
-  Timestamp output_watermark() const override {
-    if (!event_time()) return input_watermark();
-    return event_.initialized() ? event_.fired_end() : stt::kNoWatermark;
-  }
+  Timestamp output_watermark() const override { return FiredWatermark(); }
 
   // -- shard-mode hooks (key-partitioned wrapper) --------------------------
   //
   // In shard mode the operator is one of N key-partitioned instances:
   // it never deduplicates sliding windows itself (the wrapper decides
-  // globally from the combined shard signatures), it tags every
-  // emission with the window it belongs to, and its event grid anchors
-  // on the wrapper-provided global oldest so all shards fire identical
-  // end sequences.
+  // globally from the combined shard signatures), and it tags every
+  // emission with the window it belongs to.
 
   /// One recorded window signature: `tag` is the flush tick
   /// (processing regime) or the fired window end (event regime). The
@@ -395,220 +473,114 @@ class AggregationOperator : public Operator {
   };
 
   void EnableShardMode(size_t) { shard_mode_ = true; }
-  /// Wrapper-level sequence number stamped onto the next cached tuple
-  /// (called immediately before each shard-mode Process).
+  /// Wrapper-level sequence number the next cached tuple arrives as
+  /// (called immediately before each shard-mode Process, ascending).
   void SetPendingGseq(uint64_t gseq) { pending_gseq_ = gseq; }
-  /// The wrapper-level sequence number a cached entry carries (rescale
-  /// replay re-attaches these so signatures stay comparable).
-  uint64_t GseqOf(uint64_t seq) const {
-    auto it = gseq_by_seq_.find(seq);
-    return it != gseq_by_seq_.end() ? it->second.gseq : seq;
-  }
-  Timestamp OldestCachedTs() const { return OldestTs(cache_); }
-  void SetOldestOverride(Timestamp t) { oldest_override_ = t; }
   /// Tag of the window the currently captured emission belongs to.
   Timestamp shard_tag() const { return shard_tag_; }
   std::vector<ShardSig> TakeShardSigs() { return std::move(shard_sigs_); }
-
-  // Rescale support: state export + event-grid restore.
-  const TupleCache& shard_cache() const { return cache_; }
-  Timestamp shard_fired_end() const {
-    return event_.initialized() ? event_.fired_end() : stt::kNoWatermark;
-  }
-  /// Re-anchors a fresh event grid at `end` (interval-aligned): fires
-  /// nothing, but IsLate and the next Advance behave as if this
-  /// instance had fired up to `end` already.
-  void RestoreFiredEnd(Timestamp end) {
-    event_.Advance(end, stt::kNoWatermark);
-  }
+  /// The cached tuples in arrival order; each slot's seq is its
+  /// wrapper-level sequence number (rescale replays them).
+  View ShardArrivals() const { return store_.Arrivals(); }
 
  private:
-  /// One list of tuples to aggregate, tagged with its group key; groups
-  /// are always emitted in ascending key order, whichever path built
-  /// them, so grouping strategy never shows in the output.
-  using GroupList =
-      std::vector<std::pair<std::string, std::vector<const Tuple*>>>;
+  static constexpr uint32_t kNoGroup = KeyInterner::kNoId;
 
-  /// The '\x1f'-joined display form of the group-by columns: the group
-  /// identity every path shares. The display form (not raw bytes) keeps
-  /// identity aligned with what the legacy std::map grouping used.
-  std::string GroupKey(const Tuple& t) const {
-    std::string key;
+  /// The interned '\x1f'-joined display form of the group-by columns:
+  /// the group identity, and (by its byte order) the emission order.
+  uint32_t KeyOf(const Tuple& t) {
+    if (group_indexes_.empty()) return 0;
+    key_form_.clear();
     for (size_t idx : group_indexes_) {
-      t.value(idx).AppendTo(&key);
-      key += '\x1f';
+      t.value(idx).AppendTo(&key_form_);
+      key_form_ += '\x1f';
     }
-    return key;
+    return keys_.Intern(key_form_);
   }
 
-  /// Routes a fresh arrival into the regime's incremental structure.
-  void IndexArrival(const TupleCache::Entry& e) {
-    if (event_time()) {
-      pane_.Insert(e);
-      keys_by_seq_.emplace(e.seq,
-                           KeyRec{e.tuple->timestamp(), GroupKey(*e.tuple)});
-      if (keys_by_seq_.size() > 2 * cache_.size() + 64) SweepKeys();
-    } else if (spec_.window == 0) {
-      FoldIntoState(*e.tuple);
-    } else {
-      group_slots_[GroupKey(*e.tuple)].push_back(e);
-      ++slot_count_;
-      if (slot_count_ > 2 * cache_.size() + 64) CompactSlots();
-    }
+  void CompactKeys() {
+    std::vector<bool> used(keys_.size());
+    store_.MarkKeys(&used);
+    store_.RemapKeys(keys_.Compact(used));
   }
 
-  /// Tumbling fast path: the per-group running state already folded
-  /// every arrival, so the flush is O(groups), not O(tuples) — provided
-  /// the state still mirrors the cache. It stops mirroring when the
-  /// capacity bound evicted a folded tuple, or when some cached tuple is
-  /// stamped at/after `now` (outside the half-open window but folded
-  /// in); both are detected and fall back to a full recompute.
-  Status FlushTumblingFast(Timestamp now) {
-    bool valid = cache_.capacity_evictions() == cap_evict_mark_ &&
-                 (cache_.max_ts() == stt::kNoWatermark || cache_.max_ts() < now);
-    if (valid) {
-      if (!states_.empty()) EmitStates(now);
-    } else {
-      auto view = WindowView(cache_, std::numeric_limits<Timestamp>::min(),
-                             now, /*sorted=*/false);
-      if (!view.empty()) EmitGroups(view, now);
-    }
-    cache_.Clear();
-    states_.clear();
-    cap_evict_mark_ = cache_.capacity_evictions();
-    stats_.cache_size = cache_.size();
-    return Status::OK();
-  }
-
-  /// Sliding fast path: arrivals were bucketed by group key once, at
-  /// Process time; the flush folds each group's live slots in arrival
-  /// order — the same fold, in the same order, a full recompute runs
-  /// after re-deriving every key and rebuilding an ordered map.
-  Status FlushSlidingFast(Timestamp now) {
-    cache_.EvictOlderThan(now - spec_.window);
-    GroupList groups;
-    std::vector<uint64_t> seqs;
-    for (auto& [key, slots] : group_slots_) {
-      std::vector<const Tuple*> tuples;
-      for (const TupleCache::Entry& e : slots) {
-        Timestamp ts = e.tuple->timestamp();
-        if (ts >= now || !cache_.Live(e.seq, ts)) continue;
-        tuples.push_back(e.tuple.get());
-        seqs.push_back(e.seq);
-      }
-      if (!tuples.empty()) groups.emplace_back(key, std::move(tuples));
-    }
-    bool emit;
+  /// Emits the window in `view_` unless it is a sliding window whose
+  /// members did not change since the last emission — re-emitting an
+  /// unchanged window every interval double-counts rows in the
+  /// warehouse sink. Tumbling windows always hold fresh data. In shard
+  /// mode the wrapper makes that call from the shards' signatures.
+  void FireWindow(Timestamp tag) {
     if (shard_mode_) {
-      uint64_t sig = 0;
-      for (uint64_t seq : seqs) sig ^= MixGseq(GseqOf(seq));
-      shard_sigs_.push_back({now, sig, seqs.size()});
-      emit = !groups.empty();
-    } else {
-      emit = !groups.empty() &&
-             ChangedSignature(SeqSignatureOf(std::move(seqs)));
+      if (sliding()) shard_sigs_.push_back(ShardSigOfView(tag));
+      if (view_.empty()) return;
+    } else if (view_.empty() || (sliding() && !ChangedSinceLastEmit())) {
+      return;
     }
-    if (emit) {
-      std::sort(groups.begin(), groups.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      EmitGrouped(groups, now);
-    }
-    stats_.cache_size = cache_.size();
-    return Status::OK();
+    EmitGroups(tag);
   }
 
-  /// Event-time regime: fire every aligned window end the
-  /// lateness-adjusted input frontier has passed, oldest first. The fast
-  /// path reads each window as a concatenation of per-pane sorted runs
-  /// (only dirty panes re-sort) instead of re-sorting the whole window,
-  /// and reuses the group keys derived at Process time.
-  Status FlushEvent() {
-    Timestamp horizon = input_watermark();
-    if (horizon == stt::kNoWatermark) return Status::OK();
-    horizon -= watermark_options().allowed_lateness;
-    Timestamp oldest = oldest_override_.value_or(OldestTs(cache_));
-    for (Timestamp end : event_.Advance(horizon, oldest)) {
-      Timestamp begin = end - event_.effective_window();
-      auto view = pane_.View(cache_, begin, end);
-      event_.MarkFired(end);
-      if (shard_mode_) {
-        if (spec_.window > 0) shard_sigs_.push_back(ShardSigOfView(end, view));
-        if (view.empty()) continue;
-      } else if (view.empty() || !ChangedSinceLastEmit(view)) {
-        continue;
-      }
-      EmitGroupsKeyed(view, end);
-    }
-    if (event_.initialized()) {
-      Timestamp cutoff = event_.EvictionCutoff();
-      cache_.EvictOlderThan(cutoff);
-      pane_.DropBelow(cutoff);
-    }
-    stats_.cache_size = cache_.size();
-    return Status::OK();
-  }
-
-  /// Sliding-regime dedup guard: emit only when the window's tuple set
-  /// changed since the last emission — re-emitting an unchanged window
-  /// every interval double-counts rows in the warehouse sink. Tumbling
-  /// windows always contain fresh data, so they always pass.
-  bool ChangedSinceLastEmit(const std::vector<const TupleCache::Entry*>& view) {
-    if (spec_.window == 0) return true;
-    return ChangedSignature(SeqSignature(view));
-  }
-
-  bool ChangedSignature(uint64_t sig) {
-    if (spec_.window == 0) return true;
+  bool ChangedSinceLastEmit() {
+    std::vector<uint64_t> seqs;
+    seqs.reserve(view_.size());
+    for (const Slot* s : view_) seqs.push_back(s->seq);
+    uint64_t sig = SeqSignature(std::move(seqs));
     if (last_signature_.has_value() && *last_signature_ == sig) return false;
     last_signature_ = sig;
     return true;
   }
 
-  /// Recompute grouping for the tumbling fallback: re-derive every
-  /// tuple's key and build an ordered map.
-  void EmitGroups(const std::vector<const TupleCache::Entry*>& view,
-                  Timestamp end) {
-    std::map<std::string, std::vector<const Tuple*>> by_key;
-    for (const auto* entry : view) {
-      by_key[GroupKey(*entry->tuple)].push_back(entry->tuple.get());
-    }
-    GroupList groups;
-    groups.reserve(by_key.size());
-    for (auto& [key, tuples] : by_key) {
-      groups.emplace_back(key, std::move(tuples));
-    }
-    EmitGrouped(groups, end);
+  /// Shard-mode window signature of `view_`.
+  ShardSig ShardSigOfView(Timestamp tag) const {
+    uint64_t sig = 0;
+    for (const Slot* s : view_) sig ^= MixGseq(s->seq);
+    return {tag, sig, view_.size()};
   }
 
-  /// Fast event-time grouping: hash-group on the keys memoized at
-  /// Process time, then order the groups for emission.
-  void EmitGroupsKeyed(const std::vector<const TupleCache::Entry*>& view,
-                       Timestamp end) {
-    std::unordered_map<std::string, std::vector<const Tuple*>> by_key;
-    for (const auto* entry : view) {
-      auto it = keys_by_seq_.find(entry->seq);
-      std::string key =
-          it != keys_by_seq_.end() ? it->second.key : GroupKey(*entry->tuple);
-      by_key[std::move(key)].push_back(entry->tuple.get());
-    }
-    GroupList groups;
-    groups.reserve(by_key.size());
-    for (auto& [key, tuples] : by_key) {
-      groups.emplace_back(key, std::move(tuples));
-    }
-    std::sort(groups.begin(), groups.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    EmitGrouped(groups, end);
-  }
-
-  /// Emits one aggregate per group (ascending key order), stamped with
-  /// the last granule of the window ending at `end`.
-  void EmitGrouped(const GroupList& groups, Timestamp end) {
+  /// Groups `view_` by dense key id, folds each group's members in view
+  /// order and emits one aggregate per group in ascending key order (the
+  /// key ranks), stamped with the last granule of the window ending at
+  /// `end`.
+  void EmitGroups(Timestamp end) {
     shard_tag_ = end;
+    const std::vector<uint32_t>& rank = keys_.Ranks();
+    group_of_.resize(keys_.size(), kNoGroup);
+    groups_.clear();
+    sizes_.clear();
+    for (const Slot* s : view_) {
+      uint32_t& g = group_of_[s->key];
+      if (g == kNoGroup) {
+        g = static_cast<uint32_t>(groups_.size());
+        groups_.push_back(s->key);
+        sizes_.push_back(0);
+      }
+      ++sizes_[g];
+    }
+    order_.resize(groups_.size());
+    for (uint32_t g = 0; g < order_.size(); ++g) order_[g] = g;
+    std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
+      return rank[groups_[a]] < rank[groups_[b]];
+    });
+    // Lay the groups out back to back in emission order; sizes_ turns
+    // into each group's write cursor and ends at its end.
+    uint32_t at = 0;
+    for (uint32_t g : order_) {
+      uint32_t n = sizes_[g];
+      sizes_[g] = at;
+      at += n;
+    }
+    members_.resize(view_.size());
+    for (const Slot* s : view_) {
+      members_[sizes_[group_of_[s->key]]++] = s->tuple.get();
+    }
+    for (uint32_t key : groups_) group_of_[key] = kNoGroup;
+
     Timestamp out_ts =
         output_schema()->temporal_granularity().Truncate(end - 1);
     stt::RefBatch out(output_schema());
-    for (const auto& [key, tuples] : groups) {
+    uint32_t begin = 0;
+    for (uint32_t g : order_) {
+      Members tuples(members_.data() + begin, sizes_[g] - begin);
+      begin = sizes_[g];
       std::vector<Value> values;
       // Group keys (taken from the first member).
       for (size_t idx : group_indexes_) {
@@ -620,15 +592,15 @@ class AggregationOperator : public Operator {
       for (size_t idx : attr_indexes_) {
         values.push_back(Aggregate(tuples, idx));
       }
-      // Location: centroid of the group's located tuples.
-      std::optional<stt::GeoPoint> loc = Centroid(tuples);
-      out.Add(Tuple::Share(
-          Tuple::MakeUnsafe(output_schema(), std::move(values), out_ts, loc)));
+      out.Add(Tuple::Share(Tuple::MakeUnsafe(output_schema(), std::move(values),
+                                             out_ts, Centroid(tuples))));
     }
     EmitAll(out);
   }
 
-  Value Aggregate(const std::vector<const Tuple*>& tuples, size_t idx) const {
+  using Members = std::span<const Tuple* const>;
+
+  Value Aggregate(Members tuples, size_t idx) const {
     int64_t count = 0;
     double sum = 0;
     const Value* min_v = nullptr;
@@ -653,8 +625,8 @@ class AggregationOperator : public Operator {
     return Value::Null();
   }
 
-  static std::optional<stt::GeoPoint> Centroid(
-      const std::vector<const Tuple*>& tuples) {
+  /// Centroid of the group's located tuples.
+  static std::optional<stt::GeoPoint> Centroid(Members tuples) {
     double lat = 0, lon = 0;
     size_t n = 0;
     for (const Tuple* t : tuples) {
@@ -669,207 +641,56 @@ class AggregationOperator : public Operator {
                          lon / static_cast<double>(n)};
   }
 
-  // ---------------------------------------------------------- running state
-
-  /// Per-attribute running aggregate: the same count/sum/min/max fold
-  /// Aggregate() runs over a group vector, advanced one tuple at a time
-  /// in arrival order — the identical sequence of floating-point
-  /// additions, so results match bit for bit.
-  struct AttrState {
-    int64_t count = 0;
-    double sum = 0;
-    std::optional<Value> min;
-    std::optional<Value> max;
-  };
-  struct GroupState {
-    std::vector<Value> key_values;  ///< from the group's first tuple
-    int64_t total = 0;              ///< tuples folded (incl. null attrs)
-    std::vector<AttrState> attrs;   ///< parallel to attr_indexes_
-    double lat_sum = 0, lon_sum = 0;
-    size_t located = 0;
-  };
-
-  void FoldIntoState(const Tuple& t) {
-    GroupState& g = states_[GroupKey(t)];
-    if (g.total == 0) {
-      for (size_t idx : group_indexes_) g.key_values.push_back(t.value(idx));
-      g.attrs.resize(attr_indexes_.size());
-    }
-    ++g.total;
-    for (size_t i = 0; i < attr_indexes_.size(); ++i) {
-      const Value& v = t.value(attr_indexes_[i]);
-      if (v.is_null()) continue;
-      AttrState& a = g.attrs[i];
-      ++a.count;
-      if (v.is_numeric()) a.sum += *v.ToNumeric();
-      if (!a.min.has_value() || Value::Compare(v, *a.min) < 0) a.min = v;
-      if (!a.max.has_value() || Value::Compare(v, *a.max) > 0) a.max = v;
-    }
-    if (t.location().has_value()) {
-      g.lat_sum += t.location()->lat;
-      g.lon_sum += t.location()->lon;
-      ++g.located;
-    }
-  }
-
-  void EmitStates(Timestamp now) {
-    shard_tag_ = now;
-    std::vector<const std::string*> keys;
-    keys.reserve(states_.size());
-    for (const auto& [key, g] : states_) keys.push_back(&key);
-    std::sort(keys.begin(), keys.end(),
-              [](const std::string* a, const std::string* b) { return *a < *b; });
-    Timestamp out_ts =
-        output_schema()->temporal_granularity().Truncate(now - 1);
-    stt::RefBatch out(output_schema());
-    for (const std::string* key : keys) {
-      const GroupState& g = states_.at(*key);
-      std::vector<Value> values = g.key_values;
-      if (spec_.func == AggFunc::kCount && attr_indexes_.empty()) {
-        values.push_back(Value::Int(g.total));
-      }
-      for (const AttrState& a : g.attrs) {
-        values.push_back(FromState(a));
-      }
-      std::optional<stt::GeoPoint> loc;
-      if (g.located > 0) {
-        loc = stt::GeoPoint{g.lat_sum / static_cast<double>(g.located),
-                            g.lon_sum / static_cast<double>(g.located)};
-      }
-      out.Add(Tuple::Share(
-          Tuple::MakeUnsafe(output_schema(), std::move(values), out_ts, loc)));
-    }
-    EmitAll(out);
-  }
-
-  Value FromState(const AttrState& a) const {
-    switch (spec_.func) {
-      case AggFunc::kCount: return Value::Int(a.count);
-      case AggFunc::kSum:
-        return a.count > 0 ? Value::Double(a.sum) : Value::Null();
-      case AggFunc::kAvg:
-        return a.count > 0 ? Value::Double(a.sum / static_cast<double>(a.count))
-                           : Value::Null();
-      case AggFunc::kMin:
-        return a.min.has_value() ? *a.min : Value::Null();
-      case AggFunc::kMax:
-        return a.max.has_value() ? *a.max : Value::Null();
-    }
-    return Value::Null();
-  }
-
-  void CompactSlots() {
-    size_t kept = 0;
-    for (auto it = group_slots_.begin(); it != group_slots_.end();) {
-      auto& slots = it->second;
-      slots.erase(std::remove_if(slots.begin(), slots.end(),
-                                 [this](const TupleCache::Entry& e) {
-                                   return !cache_.Live(
-                                       e.seq, e.tuple->timestamp());
-                                 }),
-                  slots.end());
-      if (slots.empty()) {
-        it = group_slots_.erase(it);
-      } else {
-        kept += slots.size();
-        ++it;
-      }
-    }
-    slot_count_ = kept;
-  }
-
-  void SweepKeys() {
-    for (auto it = keys_by_seq_.begin(); it != keys_by_seq_.end();) {
-      if (cache_.Live(it->first, it->second.ts)) {
-        ++it;
-      } else {
-        it = keys_by_seq_.erase(it);
-      }
-    }
-  }
-
-  /// Shard-mode window signature of a flush view (its live members).
-  ShardSig ShardSigOfView(
-      Timestamp tag, const std::vector<const TupleCache::Entry*>& view) const {
-    uint64_t sig = 0;
-    for (const auto* entry : view) sig ^= MixGseq(GseqOf(entry->seq));
-    return {tag, sig, view.size()};
-  }
-
-  void SweepGseqs() {
-    for (auto it = gseq_by_seq_.begin(); it != gseq_by_seq_.end();) {
-      if (cache_.Live(it->first, it->second.ts)) {
-        ++it;
-      } else {
-        it = gseq_by_seq_.erase(it);
-      }
-    }
-  }
-
-  stt::SchemaPtr in_schema_;
   AggregationSpec spec_;
   std::vector<size_t> group_indexes_;
   std::vector<size_t> attr_indexes_;
-  TupleCache cache_;
-  EventWindow event_{spec_.interval, spec_.window};
+  PaneStore store_;
+  KeyInterner keys_;
+  std::string key_form_;  ///< KeyOf scratch
   std::optional<uint64_t> last_signature_;
-  // Tumbling processing-time: running per-group state + its validity mark.
-  std::unordered_map<std::string, GroupState> states_;
-  uint64_t cap_evict_mark_ = 0;
-  // Sliding processing-time: arrivals bucketed by group key.
-  std::unordered_map<std::string, std::vector<TupleCache::Entry>> group_slots_;
-  size_t slot_count_ = 0;
-  // Event-time: per-pane sorted runs + memoized group keys.
-  PaneIndex pane_{spec_.interval};
-  struct KeyRec {
-    Timestamp ts;
-    std::string key;
-  };
-  std::unordered_map<uint64_t, KeyRec> keys_by_seq_;
+  // EmitGroups scratch, kept across fires.
+  View view_;
+  std::vector<uint32_t> group_of_;  ///< key id → group, kNoGroup between fires
+  std::vector<uint32_t> groups_;    ///< group → key id
+  std::vector<uint32_t> sizes_;
+  std::vector<uint32_t> order_;
+  std::vector<const Tuple*> members_;
   // Shard mode (key-partitioned wrapper).
   bool shard_mode_ = false;
-  std::optional<Timestamp> oldest_override_;
+  uint64_t pending_gseq_ = 0;
   Timestamp shard_tag_ = 0;
   std::vector<ShardSig> shard_sigs_;
-  // Wrapper-level sequence numbers by cache seq (shard mode only).
-  struct GseqRec {
-    Timestamp ts;
-    uint64_t gseq;
-  };
-  uint64_t pending_gseq_ = 0;
-  std::unordered_map<uint64_t, GseqRec> gseq_by_seq_;
 };
 
 /// s1 |><|_{pred}^{t} s2
 ///
-/// Two pairing strategies, both required to emit the rows, in the same
-/// order, that the nested loop materializing every pair before
-/// evaluating the predicate would (tests/reference holds that loop):
+/// Both pairing strategies emit the rows, in the same order, that the
+/// nested loop materializing every pair before evaluating the predicate
+/// would (tests/reference holds that loop):
 ///  - non-equi: enumerate the cross product; the predicate runs over a
 ///    zero-copy PairView and only matching pairs materialize;
-///  - hash equi-join: the right cache is indexed on the predicate's
-///    equi-conjunct columns; each left tuple probes its bucket and only
-///    key-equal candidates see the residual predicate. Bucket slots
-///    keep arrival order, so probing enumerates exactly the pairs the
-///    nested loop would have accepted, in the same order.
-class JoinOperator : public Operator {
+///  - hash equi-join: both inputs intern the predicate's equi-conjunct
+///    columns to one key id per tuple; each left tuple probes the right
+///    store's per-pane key buckets and only key-equal candidates see the
+///    residual predicate. Buckets keep the panes' slot order, so probing
+///    enumerates exactly the pairs the nested loop would have accepted,
+///    in the same order.
+class JoinOperator : public BlockingOperator {
  public:
   JoinOperator(std::string name, stt::SchemaPtr out_schema, JoinSpec spec,
                expr::BoundExpr predicate,
                std::optional<expr::BoundExpr> residual,
                std::vector<size_t> left_cols, std::vector<size_t> right_cols,
                size_t split, size_t max_cache)
-      : Operator(std::move(name), OpKind::kJoin, std::move(out_schema),
-                 spec.interval),
-        spec_(std::move(spec)),
+      : BlockingOperator(std::move(name), OpKind::kJoin, std::move(out_schema),
+                         spec.interval, spec.window),
         predicate_(std::move(predicate)),
         residual_(std::move(residual)),
         left_cols_(std::move(left_cols)),
         right_cols_(std::move(right_cols)),
         split_(split),
         left_(max_cache),
-        right_(max_cache),
-        right_index_(right_cols_) {}
+        right_(max_cache) {}
 
   Status Process(size_t port, const TupleRef& tuple) override {
     CountIn();
@@ -877,23 +698,14 @@ class JoinOperator : public Operator {
       return Status::InvalidArgument(
           StrFormat("join has inputs 0 and 1, got port %zu", port));
     }
-    if (event_time() && event_.IsLate(tuple->timestamp()) &&
-        !ApplyLatePolicy(tuple)) {
-      return Status::OK();
-    }
-    TupleCache& cache = port == 0 ? left_ : right_;
-    stats_.dropped += cache.Add(tuple);
-    if (shard_mode_) {
-      auto& arr = port == 0 ? left_arr_ : right_arr_;
-      arr.emplace(cache.entries().back().seq,
-                  ArrivalRec{pending_gseq_, pending_broadcast_,
-                             tuple->timestamp()});
-      if (arr.size() > 2 * cache.size() + 64) SweepArrivals(port);
-    }
-    if (port == 1 && hash_join() && !event_time()) {
-      // The persistent index serves the processing-time regime; the
-      // event-time regime indexes each fired window transiently.
-      right_index_.Insert(right_.entries().back());
+    if (!Admit(tuple)) return Status::OK();
+    PaneStore& store = port == 0 ? left_ : right_;
+    stats_.dropped += store.Add(
+        PaneOf(store, tuple->timestamp()), tuple,
+        KeyOf(*tuple, port == 0 ? left_cols_ : right_cols_),
+        shard_mode_ ? pending_gseq_ : store.next_seq(), pending_broadcast_);
+    if (keys_.size() > 2 * (left_.size() + right_.size()) + kKeySlack) {
+      CompactKeys();
     }
     stats_.cache_size = left_.size() + right_.size();
     return Status::OK();
@@ -901,49 +713,48 @@ class JoinOperator : public Operator {
 
   Status Flush(Timestamp now) override {
     ++stats_.flushes;
-    if (event_time()) return FlushEvent();
-    if (spec_.window > 0) {
-      left_.EvictOlderThan(now - spec_.window);
-      right_.EvictOlderThan(now - spec_.window);
-    }
     const auto& tgran = output_schema()->temporal_granularity();
-    stt::RefBatch out(output_schema());
-    if (hash_join()) {
-      SL_RETURN_IF_ERROR(ProbeAll(tgran, &out));
-    } else {
-      for (const auto& le : left_.entries()) {
-        for (const auto& re : right_.entries()) {
-          // Sliding regime: emit each surviving pair exactly once — on
-          // the first check where both elements are cached together.
-          if (spec_.window > 0 && le.seq < left_seen_ &&
-              re.seq < right_seen_) {
-            continue;
-          }
-          SetCurPair(le.seq, re.seq);
-          SL_RETURN_IF_ERROR(
-              JoinPairFast(*le.tuple, *re.tuple, predicate_, tgran, &out));
-        }
+    if (event_time()) {
+      Timestamp horizon = Horizon();
+      if (horizon == stt::kNoWatermark) return Status::OK();
+      for (Timestamp end : event_.Advance(horizon, OccupiedPanes())) {
+        PaneStore::Range window = WindowRange(end);
+        left_.Read(window, /*sorted=*/true, &lview_);
+        right_.Read(window, /*sorted=*/true, &rview_);
+        if (lview_.empty() || rview_.empty()) continue;
+        stt::RefBatch out(output_schema());
+        SL_RETURN_IF_ERROR(PairWindow(window, end, tgran, &out));
+        EmitAll(out);
       }
-    }
-    EmitAll(out);
-    if (spec_.window == 0) {
-      left_.Clear();
-      right_.Clear();
-      right_index_.Clear();
-      left_arr_.clear();
-      right_arr_.clear();
+      left_.EvictOlderThan(event_.EvictionCutoff());
+      right_.EvictOlderThan(event_.EvictionCutoff());
     } else {
-      left_seen_ = left_.next_seq();
-      right_seen_ = right_.next_seq();
+      // The window closes at the flush tick and holds everything cached:
+      // tumbling windows then start over; sliding ones expire what fell
+      // out of the window first and pair each combination once.
+      if (sliding()) {
+        left_.EvictOlderThan(now - window_);
+        right_.EvictOlderThan(now - window_);
+      }
+      left_.Read({}, /*sorted=*/false, &lview_);
+      right_.Read({}, /*sorted=*/false, &rview_);
+      stt::RefBatch out(output_schema());
+      SL_RETURN_IF_ERROR(PairWindow({}, 0, tgran, &out));
+      EmitAll(out);
+      if (sliding()) {
+        MarkAllSeen();
+        left_.CloseEpoch();
+        right_.CloseEpoch();
+      } else {
+        left_.Clear();
+        right_.Clear();
+      }
     }
     stats_.cache_size = left_.size() + right_.size();
     return Status::OK();
   }
 
-  Timestamp output_watermark() const override {
-    if (!event_time()) return input_watermark();
-    return event_.initialized() ? event_.fired_end() : stt::kNoWatermark;
-  }
+  Timestamp output_watermark() const override { return FiredWatermark(); }
 
   // -- shard-mode hooks (key-partitioned wrapper) --------------------------
   //
@@ -977,32 +788,15 @@ class JoinOperator : public Operator {
     pending_gseq_ = gseq;
     pending_broadcast_ = broadcast;
   }
-  Timestamp OldestCachedTs() const {
-    Timestamp l = OldestTs(left_);
-    Timestamp r = OldestTs(right_);
-    if (l == stt::kNoWatermark) return r;
-    if (r == stt::kNoWatermark) return l;
-    return std::min(l, r);
-  }
-  void SetOldestOverride(Timestamp t) { oldest_override_ = t; }
   std::vector<PairTag> TakePairTags() { return std::move(pair_tags_); }
 
-  // Rescale support: state export + event-grid restore.
-  Timestamp shard_fired_end() const {
-    return event_.initialized() ? event_.fired_end() : stt::kNoWatermark;
-  }
-  void RestoreFiredEnd(Timestamp end) {
-    event_.Advance(end, stt::kNoWatermark);
-  }
   void ExportShard(std::vector<ShardEntry>* lout,
                    std::vector<ShardEntry>* rout) const {
-    for (const auto& e : left_.entries()) {
-      const ArrivalRec& a = left_arr_.at(e.seq);
-      lout->push_back({e.tuple, a.gseq, a.broadcast, e.seq < left_seen_});
+    for (const Slot* s : left_.Arrivals()) {
+      lout->push_back({s->tuple, s->seq, s->broadcast, s->seq < left_seen_});
     }
-    for (const auto& e : right_.entries()) {
-      const ArrivalRec& a = right_arr_.at(e.seq);
-      rout->push_back({e.tuple, a.gseq, a.broadcast, e.seq < right_seen_});
+    for (const Slot* s : right_.Arrivals()) {
+      rout->push_back({s->tuple, s->seq, s->broadcast, s->seq < right_seen_});
     }
   }
   /// Marks everything cached so far as paired (rescale replays the
@@ -1015,113 +809,79 @@ class JoinOperator : public Operator {
  private:
   bool hash_join() const { return !left_cols_.empty(); }
 
-  /// Provenance of one cached arrival (shard mode only).
-  struct ArrivalRec {
-    uint64_t gseq;
-    bool broadcast;
-    Timestamp ts;
-  };
-
-  /// Stages the provenance tag of the pair about to be attempted
-  /// (processing regime: wrapper orders by arrival seqs).
-  void SetCurPair(uint64_t lseq, uint64_t rseq) {
-    if (!shard_mode_) return;
-    const ArrivalRec& l = left_arr_.at(lseq);
-    const ArrivalRec& r = right_arr_.at(rseq);
-    cur_ = {0, l.gseq, r.gseq, {}, {}};
-    cur_suppress_ = shard_index_ > 0 && l.broadcast && r.broadcast;
-  }
-  /// Event-regime variant: the wrapper orders pairs within a fired end
-  /// by the members' event order, so the tag carries the tuples.
-  void SetCurPairEvent(Timestamp end, uint64_t lseq, uint64_t rseq,
-                       const TupleRef& l, const TupleRef& r) {
-    if (!shard_mode_) return;
-    cur_ = {end, 0, 0, l, r};
-    cur_suppress_ = shard_index_ > 0 && left_arr_.at(lseq).broadcast &&
-                    right_arr_.at(rseq).broadcast;
-  }
-  /// Books the staged tag; false when the pair is a cross-shard
-  /// duplicate (both members broadcast, owned by shard 0).
-  bool RecordPair() {
-    if (!shard_mode_) return true;
-    if (cur_suppress_) return false;
-    pair_tags_.push_back(cur_);
-    return true;
+  /// The interned canonical form of a tuple's equi-conjunct columns
+  /// (JoinKeyForm), or kNullKey / kNanKey.
+  uint32_t KeyOf(const Tuple& t, const std::vector<size_t>& cols) {
+    if (cols.empty()) return 0;  // non-equi: keys are never read
+    switch (JoinKeyForm(t, cols, &key_form_)) {
+      case JoinKeyKind::kNull: return PaneStore::kNullKey;
+      case JoinKeyKind::kNan: return PaneStore::kNanKey;
+      case JoinKeyKind::kNormal: break;
+    }
+    return keys_.Intern(key_form_);
   }
 
-  void SweepArrivals(size_t port) {
-    auto& arr = port == 0 ? left_arr_ : right_arr_;
-    const TupleCache& cache = port == 0 ? left_ : right_;
-    for (auto it = arr.begin(); it != arr.end();) {
-      if (cache.Live(it->first, it->second.ts)) {
-        ++it;
-      } else {
-        it = arr.erase(it);
-      }
-    }
+  void CompactKeys() {
+    std::vector<bool> used(keys_.size());
+    left_.MarkKeys(&used);
+    right_.MarkKeys(&used);
+    std::vector<uint32_t> remap = keys_.Compact(used);
+    left_.RemapKeys(remap);
+    right_.RemapKeys(remap);
   }
 
-  /// Processing-time probe loop: left cache in arrival order, each tuple
-  /// probing the right-side hash index. Candidates come back in right
-  /// arrival order, reproducing the nested loop's emission order over
-  /// the key-equal subset. Batch-aware: all probe keys are hashed in one
-  /// tight pass up front, and a run of consecutive probes with the same
-  /// key reuses the previous candidate list instead of re-walking the
-  /// bucket (sensor streams are heavily key-clustered).
-  Status ProbeAll(const stt::TemporalGranularity& tgran, stt::RefBatch* out) {
-    if (right_index_.slot_count() > 2 * right_.size() + 64) {
-      right_index_.Compact(right_);
-    }
-    probe_keys_.clear();
-    probe_keys_.reserve(left_.size());
-    for (const auto& le : left_.entries()) {
-      probe_keys_.push_back(MakeJoinKeyInfo(*le.tuple, left_cols_));
-    }
-    std::vector<const JoinHashIndex::Slot*> cand;
-    const Tuple* group = nullptr;  // previous probe with a reusable `cand`
-    size_t group_hash = 0;
-    size_t idx = 0;
-    for (const auto& le : left_.entries()) {
-      const JoinKeyInfo& probe = probe_keys_[idx++];
-      if (probe.has_null) {  // a null key equals nothing
-        group = nullptr;
-        continue;
-      }
-      if (probe.has_nan) {
-        // A NaN key compares equal to every numeric, so the bucket
-        // cannot narrow anything: scan the whole right cache. (NaN keys
-        // never form a reuse group — JoinKeyEquals would over-merge.)
-        group = nullptr;
-        for (const auto& re : right_.entries()) {
-          SL_RETURN_IF_ERROR(
-              TryCandidate(le, re.seq, *re.tuple, tgran, out));
+  /// Ascending starts of the panes either side holds.
+  std::vector<Timestamp> OccupiedPanes() const {
+    std::vector<Timestamp> panes = left_.PaneKeys();
+    std::vector<Timestamp> right = right_.PaneKeys();
+    panes.insert(panes.end(), right.begin(), right.end());
+    std::sort(panes.begin(), panes.end());
+    panes.erase(std::unique(panes.begin(), panes.end()), panes.end());
+    return panes;
+  }
+
+  /// \brief Pairs the views read for one window: each left slot in view
+  /// order with its candidates in right view order.
+  ///
+  /// Under event time (`end` is the fired end) a pair fires at exactly
+  /// one end, the one whose closing pane holds its pair time
+  /// max(l.ts, r.ts), so a left tuple before the closing pane probes
+  /// only that pane. Under processing time (`end` is 0) a sliding window
+  /// pairs each combination once: on the first flush that holds both.
+  Status PairWindow(const PaneStore::Range& window, Timestamp end,
+                    const stt::TemporalGranularity& tgran,
+                    stt::RefBatch* out) {
+    const bool event = event_time();
+    const Timestamp closing = end - interval();
+    const PaneStore::Range closing_pane{closing, end, closing, end};
+    for (const Slot* l : lview_) {
+      const View* candidates = &rview_;
+      if (hash_join()) {
+        if (l->key == PaneStore::kNullKey) continue;  // equals nothing
+        // A NaN key equals every numeric, so no bucket narrows it: it
+        // scans the whole right view.
+        if (l->key != PaneStore::kNanKey) {
+          right_.Probe(l->key,
+                       event && l->ts < closing ? closing_pane : window,
+                       &candidates_);
+          candidates = &candidates_;
         }
-        continue;
       }
-      if (group == nullptr || probe.hash != group_hash ||
-          !LeftKeysEqual(*group, *le.tuple)) {
-        right_index_.Candidates(probe, &cand);
-        group = le.tuple.get();
-        group_hash = probe.hash;
-      }
-      for (const auto* slot : cand) {
-        if (!right_.Live(slot->seq, slot->tuple->timestamp())) continue;
-        SL_RETURN_IF_ERROR(
-            TryCandidate(le, slot->seq, *slot->tuple, tgran, out));
+      for (const Slot* r : *candidates) {
+        if (event ? std::max(l->ts, r->ts) < closing
+                  : sliding() && l->seq < left_seen_ && r->seq < right_seen_) {
+          continue;
+        }
+        StagePair(end, *l, *r);
+        if (!hash_join()) {
+          SL_RETURN_IF_ERROR(
+              JoinPairFast(*l->tuple, *r->tuple, predicate_, tgran, out));
+        } else if (KeysMatch(*l->tuple, *r->tuple)) {
+          SL_RETURN_IF_ERROR(EmitIfResidual(*l->tuple, *r->tuple, tgran, out));
+        }
       }
     }
     return Status::OK();
-  }
-
-  Status TryCandidate(const TupleCache::Entry& le, uint64_t right_seq,
-                      const Tuple& r, const stt::TemporalGranularity& tgran,
-                      stt::RefBatch* out) {
-    if (spec_.window > 0 && le.seq < left_seen_ && right_seq < right_seen_) {
-      return Status::OK();
-    }
-    if (!KeysMatch(*le.tuple, r)) return Status::OK();
-    SetCurPair(le.seq, right_seq);
-    return EmitIfResidual(*le.tuple, r, tgran, out);
   }
 
   bool KeysMatch(const Tuple& l, const Tuple& r) const {
@@ -1133,121 +893,22 @@ class JoinOperator : public Operator {
     return true;
   }
 
-  /// Key equality between two *left* tuples (grouped-probe reuse check).
-  bool LeftKeysEqual(const Tuple& a, const Tuple& b) const {
-    for (size_t c : left_cols_) {
-      if (!JoinKeyEquals(a.value(c), b.value(c))) return false;
-    }
+  /// Stages the provenance tag of the pair about to be attempted: the
+  /// wrapper orders processing-regime pairs by arrival seqs, and
+  /// event-regime pairs within a fired end by the members' event order.
+  void StagePair(Timestamp end, const Slot& l, const Slot& r) {
+    if (!shard_mode_) return;
+    cur_ = event_time() ? PairTag{end, 0, 0, l.tuple, r.tuple}
+                        : PairTag{0, l.seq, r.seq, {}, {}};
+    cur_suppress_ = shard_index_ > 0 && l.broadcast && r.broadcast;
+  }
+  /// Books the staged tag; false when the pair is a cross-shard
+  /// duplicate (both members broadcast, owned by shard 0).
+  bool RecordPair() {
+    if (!shard_mode_) return true;
+    if (cur_suppress_) return false;
+    pair_tags_.push_back(cur_);
     return true;
-  }
-
-  /// Event-time regime. Each surviving pair fires at exactly one window
-  /// end — the one whose closing granule contains the pair's event time
-  /// max(l.ts, r.ts) — so no sequence bookkeeping is needed and the
-  /// result is delivery-order independent.
-  Status FlushEvent() {
-    Timestamp horizon = input_watermark();
-    if (horizon == stt::kNoWatermark) return Status::OK();
-    horizon -= watermark_options().allowed_lateness;
-    Timestamp oldest_left = OldestTs(left_);
-    Timestamp oldest_right = OldestTs(right_);
-    Timestamp oldest = oldest_left == stt::kNoWatermark ? oldest_right
-                       : oldest_right == stt::kNoWatermark
-                           ? oldest_left
-                           : std::min(oldest_left, oldest_right);
-    oldest = oldest_override_.value_or(oldest);
-    const auto& tgran = output_schema()->temporal_granularity();
-    for (Timestamp end : event_.Advance(horizon, oldest)) {
-      Timestamp begin = end - event_.effective_window();
-      auto lview = WindowView(left_, begin, end, /*sorted=*/true);
-      auto rview = WindowView(right_, begin, end, /*sorted=*/true);
-      event_.MarkFired(end);
-      if (lview.empty() || rview.empty()) continue;
-      stt::RefBatch out(output_schema());
-      if (hash_join()) {
-        SL_RETURN_IF_ERROR(ProbeWindow(lview, rview, end, tgran, &out));
-      } else {
-        for (const auto* le : lview) {
-          for (const auto* re : rview) {
-            // Both members are < end, so the pair time is < end;
-            // skipping pairs older than the closing granule leaves each
-            // pair with a unique firing end.
-            Timestamp pair_ts =
-                std::max(le->tuple->timestamp(), re->tuple->timestamp());
-            if (pair_ts < end - interval()) continue;
-            SetCurPairEvent(end, le->seq, re->seq, le->tuple, re->tuple);
-            SL_RETURN_IF_ERROR(JoinPairFast(*le->tuple, *re->tuple,
-                                            predicate_, tgran, &out));
-          }
-        }
-      }
-      EmitAll(out);
-    }
-    if (event_.initialized()) {
-      left_.EvictOlderThan(event_.EvictionCutoff());
-      right_.EvictOlderThan(event_.EvictionCutoff());
-    }
-    stats_.cache_size = left_.size() + right_.size();
-    return Status::OK();
-  }
-
-  /// One fired window, hash-joined: a transient index over the sorted
-  /// right view (slot seq = view position, so candidates enumerate in
-  /// view order), probed by the sorted left view.
-  Status ProbeWindow(const std::vector<const TupleCache::Entry*>& lview,
-                     const std::vector<const TupleCache::Entry*>& rview,
-                     Timestamp end, const stt::TemporalGranularity& tgran,
-                     stt::RefBatch* out) {
-    JoinHashIndex index(right_cols_);
-    for (size_t i = 0; i < rview.size(); ++i) {
-      index.Insert({rview[i]->tuple, static_cast<uint64_t>(i)});
-    }
-    // Vectorized key pass over the probe side, then grouped probing as
-    // in ProbeAll.
-    probe_keys_.clear();
-    probe_keys_.reserve(lview.size());
-    for (const auto* le : lview) {
-      probe_keys_.push_back(MakeJoinKeyInfo(*le->tuple, left_cols_));
-    }
-    std::vector<const JoinHashIndex::Slot*> cand;
-    const Tuple* group = nullptr;
-    size_t group_hash = 0;
-    size_t idx = 0;
-    for (const auto* le : lview) {
-      const JoinKeyInfo& probe = probe_keys_[idx++];
-      if (probe.has_null) {
-        group = nullptr;
-        continue;
-      }
-      const Tuple& l = *le->tuple;
-      auto try_pair = [&](const TupleCache::Entry& rent) -> Status {
-        const Tuple& r = *rent.tuple;
-        Timestamp pair_ts = std::max(l.timestamp(), r.timestamp());
-        if (pair_ts < end - interval()) return Status::OK();
-        if (!KeysMatch(l, r)) return Status::OK();
-        SetCurPairEvent(end, le->seq, rent.seq, le->tuple, rent.tuple);
-        return EmitIfResidual(l, r, tgran, out);
-      };
-      if (probe.has_nan) {
-        group = nullptr;
-        for (const auto* re : rview) {
-          SL_RETURN_IF_ERROR(try_pair(*re));
-        }
-        continue;
-      }
-      if (group == nullptr || probe.hash != group_hash ||
-          !LeftKeysEqual(*group, l)) {
-        index.Candidates(probe, &cand);
-        group = le->tuple.get();
-        group_hash = probe.hash;
-      }
-      for (const auto* slot : cand) {
-        // Slot seq is the view position (keeps candidate enumeration in
-        // view order); the view entry carries the cache seq.
-        SL_RETURN_IF_ERROR(try_pair(*rview[slot->seq]));
-      }
-    }
-    return Status::OK();
   }
 
   /// Materializes the concatenated tuple for a matching pair.
@@ -1292,7 +953,6 @@ class JoinOperator : public Operator {
     return Status::OK();
   }
 
-  JoinSpec spec_;
   expr::BoundExpr predicate_;
   /// Residual of the equi-conjunct decomposition; nullopt = vacuously
   /// true (every conjunct became a hash key).
@@ -1301,14 +961,15 @@ class JoinOperator : public Operator {
   std::vector<size_t> left_cols_;
   std::vector<size_t> right_cols_;
   size_t split_;
-  TupleCache left_;
-  TupleCache right_;
-  JoinHashIndex right_index_;
-  /// Probe-side key infos, hashed in one pass per probe loop (reused
-  /// scratch).
-  std::vector<JoinKeyInfo> probe_keys_;
-  EventWindow event_{spec_.interval, spec_.window};
-  // Sequence watermarks of the previous flush (processing-time sliding).
+  PaneStore left_;
+  PaneStore right_;
+  KeyInterner keys_;      ///< one id space for both inputs
+  std::string key_form_;  ///< KeyOf scratch
+  // PairWindow scratch, kept across fires.
+  View lview_;
+  View rview_;
+  View candidates_;
+  // Sequence marks of the previous flush (processing-time sliding).
   uint64_t left_seen_ = 0;
   uint64_t right_seen_ = 0;
   // Shard mode (key-partitioned wrapper).
@@ -1316,60 +977,60 @@ class JoinOperator : public Operator {
   size_t shard_index_ = 0;
   uint64_t pending_gseq_ = 0;
   bool pending_broadcast_ = false;
-  std::unordered_map<uint64_t, ArrivalRec> left_arr_;
-  std::unordered_map<uint64_t, ArrivalRec> right_arr_;
   PairTag cur_{};
   bool cur_suppress_ = false;
   std::vector<PairTag> pair_tags_;
-  std::optional<Timestamp> oldest_override_;
 };
 
 /// (+)_{ON/OFF,t}(s, {s1..sn}, cond) — pass-through stream, periodic
 /// condition check over the cache, side-effecting activation.
-class TriggerOperator : public Operator {
+class TriggerOperator : public BlockingOperator {
  public:
   TriggerOperator(std::string name, OpKind kind, stt::SchemaPtr schema,
                   TriggerSpec spec, expr::BoundExpr condition,
                   ActivationHandler* activation, size_t max_cache)
-      : Operator(std::move(name), kind, std::move(schema), spec.interval),
-        spec_(std::move(spec)),
+      : BlockingOperator(std::move(name), kind, std::move(schema),
+                         spec.interval, spec.window),
+        targets_(std::move(spec.target_sensors)),
         condition_(std::move(condition)),
         activation_(activation),
-        cache_(max_cache) {}
+        store_(max_cache) {}
 
   Status Process(size_t, const TupleRef& tuple) override {
     CountIn();
     Emit(tuple);  // pass-through, regardless of window lateness
-    if (event_time() && event_.IsLate(tuple->timestamp()) &&
-        !ApplyLatePolicy(tuple)) {
-      return Status::OK();
-    }
-    stats_.dropped += cache_.Add(tuple);
-    stats_.cache_size = cache_.size();
+    if (!Admit(tuple)) return Status::OK();
+    stats_.dropped +=
+        store_.Add(PaneOf(store_, tuple->timestamp()), tuple, /*key=*/0,
+                   store_.next_seq());
+    stats_.cache_size = store_.size();
     return Status::OK();
   }
 
+  /// Checks the condition once per closing window — every aligned end
+  /// the frontier passed (event time), or the flush tick (processing
+  /// time); `now` dates the activation side effect either way.
   Status Flush(Timestamp now) override {
     ++stats_.flushes;
-    if (event_time()) return FlushEvent(now);
-    if (spec_.window > 0) cache_.EvictOlderThan(now - spec_.window);
-    bool fired = false;
-    for (const auto& entry : cache_.entries()) {
-      SL_ASSIGN_OR_RETURN(bool hit, condition_.EvalPredicate(*entry.tuple));
-      if (hit) {
-        fired = true;
-        break;
+    if (event_time()) {
+      Timestamp horizon = Horizon();
+      if (horizon == stt::kNoWatermark) return Status::OK();
+      for (Timestamp end : event_.Advance(horizon, store_.PaneKeys())) {
+        store_.Read(WindowRange(end), /*sorted=*/true, &view_);
+        SL_RETURN_IF_ERROR(CheckWindow(end, now));
       }
-    }
-    if (fired) {
-      if (shard_mode_) {
-        fired_.push_back(now);
+      store_.EvictOlderThan(event_.EvictionCutoff());
+    } else {
+      if (sliding()) store_.EvictOlderThan(now - window_);
+      store_.Read({}, /*sorted=*/false, &view_);
+      SL_RETURN_IF_ERROR(CheckWindow(now, now));
+      if (sliding()) {
+        store_.CloseEpoch();
       } else {
-        FireActivation(now);
+        store_.Clear();
       }
     }
-    if (spec_.window == 0) cache_.Clear();
-    stats_.cache_size = cache_.size();
+    stats_.cache_size = store_.size();
     return Status::OK();
   }
 
@@ -1384,52 +1045,25 @@ class TriggerOperator : public Operator {
   // fires each window exactly once.
 
   void EnableShardMode(size_t) { shard_mode_ = true; }
-  Timestamp OldestCachedTs() const { return OldestTs(cache_); }
-  void SetOldestOverride(Timestamp t) { oldest_override_ = t; }
   /// Windows whose condition held since the last flush: the flush tick
   /// (processing regime) or the fired ends (event regime).
   std::vector<Timestamp> TakeFired() { return std::move(fired_); }
-
-  // Rescale support: state export + event-grid restore.
-  const TupleCache& shard_cache() const { return cache_; }
-  Timestamp shard_fired_end() const {
-    return event_.initialized() ? event_.fired_end() : stt::kNoWatermark;
-  }
-  void RestoreFiredEnd(Timestamp end) {
-    event_.Advance(end, stt::kNoWatermark);
-  }
+  /// The cached tuples in arrival order (rescale replays them).
+  View ShardArrivals() const { return store_.Arrivals(); }
 
  private:
-  /// Event-time regime: the condition is checked once per aligned window
-  /// end the frontier has passed; `now` only dates the activation side
-  /// effect.
-  Status FlushEvent(Timestamp now) {
-    Timestamp horizon = input_watermark();
-    if (horizon == stt::kNoWatermark) return Status::OK();
-    horizon -= watermark_options().allowed_lateness;
-    Timestamp oldest = oldest_override_.value_or(OldestTs(cache_));
-    for (Timestamp end : event_.Advance(horizon, oldest)) {
-      auto view = WindowView(cache_, end - event_.effective_window(), end,
-                             /*sorted=*/true);
-      event_.MarkFired(end);
-      bool fired = false;
-      for (const auto* entry : view) {
-        SL_ASSIGN_OR_RETURN(bool hit, condition_.EvalPredicate(*entry->tuple));
-        if (hit) {
-          fired = true;
-          break;
-        }
+  /// Fires when some member of `view_` satisfies the condition.
+  Status CheckWindow(Timestamp tag, Timestamp now) {
+    for (const Slot* s : view_) {
+      SL_ASSIGN_OR_RETURN(bool hit, condition_.EvalPredicate(*s->tuple));
+      if (!hit) continue;
+      if (shard_mode_) {
+        fired_.push_back(tag);
+      } else {
+        FireActivation(now);
       }
-      if (fired) {
-        if (shard_mode_) {
-          fired_.push_back(end);
-        } else {
-          FireActivation(now);
-        }
-      }
+      break;
     }
-    if (event_.initialized()) cache_.EvictOlderThan(event_.EvictionCutoff());
-    stats_.cache_size = cache_.size();
     return Status::OK();
   }
 
@@ -1437,21 +1071,20 @@ class TriggerOperator : public Operator {
     ++stats_.trigger_fires;
     if (activation_ != nullptr) {
       if (kind() == OpKind::kTriggerOn) {
-        activation_->ActivateSensors(spec_.target_sensors, now);
+        activation_->ActivateSensors(targets_, now);
       } else {
-        activation_->DeactivateSensors(spec_.target_sensors, now);
+        activation_->DeactivateSensors(targets_, now);
       }
     }
   }
 
-  TriggerSpec spec_;
+  std::vector<std::string> targets_;
   expr::BoundExpr condition_;
   ActivationHandler* activation_;
-  TupleCache cache_;
-  EventWindow event_{spec_.interval, spec_.window};
+  PaneStore store_;
+  View view_;
   // Shard mode (key-partitioned wrapper).
   bool shard_mode_ = false;
-  std::optional<Timestamp> oldest_override_;
   std::vector<Timestamp> fired_;
 };
 
@@ -1523,8 +1156,8 @@ class PartitionedBase : public Operator {
   }
 
   Timestamp output_watermark() const override {
-    // Min over shards. Identical frontiers and the shared oldest anchor
-    // keep every shard's promise equal, so this is the N = 1 value.
+    // Min over shards. Identical frontiers move every shard's fired end
+    // to the same grid end, so this is the N = 1 value.
     Timestamp min = stt::kNoWatermark;
     for (const auto& s : shards_) {
       Timestamp w = s->output_watermark();
@@ -1626,20 +1259,6 @@ class PartitionedBase : public Operator {
     }
   }
 
-  /// Aligns every shard's event grid on the globally oldest cached
-  /// event time, so all grids anchor (and from then on fire) the exact
-  /// window-end sequence the single instance would have.
-  void SyncEventOldest() {
-    if (!event_time()) return;
-    Timestamp oldest = stt::kNoWatermark;
-    for (const auto& s : shards_) {
-      Timestamp t = s->OldestCachedTs();
-      if (t == stt::kNoWatermark) continue;
-      if (oldest == stt::kNoWatermark || t < oldest) oldest = t;
-    }
-    for (auto& s : shards_) s->SetOldestOverride(oldest);
-  }
-
   /// Highest fired window end across shards (kNoWatermark before any
   /// grid initialized) — the anchor a rescaled shard set restores.
   Timestamp FiredEnd() const {
@@ -1712,33 +1331,33 @@ class PartitionedAggregation : public PartitionedBase<AggregationOperator> {
 
   Status Flush(Timestamp now) override {
     ++stats_.flushes;
-    SyncEventOldest();
     SL_RETURN_IF_ERROR(FlushShards(now));
     std::vector<std::vector<AggregationOperator::ShardSig>> sigs;
     sigs.reserve(shards_.size());
     for (auto& s : shards_) sigs.push_back(s->TakeShardSigs());
     if (sliding_) {
-      // Windows fire in lockstep across shards, so shard 0's signature
-      // list enumerates every fired window in ascending order — also
-      // the ones that produced no rows anywhere, which the single
-      // instance skips without touching its dedup state. The shards
-      // partition the window's members, so XOR-ing their signatures
-      // (and summing their counts) yields a value that identifies the
-      // member set independently of the shard count.
-      for (size_t i = 0; i < sigs[0].size(); ++i) {
-        uint64_t sig = 0;
-        uint64_t count = 0;
-        for (size_t k = 0; k < shards_.size(); ++k) {
-          if (i >= sigs[k].size()) continue;
-          sig ^= sigs[k][i].sig;
-          count += sigs[k][i].count;
+      // Each shard fires only the windows its own panes reach, so the
+      // signatures are matched by window tag. The shards partition a
+      // window's members, so XOR-ing their signatures (and summing their
+      // counts) yields a value that identifies the member set
+      // independently of the shard count. A window empty everywhere is
+      // one the single instance skips without touching its dedup state.
+      std::map<Timestamp, std::pair<uint64_t, uint64_t>> windows;
+      for (const auto& shard_sigs : sigs) {
+        for (const auto& s : shard_sigs) {
+          auto& [sig, count] = windows[s.tag];
+          sig ^= s.sig;
+          count += s.count;
         }
-        if (count == 0) continue;  // empty window: dedup state untouched
+      }
+      for (const auto& [tag, merged] : windows) {
+        const auto& [sig, count] = merged;
+        if (count == 0) continue;
         bool changed = !has_last_ || sig != last_sig_ || count != last_count_;
         last_sig_ = sig;
         last_count_ = count;
         has_last_ = true;
-        if (changed) EmitWindow(sigs[0][i].tag);
+        if (changed) EmitWindow(tag);
       }
     } else {
       std::vector<Timestamp> tags;
@@ -1761,25 +1380,30 @@ class PartitionedAggregation : public PartitionedBase<AggregationOperator> {
     std::vector<std::unique_ptr<AggregationOperator>> old =
         std::move(shards_);
     AdoptShards(std::move(next));
-    // Shard-major replay through the normal Process path: every group
-    // lives wholly inside one old and one new shard, so each group's
-    // fold order (and with it every floating-point result) survives.
-    // Each replayed tuple re-attaches the wrapper-level sequence number
-    // it carried in the old shard set, which keeps the XOR-combined
-    // window signatures — and with them the sliding-window dedup state
-    // (last_sig_/last_count_) — valid across the repartition: an
-    // unchanged window after the rescale is still recognized as
-    // unchanged and not re-emitted.
+    // Replay in wrapper arrival order through the normal Process path:
+    // every group lives wholly inside one old and one new shard, so each
+    // group's fold order (and with it every floating-point result)
+    // survives. Each replayed tuple re-attaches the wrapper-level
+    // sequence number it carried in the old shard set, which keeps the
+    // XOR-combined window signatures — and with them the sliding-window
+    // dedup state (last_sig_/last_count_) — valid across the
+    // repartition: an unchanged window after the rescale is still
+    // recognized as unchanged and not re-emitted.
+    std::vector<const PaneStore::Slot*> arrivals;
+    for (const auto& s : old) {
+      PaneStore::View v = s->ShardArrivals();
+      arrivals.insert(arrivals.end(), v.begin(), v.end());
+    }
+    std::sort(arrivals.begin(), arrivals.end(),
+              [](const PaneStore::Slot* a, const PaneStore::Slot* b) {
+                return a->seq < b->seq;
+              });
     capturing_ = true;  // replayed Process must not leak emissions
     Status status = Status::OK();
-    for (const auto& s : old) {
-      for (const auto& e : s->shard_cache().entries()) {
-        AggregationOperator* shard =
-            shards_[route_instance(0, e.tuple)].get();
-        shard->SetPendingGseq(s->GseqOf(e.seq));
-        status = shard->Process(0, e.tuple);
-        if (!status.ok()) break;
-      }
+    for (const PaneStore::Slot* e : arrivals) {
+      AggregationOperator* shard = shards_[route_instance(0, e->tuple)].get();
+      shard->SetPendingGseq(e->seq);
+      status = shard->Process(0, e->tuple);
       if (!status.ok()) break;
     }
     capturing_ = false;
@@ -1875,7 +1499,6 @@ class PartitionedJoin : public PartitionedBase<JoinOperator> {
 
   Status Flush(Timestamp now) override {
     ++stats_.flushes;
-    SyncEventOldest();
     SL_RETURN_IF_ERROR(FlushShards(now));
     // Pair rows with their provenance: shard emissions and tag records
     // are kept in lockstep, so tags[k][i] describes shard k's i-th
@@ -2019,7 +1642,6 @@ class PartitionedTrigger : public PartitionedBase<TriggerOperator> {
 
   Status Flush(Timestamp now) override {
     ++stats_.flushes;
-    SyncEventOldest();
     SL_RETURN_IF_ERROR(FlushShards(now));
     std::vector<Timestamp> fired;
     for (auto& s : shards_) {
@@ -2048,8 +1670,8 @@ class PartitionedTrigger : public PartitionedBase<TriggerOperator> {
     capturing_ = true;
     Status status = Status::OK();
     for (const auto& s : old) {
-      for (const auto& e : s->shard_cache().entries()) {
-        status = shards_[route_instance(0, e.tuple)]->Process(0, e.tuple);
+      for (const PaneStore::Slot* e : s->ShardArrivals()) {
+        status = shards_[route_instance(0, e->tuple)]->Process(0, e->tuple);
         if (!status.ok()) break;
       }
       if (!status.ok()) break;
@@ -2094,7 +1716,7 @@ Result<std::unique_ptr<Operator>> MakeOperator(
   const stt::SchemaPtr& in = input_schemas[0];
 
   // A zero-sized cache would make a blocking operator a silent no-op:
-  // TupleCache::Add immediately evicts the tuple it just admitted.
+  // PaneStore::Add immediately evicts the tuple it just admitted.
   if (dataflow::IsBlocking(op) && options.max_cache_tuples == 0) {
     return Status::InvalidArgument(
         "blocking operator '" + name +

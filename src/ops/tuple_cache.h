@@ -1,23 +1,33 @@
-// StreamLoader: cache and index machinery shared by the blocking
-// operators (aggregation, join, trigger).
+// StreamLoader: the window state shared by the blocking operators
+// (aggregation, join, trigger).
 //
-// TupleCache is the bounded FIFO every blocking operator fills between
-// checks. The index classes layered on top (JoinHashIndex, PaneIndex)
-// are *acceleration structures*: they never own liveness — a cached
-// tuple is alive iff TupleCache::Live() says so — and every fast path
-// built on them is required to reproduce, bit for bit, what a scan of
-// the raw cache would have produced (tests/ops_test.cpp holds the
-// oracles).
+// The paper defines all three by one construct, "a cache of tuples
+// processed every t time intervals" (Table 1); PaneStore is that cache,
+// and the only window state the three operators keep. It holds every
+// cached tuple once, in a slot that also carries what a fire needs —
+// event time, arrival seq, an interned key id and the shard provenance —
+// in panes of one blocking interval:
+//  - under event time a pane is [p, p + t) of event time, so every
+//    aligned window is a run of consecutive panes, and a fire sorts
+//    only the panes that took an out-of-order insert since they were
+//    last read;
+//  - under processing time a pane is the arrivals between two flush
+//    ticks, so reading the panes in order is reading in arrival order.
+// The capacity bound is FIFO by arrival across panes. Group and join
+// keys are interned to dense ids at Process (KeyInterner), so a fire
+// groups and probes on integers and never hashes or sorts a string.
+// Every output must match tests/reference bit for bit (the oracles in
+// tests/ops_test.cpp).
 
 #ifndef STREAMLOADER_OPS_TUPLE_CACHE_H_
 #define STREAMLOADER_OPS_TUPLE_CACHE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <map>
-#include <unordered_map>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "stt/tuple.h"
@@ -26,117 +36,20 @@
 
 namespace sl::ops {
 
-/// \brief Bounded FIFO tuple cache shared by the blocking operators.
-///
-/// Caches hold shared refs — caching a tuple retains the allocation the
-/// producer minted instead of deep-copying it. Every cached tuple
-/// carries an arrival sequence number so sliding operators can
-/// distinguish tuples that arrived since the previous check, and so
-/// index structures can test liveness without being notified of every
-/// eviction.
-class TupleCache {
- public:
-  explicit TupleCache(size_t max_tuples) : max_tuples_(max_tuples) {}
-
-  struct Entry {
-    stt::TupleRef tuple;
-    uint64_t seq;
-  };
-
-  /// Adds a tuple; returns the number of evicted (oldest) tuples.
-  size_t Add(stt::TupleRef tuple) {
-    Timestamp ts = tuple->timestamp();
-    entries_.push_back({std::move(tuple), next_seq_++});
-    if (max_ts_ == stt::kNoWatermark || ts > max_ts_) max_ts_ = ts;
-    size_t evicted = 0;
-    while (entries_.size() > max_tuples_) {
-      entries_.pop_front();
-      ++evicted;
-    }
-    capacity_evictions_ += evicted;
-    return evicted;
-  }
-
-  /// Drops tuples whose event time is strictly before `cutoff`
-  /// (sliding-window expiry). Event times are assumed roughly ordered;
-  /// out-of-order stragglers are still swept because the scan covers the
-  /// whole deque.
-  void EvictOlderThan(Timestamp cutoff) {
-    if (cutoff > time_cutoff_) time_cutoff_ = cutoff;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->tuple->timestamp() < cutoff) {
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  /// \brief True iff the entry that was added with (`seq`, `ts`) is
-  /// still cached. Capacity eviction pops from the front (so the front
-  /// seq is the oldest survivor) and time eviction only ever removes
-  /// timestamps below the high-water cutoff; both bounds are monotonic,
-  /// which is what lets indexes keep stale slots around and filter them
-  /// lazily here instead of being told about each eviction.
-  bool Live(uint64_t seq, Timestamp ts) const {
-    if (entries_.empty()) return false;
-    return seq >= entries_.front().seq && ts >= time_cutoff_;
-  }
-
-  const std::deque<Entry>& entries() const { return entries_; }
-  size_t size() const { return entries_.size(); }
-
-  void Clear() {
-    entries_.clear();
-    max_ts_ = stt::kNoWatermark;
-  }
-
-  /// Sequence number the next arrival will get.
-  uint64_t next_seq() const { return next_seq_; }
-
-  /// Total tuples ever dropped to the capacity bound (monotonic; callers
-  /// snapshot it to detect "no capacity eviction since I last looked").
-  uint64_t capacity_evictions() const { return capacity_evictions_; }
-
-  /// Upper bound on the event time of any cached tuple since the last
-  /// Clear (kNoWatermark when nothing was added). An upper bound is
-  /// enough for the incremental-aggregation validity guard: if it is
-  /// below the window end, every cached tuple is inside the window.
-  Timestamp max_ts() const { return max_ts_; }
-
- private:
-  size_t max_tuples_;
-  std::deque<Entry> entries_;
-  uint64_t next_seq_ = 0;
-  uint64_t capacity_evictions_ = 0;
-  Timestamp time_cutoff_ = std::numeric_limits<Timestamp>::min();
-  Timestamp max_ts_ = stt::kNoWatermark;
-};
-
 /// The (timestamp, sensor, content) order event-time views are sorted
-/// by, so results cannot depend on delivery order.
+/// by, so results cannot depend on delivery order. A full tie compares
+/// the tuples' ToString forms, rendered into per-thread buffers, so it
+/// allocates nothing once the buffers are warm.
 bool EventOrderLess(const stt::Tuple& a, const stt::Tuple& b);
 
-/// Entries whose event time falls in [begin, end). When `sorted`, the
-/// view is ordered by EventOrderLess instead of arrival order (group
-/// iteration, float accumulation, pair enumeration all become
-/// order-stable).
-std::vector<const TupleCache::Entry*> WindowView(const TupleCache& cache,
-                                                 Timestamp begin,
-                                                 Timestamp end, bool sorted);
-
-/// Earliest cached event time; stt::kNoWatermark when empty.
-Timestamp OldestTs(const TupleCache& cache);
-
-/// \brief Order-insensitive identity of a window view: FNV-1a over the
-/// sorted arrival sequence numbers. Sequence numbers are unique per
-/// cache, so (up to hash collision) equal signatures ⇔ equal tuple
+/// \brief Order-insensitive identity of a window's members: FNV-1a over
+/// their sorted arrival sequence numbers. Sequence numbers are unique
+/// per cache, so (up to hash collision) equal signatures ⇔ equal tuple
 /// sets — the sliding-aggregation dedup guard. A rerun under a
 /// different delivery order assigns different seqs, but *set equality
 /// between consecutive windows* is delivery-order independent, so the
 /// skip/emit decision is too.
-uint64_t SeqSignature(const std::vector<const TupleCache::Entry*>& view);
-uint64_t SeqSignatureOf(std::vector<uint64_t> seqs);
+uint64_t SeqSignature(std::vector<uint64_t> seqs);
 
 /// \brief Event-time firing state shared by the blocking operators.
 ///
@@ -166,30 +79,15 @@ class EventWindow {
   }
 
   /// \brief Window ends newly covered by `horizon` (the input frontier
-  /// minus the allowed lateness), oldest first. The first call anchors
-  /// the grid at AlignDown(horizon), lowered to cover `oldest_cached`
-  /// when tuples older than the horizon are waiting — ends before any
-  /// data are empty and emit nothing, so the anchor choice is invisible
-  /// in the output.
-  std::vector<Timestamp> Advance(Timestamp horizon, Timestamp oldest_cached) {
-    std::vector<Timestamp> ends;
-    if (horizon == stt::kNoWatermark) return ends;
-    if (!initialized_) {
-      Timestamp anchor = stt::AlignDown(horizon, interval_);
-      if (oldest_cached != stt::kNoWatermark) {
-        anchor = std::min(anchor, stt::AlignDown(oldest_cached, interval_));
-      }
-      fired_end_ = anchor;
-      initialized_ = true;
-    }
-    for (Timestamp e = fired_end_ + interval_; e <= horizon; e += interval_) {
-      ends.push_back(e);
-    }
-    return ends;
-  }
-
-  /// Records that the window ending at `end` fired.
-  void MarkFired(Timestamp end) { fired_end_ = end; }
+  /// minus the allowed lateness) whose window overlaps one of the
+  /// `occupied` panes (ascending pane starts), oldest first; the fired
+  /// end then moves straight to the last grid end at or below the
+  /// horizon. A window that overlaps no occupied pane holds no cached
+  /// tuple and would emit nothing, so skipping it changes no output —
+  /// and the work of a watermark jump is bounded by the cached data,
+  /// not by the length of the jump.
+  std::vector<Timestamp> Advance(Timestamp horizon,
+                                 const std::vector<Timestamp>& occupied);
 
   /// Expiry cutoff after firing: the earliest unfired window is
   /// [fired_end + interval - window, ...), so anything older can never
@@ -204,10 +102,10 @@ class EventWindow {
 };
 
 // ---------------------------------------------------------------------
-// Join hash index.
+// Join keys.
 
 /// \brief The equality semantics of the `==` operator, restated over a
-/// key column so the hash index accepts exactly the pairs the predicate
+/// key column so key buckets accept exactly the pairs the predicate
 /// would.
 ///
 /// Quirks faithfully reproduced: int and double compare numerically
@@ -217,13 +115,12 @@ class EventWindow {
 /// evaluates to null, which is non-true).
 bool JoinKeyEquals(const stt::Value& a, const stt::Value& b);
 
-/// \brief Hash + oddity flags of one tuple's key columns.
+/// \brief Hash + oddity flags of one tuple's key columns (the
+/// partitioned join routes on these).
 ///
 /// `hash` canonicalizes numerics to double (-0.0 → +0.0) so every pair
-/// JoinKeyEquals accepts lands in one bucket — except NaN, which equals
-/// everything and therefore cannot be bucketed: tuples whose key
-/// contains a NaN are reported via `has_nan` and kept in a side list
-/// probed on every lookup.
+/// JoinKeyEquals accepts lands on one shard — except NaN, which equals
+/// everything and is therefore broadcast (`has_nan`).
 struct JoinKeyInfo {
   uint64_t hash = 0;
   bool has_null = false;  ///< some key column is null: matches nothing
@@ -232,101 +129,199 @@ struct JoinKeyInfo {
 JoinKeyInfo MakeJoinKeyInfo(const stt::Tuple& t,
                             const std::vector<size_t>& cols);
 
-/// \brief Hash index over one side of a join cache, keyed on that side's
-/// equi-conjunct columns.
+/// What JoinKeyForm found in a tuple's key columns.
+enum class JoinKeyKind { kNormal, kNull, kNan };
+
+/// \brief Writes the canonical form of a tuple's join-key columns into
+/// `out`: numerics as canonical doubles (-0.0 → +0.0), strings and the
+/// other types by value. Two keys JoinKeyEquals accepts always share a
+/// form; the converse can fail (int64 keys above 2^53 share a double),
+/// so bucket candidates must still pass JoinKeyEquals. A null column
+/// makes the key kNull, otherwise a NaN column makes it kNan; `out` is
+/// meaningful only for kNormal.
+JoinKeyKind JoinKeyForm(const stt::Tuple& t, const std::vector<size_t>& cols,
+                        std::string* out);
+
+// ---------------------------------------------------------------------
+// Key interning.
+
+/// \brief Dense ids for key forms, with their byte order as ranks.
 ///
-/// Slots keep (seq, tuple) and are appended in insertion order, so each
-/// bucket enumerates candidates in exactly the order a scan of the
-/// underlying cache would have visited them — the property that keeps
-/// hash-join emission order bit-identical to the nested loop. Stale
-/// slots (evicted from the cache) are filtered lazily by the caller via
-/// TupleCache::Live() and swept here by Compact().
-class JoinHashIndex {
+/// Ids are assigned in first-seen order and found through a flat
+/// open-addressing table over the form hashes. Ranks() gives every id its
+/// position in ascending byte order of the forms — the order groups are
+/// emitted in — merging ids interned since the last call into the
+/// ranked order instead of re-sorting it.
+class KeyInterner {
  public:
-  explicit JoinHashIndex(std::vector<size_t> cols) : cols_(std::move(cols)) {}
+  static constexpr uint32_t kNoId = std::numeric_limits<uint32_t>::max();
 
-  struct Slot {
-    uint64_t seq;
-    stt::TupleRef tuple;
-  };
+  /// The id of `form`; a form not seen before gets the next id.
+  uint32_t Intern(std::string_view form);
 
-  const std::vector<size_t>& cols() const { return cols_; }
+  size_t size() const { return offsets_.size() - 1; }
 
-  /// Indexes one cache entry. Null-keyed tuples are dropped (they can
-  /// never match); NaN-keyed tuples go to the side list.
-  void Insert(const TupleCache::Entry& entry);
+  /// rank[id] for every interned id.
+  const std::vector<uint32_t>& Ranks();
 
-  /// \brief Candidate slots for a probe key, in ascending seq
-  /// (= cache arrival) order: the probe's bucket merged with the NaN
-  /// side list. Pre-condition: !probe.has_null && !probe.has_nan (a
-  /// null probe matches nothing; a NaN probe matches the whole cache,
-  /// so the caller scans the cache directly).
-  void Candidates(const JoinKeyInfo& probe,
-                  std::vector<const Slot*>* out) const;
-
-  /// Drops slots no longer live in `cache`. Called opportunistically;
-  /// correctness never depends on it.
-  void Compact(const TupleCache& cache);
-
-  /// Slots currently stored (live + stale), for compaction scheduling.
-  size_t slot_count() const { return slot_count_; }
-
-  void Clear() {
-    buckets_.clear();
-    nan_slots_.clear();
-    slot_count_ = 0;
-  }
+  /// Forgets the ids `used` does not mark and renumbers the rest
+  /// densely, keeping their relative order. Returns old id → new id
+  /// (kNoId for a forgotten one).
+  std::vector<uint32_t> Compact(const std::vector<bool>& used);
 
  private:
-  std::vector<size_t> cols_;
-  std::unordered_map<uint64_t, std::vector<Slot>> buckets_;
-  std::vector<Slot> nan_slots_;
-  size_t slot_count_ = 0;
+  /// Re-seats every id in a table of `capacity` (a power of two) slots.
+  void Rehash(size_t capacity);
+
+  /// The form of `id`: bytes [offsets_[id], offsets_[id + 1]).
+  std::string_view FormOf(uint32_t id) const {
+    return std::string_view(bytes_).substr(offsets_[id],
+                                           offsets_[id + 1] - offsets_[id]);
+  }
+
+  std::string bytes_;                 ///< every form, back to back
+  std::vector<uint32_t> offsets_{0};  ///< size() + 1 form bounds
+  std::vector<uint32_t> table_;       ///< id + 1 per slot, 0 when empty
+  std::vector<uint32_t> sorted_;      ///< ranked ids, ascending form
+  std::vector<uint32_t> rank_;        ///< by id
 };
 
 // ---------------------------------------------------------------------
-// Pane index (event-time windows).
+// Pane store.
 
-/// \brief Per-pane sorted views for the event-time regime.
+/// \brief The cache of one blocking input: every tuple once, in panes.
 ///
-/// Event time is partitioned into panes of one blocking interval
-/// (pane = AlignDown(ts, interval)); every aligned window [end - w, end)
-/// is a run of consecutive panes, possibly cut at both edges when w is
-/// not an interval multiple. Each pane keeps its entries sorted in
-/// EventOrderLess order, re-sorting only when the pane took an insert
-/// since the last view ("dirty"). Because panes partition by timestamp
-/// and the sort key leads with the timestamp, concatenating ascending
-/// panes *is* the globally sorted window view — a sliding flush
-/// re-sorts only the panes that changed instead of the whole window.
-class PaneIndex {
+/// A pane keeps its slots in arrival order; under event time a sorted
+/// read also keeps an index of them in EventOrderLess order, extended
+/// (not rebuilt) as arrivals come in. A slot is live from Add until time
+/// eviction (EvictOlderThan, Clear) or the capacity bound removes it. The
+/// bound evicts the oldest live arrival — the oldest live slot at the
+/// front of some pane — by raising a sequence floor (slots below it are
+/// dead); the dead slots are swept once they outnumber the live ones.
+class PaneStore {
  public:
-  explicit PaneIndex(Duration pane_width) : pane_width_(pane_width) {}
+  /// Join key id of a tuple with a null key column: matches nothing.
+  static constexpr uint32_t kNullKey = KeyInterner::kNoId;
+  /// Join key id of a tuple with a NaN key column: matches every key.
+  static constexpr uint32_t kNanKey = KeyInterner::kNoId - 1;
 
-  void Insert(const TupleCache::Entry& entry);
+  struct Slot {
+    Timestamp ts;
+    /// Arrival order: the store's own count, or in shard mode the
+    /// wrapper-level arrival seq, which is comparable across shards.
+    uint64_t seq;
+    uint32_t key;    ///< interned key id, kNullKey or kNanKey
+    bool broadcast;  ///< shard mode: a copy every shard holds
+    stt::TupleRef tuple;
+  };
+  using View = std::vector<const Slot*>;
 
-  /// The sorted, live window view over [begin, end), equal to
-  /// WindowView(cache, begin, end, /*sorted=*/true) up to ties between
-  /// fully identical tuples. Pointers are into the index's own storage
-  /// and are invalidated by the next Insert/DropBelow.
-  std::vector<const TupleCache::Entry*> View(const TupleCache& cache,
-                                             Timestamp begin,
-                                             Timestamp end);
+  /// Panes with key in [pane_lo, pane_hi), slots with ts in [ts_lo,
+  /// ts_hi).
+  struct Range {
+    Timestamp pane_lo = std::numeric_limits<Timestamp>::min();
+    Timestamp pane_hi = std::numeric_limits<Timestamp>::max();
+    Timestamp ts_lo = std::numeric_limits<Timestamp>::min();
+    Timestamp ts_hi = std::numeric_limits<Timestamp>::max();
+  };
 
-  /// Forgets panes that lie entirely below `cutoff` (mirrors
-  /// TupleCache::EvictOlderThan; straggler slots inside the boundary
-  /// pane are filtered out by the liveness check in View).
-  void DropBelow(Timestamp cutoff);
+  explicit PaneStore(size_t max_tuples) : max_tuples_(max_tuples) {}
 
-  void Clear() { panes_.clear(); }
+  /// Caches `tuple` in pane `pane` as arrival `seq`, which must not be
+  /// below next_seq(); returns the number of older tuples the capacity
+  /// bound evicted to make room.
+  size_t Add(Timestamp pane, stt::TupleRef tuple, uint32_t key, uint64_t seq,
+             bool broadcast = false);
+
+  /// Drops every tuple stamped before `cutoff` (raised to the highest
+  /// cutoff seen: expiry never un-expires). Panes wholly below it go at
+  /// once; only a pane it cuts is filtered.
+  void EvictOlderThan(Timestamp cutoff);
+
+  /// Drops every tuple.
+  void Clear();
+
+  /// Live tuples.
+  size_t size() const { return live_; }
+
+  /// One past the last arrival's seq: the lowest seq Add accepts.
+  uint64_t next_seq() const { return next_seq_; }
+
+  /// The processing-time pane arrivals go to; CloseEpoch starts the next.
+  Timestamp epoch() const { return epoch_; }
+  void CloseEpoch() { ++epoch_; }
+
+  /// Keys of the panes that hold slots, ascending.
+  std::vector<Timestamp> PaneKeys() const;
+
+  /// \brief The live slots in `range`, pane by pane. With `sorted`, each
+  /// pane is read in EventOrderLess order; since panes partition event
+  /// time and the order leads with the timestamp, the view is then the
+  /// sorted window. Without it each pane is read in arrival order, and
+  /// with processing-time panes (one per flush epoch) so is the view.
+  void Read(const Range& range, bool sorted, View* out);
+
+  /// \brief The live slots in `range` whose key is `key` or kNanKey, in
+  /// the order the last Read of the range listed them, from per-pane key
+  /// buckets. `key` must be an interned id (not kNullKey or kNanKey).
+  void Probe(uint32_t key, const Range& range, View* out);
+
+  /// Every live slot, in arrival order.
+  View Arrivals() const;
+
+  /// Marks the key ids live slots carry (key interner compaction).
+  void MarkKeys(std::vector<bool>* used) const;
+  /// Rewrites key ids through `remap` (KeyInterner::Compact's result).
+  void RemapKeys(const std::vector<uint32_t>& remap);
 
  private:
   struct Pane {
-    std::vector<TupleCache::Entry> entries;
-    bool dirty = false;
+    std::vector<Slot> slots;  ///< arrival order
+    /// Slot indices in EventOrderLess order; covers the first
+    /// order.size() slots (sorted reads extend it).
+    std::vector<uint32_t> order;
+    size_t head = 0;  ///< slots before it are dead
+    Timestamp min_ts = std::numeric_limits<Timestamp>::max();
+    Timestamp max_ts = std::numeric_limits<Timestamp>::min();
+    // Key buckets over the read order: positions grouped by key id
+    // (ascending within a key), one run per distinct key, NaN-keyed
+    // slots apart. Valid while `indexed`.
+    bool indexed = false;
+    bool by_order = false;         ///< positions index `order`, else `slots`
+    std::vector<uint32_t> keys;    ///< distinct key ids, ascending
+    std::vector<uint32_t> starts;  ///< run bounds, keys.size() + 1
+    std::vector<uint32_t> runs;
+    std::vector<uint32_t> nans;
+
+    const Slot& at(uint32_t position) const {
+      return slots[by_order ? order[position] : position];
+    }
   };
 
-  Duration pane_width_;
-  std::map<Timestamp, Pane> panes_;  // keyed by pane start, ascending
+  bool Live(const Slot& s) const { return s.seq >= floor_; }
+  /// Evicts the oldest live arrival (the capacity bound).
+  void EvictOldest();
+  /// Removes the slots matching `gone` from `pane`, keeping the arrival
+  /// order and the sorted index.
+  template <typename Pred>
+  void Erase(Pane* pane, Pred gone);
+  void SweepDead();
+  void Sort(Pane* pane);
+  void Index(Pane* pane);
+  void Forget(std::map<Timestamp, Pane>::iterator* it);
+
+  size_t max_tuples_;
+  std::map<Timestamp, Pane> panes_;
+  size_t typical_pane_ = 0;  ///< slots the last expired pane held
+  Pane* last_pane_ = nullptr;  ///< the pane the last Add went to
+  Timestamp last_pane_key_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t floor_ = 0;  ///< slots with seq below it were evicted by capacity
+  size_t live_ = 0;
+  size_t dead_ = 0;     ///< evicted by capacity, not yet swept
+  Timestamp expiry_cutoff_ = std::numeric_limits<Timestamp>::min();
+  Timestamp epoch_ = 0;
+  std::vector<uint32_t> counts_;  ///< bucket-building scratch, by key id
 };
 
 }  // namespace sl::ops

@@ -120,22 +120,27 @@ size_t Tuple::ApproxValueBytes() const {
 }
 
 std::string Tuple::ToString() const {
-  std::string out = "(";
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Tuple::AppendTo(std::string* out) const {
+  out->push_back('(');
   for (size_t i = 0; i < values_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += values_[i].ToString();
+    if (i > 0) out->append(", ");
+    values_[i].AppendTo(out);
   }
-  out += ") @";
-  out += FormatTimestamp(ts_);
+  out->append(") @");
+  AppendTimestamp(ts_, out);
   if (location_.has_value()) {
-    out += " loc=";
-    out += location_->ToString();
+    out->append(" loc=");
+    location_->AppendTo(out);
   }
   if (!sensor_id_.empty()) {
-    out += " from=";
-    out += sensor_id_;
+    out->append(" from=");
+    out->append(sensor_id_);
   }
-  return out;
 }
 
 bool Tuple::EqualsIgnoringSensor(const Tuple& other) const {

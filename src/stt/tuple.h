@@ -139,6 +139,8 @@ class Tuple {
 
   /// "(v1, v2, ...) @ts loc=(lat,lon) from=sensor".
   std::string ToString() const;
+  /// Appends the ToString form to `out`.
+  void AppendTo(std::string* out) const;
 
   /// Deep equality of values and STT header (schema compared
   /// structurally).

@@ -52,9 +52,12 @@ TEST(BuilderTest, RejectsUnknownInput) {
 
 TEST(BuilderTest, RejectsWrongArity) {
   // Join with one input (via AddOperator).
+  JoinSpec join;
+  join.interval = 1000;
+  join.predicate = "true";
   auto df = DataflowBuilder("flow")
                 .AddSource("a", "t1")
-                .AddOperator("j", OpKind::kJoin, JoinSpec{1000, 0, "true"}, {"a"})
+                .AddOperator("j", OpKind::kJoin, join, {"a"})
                 .Build();
   EXPECT_TRUE(df.status().IsValidationError());
 }

@@ -804,8 +804,13 @@ TEST(FastVsNaiveOracleTest, EventTimeAggregationSweep) {
                             AggFunc::kMax, AggFunc::kCount};
   const char* kStations[] = {"osaka", "kyoto", "nara"};
   uint64_t late_total = 0;
+  uint64_t dropped_total = 0;
   for (uint64_t seed = 300; seed < 350; ++seed) {
     Rng rng(seed);
+    // Every other seed caps the cache, so the capacity bound (FIFO by
+    // arrival across panes) is compared too. The cap is not an rng draw,
+    // so it leaves the seed's other draws alone.
+    const size_t max_cache = seed % 2 == 0 ? 24 : (1 << 20);
     AggregationSpec spec;
     spec.interval = duration::kMinute;
     spec.window = rng.NextBounded(3) * duration::kMinute;  // 0 = tumbling
@@ -815,10 +820,10 @@ TEST(FastVsNaiveOracleTest, EventTimeAggregationSweep) {
     WatermarkOptions wm = RandomEventTime(&rng);
     std::vector<Tuple> fast_out, naive_out, fast_late, naive_late;
     auto fast = MakeBlocking(OpKind::kAggregation, spec, {TempSchema()},
-                             {"in"}, /*naive=*/false, &fast_out, 1 << 20, wm,
-                             &fast_late);
+                             {"in"}, /*naive=*/false, &fast_out, max_cache,
+                             wm, &fast_late);
     auto naive = MakeBlocking(OpKind::kAggregation, spec, {TempSchema()},
-                              {"in"}, /*naive=*/true, &naive_out, 1 << 20,
+                              {"in"}, /*naive=*/true, &naive_out, max_cache,
                               wm, &naive_late);
     Timestamp watermark = 0;
     for (int round = 0; round < 5; ++round) {
@@ -848,17 +853,23 @@ TEST(FastVsNaiveOracleTest, EventTimeAggregationSweep) {
     ExpectSameRows(fast_out, naive_out, seed, "event-time aggregation");
     ExpectSameRows(fast_late, naive_late, seed, "event-time aggregation late");
     ExpectSameCounters(*fast, *naive, seed, "event-time aggregation");
+    EXPECT_EQ(fast->stats().cache_size, naive->stats().cache_size)
+        << "event-time aggregation, seed " << seed;
     late_total += naive->stats().late_dropped + naive->stats().late_routed;
+    dropped_total += naive->stats().dropped;
   }
-  // The late paths must actually run — a sweep with no late tuple would
-  // vacuously agree on them.
+  // The late and capacity paths must actually run — a sweep with no late
+  // tuple or no eviction would vacuously agree on them.
   EXPECT_GT(late_total, 0u);
+  EXPECT_GT(dropped_total, 0u);
 }
 
 TEST(FastVsNaiveOracleTest, EventTimeJoinSweep) {
   uint64_t late_total = 0;
+  uint64_t dropped_total = 0;
   for (uint64_t seed = 400; seed < 450; ++seed) {
     Rng rng(seed);
+    const size_t max_cache = seed % 2 == 0 ? 8 : (1 << 20);
     JoinSpec spec;
     spec.interval = duration::kMinute;
     spec.window = rng.NextBounded(3) * duration::kMinute;
@@ -867,11 +878,11 @@ TEST(FastVsNaiveOracleTest, EventTimeJoinSweep) {
     std::vector<Tuple> fast_out, naive_out, fast_late, naive_late;
     auto fast = MakeBlocking(OpKind::kJoin, spec,
                              {TempSchema(), IntRainSchema()}, {"l", "r"},
-                             /*naive=*/false, &fast_out, 1 << 20, wm,
+                             /*naive=*/false, &fast_out, max_cache, wm,
                              &fast_late);
     auto naive = MakeBlocking(OpKind::kJoin, spec,
                               {TempSchema(), IntRainSchema()}, {"l", "r"},
-                              /*naive=*/true, &naive_out, 1 << 20, wm,
+                              /*naive=*/true, &naive_out, max_cache, wm,
                               &naive_late);
     // Per-port watermarks: the frontier is their minimum.
     Timestamp watermark[2] = {0, 0};
@@ -903,9 +914,13 @@ TEST(FastVsNaiveOracleTest, EventTimeJoinSweep) {
     ExpectSameRows(fast_out, naive_out, seed, "event-time join");
     ExpectSameRows(fast_late, naive_late, seed, "event-time join late");
     ExpectSameCounters(*fast, *naive, seed, "event-time join");
+    EXPECT_EQ(fast->stats().cache_size, naive->stats().cache_size)
+        << "event-time join, seed " << seed;
     late_total += naive->stats().late_dropped + naive->stats().late_routed;
+    dropped_total += naive->stats().dropped;
   }
   EXPECT_GT(late_total, 0u);
+  EXPECT_GT(dropped_total, 0u);
 }
 
 // --------------------------------------------------------------- trigger --

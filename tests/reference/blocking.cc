@@ -1,6 +1,7 @@
 #include "tests/reference/blocking.h"
 
 #include <algorithm>
+#include <deque>
 #include <limits>
 #include <map>
 #include <optional>
@@ -18,12 +19,109 @@ using dataflow::AggregationSpec;
 using dataflow::JoinSpec;
 using dataflow::OpKind;
 using ops::EventWindow;
-using ops::TupleCache;
 using stt::Tuple;
 using stt::TupleRef;
 using stt::Value;
 
+/// The bounded FIFO cache of the original operators: every arrival gets
+/// a sequence number, the capacity bound pops the oldest arrival, and
+/// expiry scans the whole cache.
+class TupleCache {
+ public:
+  explicit TupleCache(size_t max_tuples) : max_tuples_(max_tuples) {}
+
+  struct Entry {
+    TupleRef tuple;
+    uint64_t seq;
+  };
+
+  /// Adds a tuple; returns the number of evicted (oldest) tuples.
+  size_t Add(TupleRef tuple) {
+    entries_.push_back({std::move(tuple), next_seq_++});
+    size_t evicted = 0;
+    while (entries_.size() > max_tuples_) {
+      entries_.pop_front();
+      ++evicted;
+    }
+    return evicted;
+  }
+
+  /// Drops tuples whose event time is strictly before `cutoff`.
+  void EvictOlderThan(Timestamp cutoff) {
+    std::erase_if(entries_, [cutoff](const Entry& e) {
+      return e.tuple->timestamp() < cutoff;
+    });
+  }
+
+  const std::deque<Entry>& entries() const { return entries_; }
+  size_t size() const { return entries_.size(); }
+  void Clear() { entries_.clear(); }
+  uint64_t next_seq() const { return next_seq_; }
+
+ private:
+  size_t max_tuples_;
+  std::deque<Entry> entries_;
+  uint64_t next_seq_ = 0;
+};
+
 using View = std::vector<const TupleCache::Entry*>;
+
+/// Entries whose event time falls in [begin, end); with `sorted`, in
+/// ops::EventOrderLess order instead of arrival order.
+View WindowView(const TupleCache& cache, Timestamp begin, Timestamp end,
+                bool sorted) {
+  View view;
+  for (const auto& entry : cache.entries()) {
+    Timestamp ts = entry.tuple->timestamp();
+    if (ts >= begin && ts < end) view.push_back(&entry);
+  }
+  if (sorted) {
+    std::sort(view.begin(), view.end(),
+              [](const TupleCache::Entry* a, const TupleCache::Entry* b) {
+                return ops::EventOrderLess(*a->tuple, *b->tuple);
+              });
+  }
+  return view;
+}
+
+/// Earliest cached event time; stt::kNoWatermark when empty.
+Timestamp OldestTs(const TupleCache& cache) {
+  Timestamp low = stt::kNoWatermark;
+  for (const auto& entry : cache.entries()) {
+    Timestamp ts = entry.tuple->timestamp();
+    if (low == stt::kNoWatermark || ts < low) low = ts;
+  }
+  return low;
+}
+
+/// \brief Every window end `horizon` newly covers, oldest first, empty
+/// windows included, and moves `window`'s fired end past them. The
+/// first call anchors the grid at AlignDown(horizon), lowered to cover
+/// `oldest_cached` when older tuples are waiting.
+std::vector<Timestamp> FireEnds(EventWindow* window, Duration interval,
+                                Timestamp horizon, Timestamp oldest_cached) {
+  std::vector<Timestamp> ends;
+  if (horizon == stt::kNoWatermark) return ends;
+  Timestamp fired = window->fired_end();
+  if (!window->initialized()) {
+    fired = stt::AlignDown(horizon, interval);
+    if (oldest_cached != stt::kNoWatermark) {
+      fired = std::min(fired, stt::AlignDown(oldest_cached, interval));
+    }
+  }
+  for (Timestamp e = fired + interval; e <= horizon; e += interval) {
+    ends.push_back(e);
+  }
+  window->Advance(horizon, {});
+  return ends;
+}
+
+/// FNV-1a over the sorted arrival seqs of a view.
+uint64_t Signature(const View& view) {
+  std::vector<uint64_t> seqs;
+  for (const auto* e : view) seqs.push_back(e->seq);
+  return ops::SeqSignature(std::move(seqs));
+}
 
 /// The lateness-adjusted input frontier that event-time windows fire
 /// against; stt::kNoWatermark until every input port carried one.
@@ -85,8 +183,8 @@ class ReferenceAggregation : public ops::Operator {
   /// (tumbling windows start over).
   void FlushProcessing(Timestamp now) {
     if (spec_.window > 0) cache_.EvictOlderThan(now - spec_.window);
-    View view = ops::WindowView(cache_, std::numeric_limits<Timestamp>::min(),
-                                now, /*sorted=*/false);
+    View view = WindowView(cache_, std::numeric_limits<Timestamp>::min(), now,
+                           /*sorted=*/false);
     if (!view.empty() && ChangedSinceLastEmit(view)) EmitGroups(view, now);
     if (spec_.window == 0) cache_.Clear();
   }
@@ -96,10 +194,10 @@ class ReferenceAggregation : public ops::Operator {
   void FlushEvent() {
     Timestamp horizon = Horizon(*this);
     if (horizon == stt::kNoWatermark) return;
-    for (Timestamp end : event_.Advance(horizon, ops::OldestTs(cache_))) {
-      View view = ops::WindowView(cache_, end - event_.effective_window(),
-                                  end, /*sorted=*/true);
-      event_.MarkFired(end);
+    for (Timestamp end :
+         FireEnds(&event_, interval(), horizon, OldestTs(cache_))) {
+      View view = WindowView(cache_, end - event_.effective_window(), end,
+                             /*sorted=*/true);
       if (!view.empty() && ChangedSinceLastEmit(view)) EmitGroups(view, end);
     }
     if (event_.initialized()) cache_.EvictOlderThan(event_.EvictionCutoff());
@@ -109,7 +207,7 @@ class ReferenceAggregation : public ops::Operator {
   /// last emission; tumbling windows always hold fresh data.
   bool ChangedSinceLastEmit(const View& view) {
     if (spec_.window == 0) return true;
-    uint64_t sig = ops::SeqSignature(view);
+    uint64_t sig = Signature(view);
     if (last_signature_.has_value() && *last_signature_ == sig) return false;
     last_signature_ = sig;
     return true;
@@ -274,17 +372,16 @@ class ReferenceJoin : public ops::Operator {
   Status FlushEvent() {
     Timestamp horizon = Horizon(*this);
     if (horizon == stt::kNoWatermark) return Status::OK();
-    Timestamp oldest_left = ops::OldestTs(left_);
-    Timestamp oldest_right = ops::OldestTs(right_);
+    Timestamp oldest_left = OldestTs(left_);
+    Timestamp oldest_right = OldestTs(right_);
     Timestamp oldest = oldest_left == stt::kNoWatermark ? oldest_right
                        : oldest_right == stt::kNoWatermark
                            ? oldest_left
                            : std::min(oldest_left, oldest_right);
-    for (Timestamp end : event_.Advance(horizon, oldest)) {
+    for (Timestamp end : FireEnds(&event_, interval(), horizon, oldest)) {
       Timestamp begin = end - event_.effective_window();
-      View lview = ops::WindowView(left_, begin, end, /*sorted=*/true);
-      View rview = ops::WindowView(right_, begin, end, /*sorted=*/true);
-      event_.MarkFired(end);
+      View lview = WindowView(left_, begin, end, /*sorted=*/true);
+      View rview = WindowView(right_, begin, end, /*sorted=*/true);
       if (lview.empty() || rview.empty()) continue;
       stt::RefBatch out(output_schema());
       for (const auto* le : lview) {

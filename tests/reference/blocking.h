@@ -4,13 +4,15 @@
 // The aggregation recomputes every window from the raw cache, grouping
 // through an ordered map; the join enumerates the cross product of its
 // two caches and materializes each pair before evaluating the full
-// predicate. Both are built from the public window primitives of
-// ops/tuple_cache.h (TupleCache, WindowView, EventWindow, SeqSignature)
-// and the base class's late policy, with no indexes and no incremental
-// state. The production operators (ops/operators.cc) must reproduce
-// them bit for bit: the same rows in the same order, the same late rows
-// and the same counters. Tests and benchmarks link this library; no
-// target under src/ does.
+// predicate. Both keep the original bounded FIFO cache and scan it
+// whole for every window, firing every window end the watermark passes;
+// from ops/tuple_cache.h they take only EventWindow's lateness test,
+// EventOrderLess and SeqSignature, plus the base class's late policy.
+// There are no indexes and no incremental state. The production
+// operators (ops/operators.cc) must reproduce them bit for bit: the
+// same rows in the same order, the same late rows and the same
+// counters. Tests and benchmarks link this library; no target under
+// src/ does.
 
 #ifndef STREAMLOADER_TESTS_REFERENCE_BLOCKING_H_
 #define STREAMLOADER_TESTS_REFERENCE_BLOCKING_H_

@@ -68,7 +68,8 @@ std::vector<stt::Tuple> ThRecording(const stt::SchemaPtr& schema,
   Rng rng(seed);
   std::vector<stt::Tuple> recording;
   for (int i = 0; i < 48; ++i) {
-    std::string station = "s" + std::to_string(rng.NextBounded(8));
+    std::string station = "s";
+    station += std::to_string(rng.NextBounded(8));
     recording.push_back(stt::Tuple::MakeUnsafe(
         schema,
         {stt::Value::Double(rng.NextDouble(-5.0, 30.0)),
