@@ -1,16 +1,13 @@
-// E13 (key-partitioned operator parallelism): throughput and flush
-// latency of a blocking operator deployed as N key-partitioned
-// instances, N in {1, 2, 4, 8}, under uniform and Zipf-skewed key
-// distributions.
+// E13/E24 (key-partitioned operator parallelism): throughput and flush
+// latency of a blocking operator deployed with `parallelism` N, N in
+// {1, 2, 4, 8}, under uniform and Zipf-skewed key distributions.
 //
-// Expected shape: both operators run their production paths, the hash
-// equi-join and the incremental grouped aggregation. Their flush work
-// is linear in the cache (plus the join's matches), so partitioning the
-// key space N ways re-divides that work instead of cutting it: on the
-// single-threaded simulator both curves stay roughly flat in N, and the
-// partitioned wrapper's splitter/merger overhead shows as N grows. Zipf
-// keys pile the matches onto the hottest shard (key_skew in the monitor
-// names it).
+// N is a gauge: every N runs the one production operator (hash
+// equi-join or grouped aggregation), which only counts each arrival
+// into one of N key ranges for the monitor's instance_load and
+// key_skew. Expected shape: flat curves in N, each N = 2–8 cell within
+// the spread of repeated N = 1 runs. Zipf keys pile arrivals into the
+// hottest range, which key_skew names.
 
 #include <benchmark/benchmark.h>
 
@@ -87,7 +84,7 @@ Result<std::unique_ptr<sensors::SensorSimulator>> KeyedSensor(
   return sensors::MakeReplaySensor(std::move(info), std::move(recording));
 }
 
-/// Headline: hash equi-join, key-partitioned N ways. 10 Hz per side,
+/// Headline: hash equi-join at parallelism N. 10 Hz per side,
 /// 60 s interval → ~600 tuples per side per flush; each left tuple
 /// probes only its key's bucket, so a flush costs O(L + R + matches) at
 /// every N.
@@ -149,7 +146,7 @@ void BM_PartitionedEquiJoin(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(parallelism));
   state.counters["zipf"] = benchmark::Counter(zipf ? 1 : 0);
   // Output count is the cross-N equivalence check: same keys ⇒ same
-  // joined pairs no matter how the key space is sharded.
+  // joined pairs at every N.
   state.counters["join_outputs"] =
       benchmark::Counter(static_cast<double>(outputs) / runs);
   if (flushes > 0) {
@@ -161,9 +158,8 @@ BENCHMARK(BM_PartitionedEquiJoin)
     ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-/// Contrast: grouped tumbling average. Aggregation flush work is
-/// linear in the cache, so sharding only re-divides it — the curve
-/// stays flat and the splitter/merger overhead becomes visible.
+/// Contrast: grouped tumbling average, whose flush work is linear in the
+/// cache; its curve is flat in N too.
 void BM_PartitionedAggregation(benchmark::State& state) {
   size_t parallelism = static_cast<size_t>(state.range(0));
   bool zipf = state.range(1) != 0;

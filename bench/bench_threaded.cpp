@@ -133,11 +133,10 @@ dataflow::Dataflow TumblingAggFlow(size_t parallelism) {
 /// Runs `flow` over a fresh `tuples`-long trace each iteration and
 /// reports delivered-tuple throughput plus Feed→sink wall latency
 /// percentiles from the final iteration. `knobs` layers the execution
-/// modes (pool_size, shard_threads, batch_max) onto the shared
-/// large-ring, count-only-sink baseline.
+/// modes (pool_size, batch_max) onto the shared large-ring,
+/// count-only-sink baseline.
 struct PipelineKnobs {
   size_t pool_size = 0;
-  size_t shard_threads = 0;
   size_t batch_max = 1;
 };
 
@@ -150,7 +149,6 @@ void RunPipeline(benchmark::State& state, const dataflow::Dataflow& flow,
   options.queue_capacity = 8192;
   options.count_only_sinks = true;
   options.pool_size = knobs.pool_size;
-  options.shard_threads = knobs.shard_threads;
   options.batch_max = knobs.batch_max;
   uint64_t delivered = 0;
   exec::LatencySummary latency;
@@ -226,20 +224,6 @@ void BM_ThreadedBatchedFilterTransform(benchmark::State& state) {
 BENCHMARK(BM_ThreadedBatchedFilterTransform)
     ->Arg(8)
     ->Arg(64)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/// Shard-threaded partitioned flush: N-way instances flush concurrently
-/// on a shared shard pool (Arg(0) = parallelism, Arg(1) = shard threads).
-void BM_ThreadedShardedPartitionedAgg(benchmark::State& state) {
-  PipelineKnobs knobs;
-  knobs.shard_threads = static_cast<size_t>(state.range(1));
-  RunPipeline(state, TumblingAggFlow(static_cast<size_t>(state.range(0))),
-              100000, knobs);
-}
-BENCHMARK(BM_ThreadedShardedPartitionedAgg)
-    ->Args({4, 2})
-    ->Args({4, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

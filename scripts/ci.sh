@@ -147,13 +147,13 @@ ctest --test-dir "${root}/build-tsan" --output-on-failure \
   -R 'LiveStageSamplesAreSane' --repeat-until-fail 10
 
 # The phase-2 execution-mode matrix (pooled workers with work-stealing
-# help, shard pools, batched rings — and all of them combined — plus the
-# Feed-driven run perfbench uses) is where new lock-free orderings live;
-# repeat those differential identities under TSan too. The full 50-seed
+# help, batched rings — and all of them combined — plus the Feed-driven
+# run perfbench uses) is where new lock-free orderings live; repeat
+# those differential identities under TSan too. The full 50-seed
 # batteries already ran once in the build-tsan ctest pass above.
 echo "==> threaded mode-matrix oracle under TSan, repeated"
 ctest --test-dir "${root}/build-tsan" --output-on-failure \
-  -R 'Pooled|ShardThreads|Batched|AllModesCombined|Columnar|Feed' \
+  -R 'Pooled|Batched|AllModesCombined|Columnar|Feed' \
   --repeat-until-fail 2 -j "${jobs}"
 
 echo "==> fault benchmark"
@@ -179,10 +179,11 @@ echo "==> blocking benchmark (interval sweeps, system-level blocking paths)"
 cp "${root}/build/BENCH_blocking.json" "${root}/BENCH_blocking.json"
 cp "${root}/build/BENCH_blocking.json" "${artifacts}/BENCH_blocking.json"
 
-# Key-partitioned parallelism scaling curve (throughput and flush
-# latency vs instance count, uniform vs Zipf keys). The partitioned
-# chaos suite itself runs in the 'Chaos' repeat block above.
-echo "==> partition benchmark (key-partitioned operator scaling)"
+# Key-partitioned parallelism curve (throughput and flush latency vs
+# parallelism N, uniform vs Zipf keys); N is a gauge, so the curve is
+# flat. The partitioned chaos suite itself runs in the 'Chaos' repeat
+# block above.
+echo "==> partition benchmark (throughput vs parallelism N)"
 (cd "${root}/build" && ./bench/bench_partition --benchmark_min_time=0.01)
 cp "${root}/build/BENCH_partition.json" "${root}/BENCH_partition.json"
 cp "${root}/build/BENCH_partition.json" "${artifacts}/BENCH_partition.json"
@@ -204,5 +205,10 @@ echo "==> vectorized expression VM benchmark (scalar vs columnar batches)"
 (cd "${root}/build" && ./bench/bench_vector --benchmark_min_time=0.05)
 cp "${root}/build/BENCH_vector.json" "${root}/BENCH_vector.json"
 cp "${root}/build/BENCH_vector.json" "${artifacts}/BENCH_vector.json"
+
+# What production runs: the share of src/'s executable lines that the
+# example programs, sl_lint and perfbench execute, printed next to the
+# line count above (a tracked figure; it gates nothing yet).
+"${root}/scripts/census.sh" "${jobs}"
 
 echo "==> all configs green (artifacts in ${artifacts}/)"

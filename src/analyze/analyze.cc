@@ -448,7 +448,7 @@ class Analyzer {
     }
 
     // Partition key: the explicit partition_by columns, else the
-    // equi-conjunct key columns the instances hash on.
+    // equi-conjunct key columns the key ranges hash on.
     if (spec.parallelism > 1) {
       bool all_constant = true;
       bool any_key = false;

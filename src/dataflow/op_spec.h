@@ -74,11 +74,13 @@ struct AggregationSpec {
   std::vector<std::string> group_by;
   std::vector<std::string> attributes;  ///< attributes to aggregate
   AggFunc func = AggFunc::kAvg;
-  /// Number of key-partitioned parallel instances (1 = single instance,
-  /// byte-identical to the pre-partitioning runtime).
+  /// Key-partitioned parallelism N. Every N runs the one operator and
+  /// emits the same rows; N > 1 bills the node N processes and counts
+  /// each arrival into one of N key ranges (the monitor's instance_load
+  /// and key_skew).
   size_t parallelism = 1;
-  /// Columns whose hash routes each tuple to an instance. Must be a
-  /// subset of `group_by`; empty defaults to all of `group_by`.
+  /// Columns whose hash picks an arrival's key range. Must be a subset
+  /// of `group_by`; empty defaults to all of `group_by`.
   std::vector<std::string> partition_by;
 };
 
@@ -121,11 +123,11 @@ struct JoinSpec {
   /// both sides are cached together.
   Duration window = 0;
   std::string predicate;
-  /// Number of key-partitioned parallel instances (1 = single instance).
+  /// Key-partitioned parallelism N (see AggregationSpec::parallelism).
   size_t parallelism = 1;
-  /// Joined-schema column names whose hash routes each tuple; every name
-  /// must resolve to an equi-conjunct column of `predicate`. Empty
-  /// defaults to all equi-conjunct columns.
+  /// Joined-schema column names whose hash picks an arrival's key
+  /// range; every name must resolve to an equi-conjunct column of
+  /// `predicate`. Empty defaults to all equi-conjunct columns.
   std::vector<std::string> partition_by;
 };
 
@@ -150,10 +152,11 @@ struct TriggerSpec {
   Duration window = 0;
   std::string condition;
   std::vector<std::string> target_sensors;
-  /// Number of key-partitioned parallel instances (1 = single instance).
+  /// Key-partitioned parallelism N (see AggregationSpec::parallelism).
   size_t parallelism = 1;
-  /// Input-schema columns whose hash routes each tuple. Triggers have no
-  /// implicit key, so parallelism > 1 requires an explicit list.
+  /// Input-schema columns whose hash picks an arrival's key range.
+  /// Triggers have no implicit key, so parallelism > 1 requires an
+  /// explicit list.
   std::vector<std::string> partition_by;
 };
 
@@ -189,8 +192,8 @@ std::string SpecToString(OpKind kind, const OpSpec& spec);
 /// The blocking interval of a spec (0 for non-blocking operations).
 Duration SpecInterval(const OpSpec& spec);
 
-/// The requested instance count of a spec (1 for non-blocking
-/// operations, which have no parallelism knob).
+/// The `parallelism` of a spec (1 for non-blocking operations, which
+/// have no parallelism knob).
 size_t SpecParallelism(const OpSpec& spec);
 
 /// The partition-key columns of a spec; nullptr for non-blocking

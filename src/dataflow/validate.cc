@@ -318,7 +318,7 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
           fields.push_back(std::move(*f));
         }
         // SL2011: the partition key must be derivable from the grouping
-        // key, or instances would disagree on which one owns a group.
+        // key, or one group would span several key ranges.
         if (s.parallelism == 0) {
           fail(diag::Code::kBadPartition,
                "aggregation parallelism must be >= 1");
@@ -429,9 +429,9 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
             }
           }
         }
-        // SL2011: a partitioned join can only route by equi-conjunct
-        // columns — any other key would split matching pairs across
-        // instances.
+        // SL2011: a partitioned join ranges by equi-conjunct columns
+        // only — any other key would split matching pairs across
+        // ranges.
         if (s.parallelism == 0) {
           fail(diag::Code::kBadPartition, "join parallelism must be >= 1");
         }

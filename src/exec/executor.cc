@@ -67,14 +67,6 @@ std::string DeploymentStats::ToString() const {
       static_cast<unsigned long long>(messages_lost),
       static_cast<unsigned long long>(node_failures),
       static_cast<unsigned long long>(recoveries));
-  for (const auto& [key, n] : instance_retransmits) {
-    out += StrFormat(" rtx[%s]=%llu", key.c_str(),
-                     static_cast<unsigned long long>(n));
-  }
-  for (const auto& [key, n] : instance_lost) {
-    out += StrFormat(" lost[%s]=%llu", key.c_str(),
-                     static_cast<unsigned long long>(n));
-  }
   return out;
 }
 
@@ -216,9 +208,8 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
                             BuildOperator(dep, name, node.op, node.spec,
                                           input_schemas));
         deployed.node_id = placed;
-        // A key-partitioned operator deploys as an instance group: N
-        // co-located processes behind one splitter/merger address, so
-        // the node is billed one process per instance.
+        // A key-partitioned operator counts as an instance group: the
+        // node is billed one process per key range.
         size_t instances = deployed.op->parallelism();
         SL_RETURN_IF_ERROR(network_->AdjustProcessCount(
             placed, static_cast<int>(instances)));
@@ -417,23 +408,9 @@ void Executor::Route(Deployment* dep, const std::string& producer,
   if (edges_it == dep->edges.end()) return;
   size_t bytes = TupleBytes(*tuple);
   for (const Edge& edge : edges_it->second) {
-    const std::string* target_node = nullptr;
-    // Per-instance fault attribution: for a partitioned receiver the
-    // routed instance is a pure function of the key, so it is known at
-    // send time — retransmits/losses land on "op#k" ("op#*" when the
-    // tuple broadcasts to every instance, e.g. NaN join keys).
-    std::string instance_key;
-    if (edge.to_sink) {
-      target_node = &dep->sinks.at(edge.to).node_id;
-    } else {
-      const DeployedOperator& target_op = dep->operators.at(edge.to);
-      target_node = &target_op.node_id;
-      if (target_op.op->parallelism() > 1) {
-        int inst = target_op.op->route_instance(edge.port, tuple);
-        instance_key =
-            edge.to + "#" + (inst < 0 ? "*" : std::to_string(inst));
-      }
-    }
+    const std::string* target_node =
+        edge.to_sink ? &dep->sinks.at(edge.to).node_id
+                     : &dep->operators.at(edge.to).node_id;
     // QoS accounting: a transfer that cannot meet the flow's latency
     // bound counts as a violation (the SCN would re-provision the path).
     if (edge.qos.max_latency > 0) {
@@ -454,20 +431,12 @@ void Executor::Route(Deployment* dep, const std::string& producer,
       transfer_options.reliable = true;
       transfer_options.ack_timeout = options_.ack_timeout_ms;
       transfer_options.max_retransmits = options_.max_retransmits;
-      transfer_options.on_retransmit = [weak, instance_key](int) {
-        if (auto d = weak.lock()) {
-          ++d->stats.retransmits;
-          if (!instance_key.empty()) {
-            ++d->stats.instance_retransmits[instance_key];
-          }
-        }
+      transfer_options.on_retransmit = [weak](int) {
+        if (auto d = weak.lock()) ++d->stats.retransmits;
       };
     }
-    transfer_options.on_lost = [weak, instance_key] {
-      if (auto d = weak.lock()) {
-        ++d->stats.messages_lost;
-        if (!instance_key.empty()) ++d->stats.instance_lost[instance_key];
-      }
+    transfer_options.on_lost = [weak] {
+      if (auto d = weak.lock()) ++d->stats.messages_lost;
     };
     // The watermark rides inside the delivery callback — event-time
     // progress piggybacks on data transfers, adding no network messages
@@ -721,16 +690,7 @@ Status Executor::RescaleOperator(DeploymentId id, const std::string& op_name,
   ops::Operator* op = op_it->second.op.get();
   size_t old_parallelism = op->parallelism();
   if (new_parallelism == old_parallelism) return Status::OK();
-  // The re-partitioning hand-off reuses the migration cost model: the
-  // cached state is re-read and re-routed across the new instance set,
-  // billed as node work proportional to the cache. Instances are
-  // co-located, so no network transfer is simulated.
-  double work = static_cast<double>(op->stats().cache_size) * kWorkPerTuple;
   SL_RETURN_IF_ERROR(op->Rescale(new_parallelism));
-  if (work > 0) {
-    Status ws = network_->ReportWork(op_it->second.node_id, work);
-    (void)ws;
-  }
   SL_RETURN_IF_ERROR(network_->AdjustProcessCount(
       op_it->second.node_id, static_cast<int>(new_parallelism) -
                                  static_cast<int>(old_parallelism)));
@@ -952,27 +912,8 @@ std::vector<monitor::OperatorSample> Executor::SampleOperators(
       // until the operator's inputs have carried a watermark.
       Timestamp wm = op->stats().watermark_low;
       sample.watermark_lag_ms = wm == stt::kNoWatermark ? -1 : loop_->Now() - wm;
-      // Key-partitioned instance groups: per-instance cumulative load
-      // and the skew gauge (max/mean) — 1.0 is a perfectly uniform key
-      // distribution, parallelism means every key landed on one instance.
-      size_t par = op->parallelism();
-      sample.parallelism = par;
-      if (par > 1) {
-        uint64_t max_in = 0;
-        uint64_t sum_in = 0;
-        for (size_t k = 0; k < par; ++k) {
-          const ops::OperatorStats* inst = op->instance_stats(k);
-          uint64_t in = inst != nullptr ? inst->tuples_in : 0;
-          sample.instance_load.push_back(in);
-          max_in = std::max(max_in, in);
-          sum_in += in;
-        }
-        if (sum_in > 0) {
-          sample.key_skew = static_cast<double>(max_in) *
-                            static_cast<double>(par) /
-                            static_cast<double>(sum_in);
-        }
-      }
+      sample.parallelism = op->parallelism();
+      monitor::SetInstanceGauges(op->range_counts(), &sample);
       samples.push_back(std::move(sample));
       deployed.op->ResetWindowCounters();
     }

@@ -102,14 +102,6 @@ struct DeploymentStats {
   uint64_t messages_lost = 0;     ///< tuple transfers conclusively lost
   uint64_t node_failures = 0;     ///< confirmed crashes of hosting nodes
   uint64_t recoveries = 0;        ///< processes re-placed after a crash
-  /// Reliable-delivery retransmissions / conclusive losses attributed to
-  /// the receiving operator *instance*, keyed "op#k" — the routed
-  /// instance is known at send time from the key hash; "op#*" collects
-  /// broadcast-routed tuples (NaN join keys). Only populated for edges
-  /// into partitioned operators; the scalar totals above count
-  /// everything.
-  std::map<std::string, uint64_t> instance_retransmits;
-  std::map<std::string, uint64_t> instance_lost;
 
   bool operator==(const DeploymentStats&) const = default;
 
@@ -170,12 +162,11 @@ class Executor : public ops::ActivationHandler {
   Status MigrateOperator(DeploymentId id, const std::string& op_name,
                          const std::string& target_node);
 
-  /// \brief Elastic scale-out/in of a key-partitioned operator:
-  /// re-partitions the cached state across `new_parallelism` instances
-  /// (ops::Operator::Rescale) and adjusts the hosting node's process
-  /// count by the difference. Only operators deployed with
-  /// parallelism > 1 in their spec support this; the re-partitioning
-  /// hand-off is billed as node work proportional to the cache, and the
+  /// \brief Elastic scale-out/in of a key-partitioned operator: sets its
+  /// `parallelism` to `new_parallelism` (ops::Operator::Rescale, which
+  /// moves no tuple and restarts the key-range counts) and adjusts the
+  /// hosting node's process count by the difference. Only operators
+  /// deployed with parallelism > 1 in their spec support this; the
   /// action is counted as a migration.
   Status RescaleOperator(DeploymentId id, const std::string& op_name,
                          size_t new_parallelism);

@@ -18,8 +18,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -140,120 +138,6 @@ class WaitGate {
   Mutex mu_;
   CondVar cv_;
   std::atomic<bool> waiting_{false};
-};
-
-/// \brief Small persistent thread pool with a blocking parallel-for.
-///
-/// Backs the partitioned-instance shard threads: the threaded runtime
-/// hands each partitioned wrapper a ShardExecutor that forwards to one
-/// of these, so an N-way operator's shards flush concurrently instead
-/// of sharing their stage's thread. ParallelFor is serialized (one
-/// batch at a time); the calling thread helps execute the batch, so
-/// the pool adds parallelism without ever being a liveness dependency.
-/// Batch bodies must not block on each other — shard flushes are
-/// independent by construction (they write per-shard capture buffers,
-/// never the channel rings).
-class TaskPool {
- public:
-  explicit TaskPool(size_t threads) {
-    workers_.reserve(threads);
-    for (size_t i = 0; i < threads; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-
-  TaskPool(const TaskPool&) = delete;
-  TaskPool& operator=(const TaskPool&) = delete;
-
-  ~TaskPool() {
-    {
-      MutexLock lock(&mu_);
-      stop_ = true;
-    }
-    cv_.NotifyAll();
-    for (auto& worker : workers_) worker.join();
-  }
-
-  /// Runs `body(i)` for every i in [0, n); returns when all completed.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body)
-      SL_EXCLUDES(run_mu_, mu_) {
-    if (n == 0) return;
-    if (n == 1 || workers_.empty()) {
-      for (size_t i = 0; i < n; ++i) body(i);
-      return;
-    }
-    MutexLock serialize(&run_mu_);
-    Batch batch;
-    batch.body = &body;
-    batch.n = n;
-    {
-      MutexLock lock(&mu_);
-      batch_ = &batch;
-    }
-    cv_.NotifyAll();
-    Run(&batch);  // the caller helps
-    // The batch lives on this stack frame: wait until every index ran
-    // AND no worker still holds the pointer (`active_` covers the gap
-    // between a worker's last claim attempt and its release).
-    MutexLock lock(&mu_);
-    batch_ = nullptr;
-    while (batch.done.load(std::memory_order_acquire) < n || active_ > 0) {
-      done_cv_.WaitFor(&mu_, std::chrono::milliseconds(1));
-    }
-  }
-
-  size_t thread_count() const { return workers_.size(); }
-
- private:
-  struct Batch {
-    const std::function<void(size_t)>* body = nullptr;
-    size_t n = 0;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-  };
-
-  static void Run(Batch* batch) {
-    for (;;) {
-      const size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= batch->n) return;
-      (*batch->body)(i);
-      batch->done.fetch_add(1, std::memory_order_release);
-    }
-  }
-
-  void WorkerLoop() SL_EXCLUDES(mu_) {
-    for (;;) {
-      Batch* claimed = nullptr;
-      {
-        MutexLock lock(&mu_);
-        if (stop_) return;
-        Batch* batch = batch_;
-        if (batch != nullptr &&
-            batch->next.load(std::memory_order_relaxed) < batch->n) {
-          ++active_;
-          claimed = batch;
-        } else {
-          cv_.WaitFor(&mu_, std::chrono::milliseconds(1));
-          continue;
-        }
-      }
-      Run(claimed);
-      {
-        MutexLock lock(&mu_);
-        --active_;
-      }
-      done_cv_.NotifyAll();
-    }
-  }
-
-  Mutex run_mu_;  // serializes ParallelFor callers
-  Mutex mu_;
-  CondVar cv_;
-  CondVar done_cv_;
-  Batch* batch_ SL_GUARDED_BY(mu_) = nullptr;
-  size_t active_ SL_GUARDED_BY(mu_) = 0;  // workers inside Run
-  bool stop_ SL_GUARDED_BY(mu_) = false;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace sl::exec

@@ -214,23 +214,6 @@ Status ThreadedRuntime::Build() {
                                           op_options));
     operators_.emplace(name, std::move(op));
   }
-  // Per-instance shard threads: partitioned operators get a TaskPool-
-  // backed executor so an N-way operator's shards flush concurrently.
-  // Shard flush bodies only touch per-shard state and per-shard capture
-  // buffers (never the channel rings), so they cannot block each other.
-  if (options_.shard_threads > 1) {
-    for (auto& [name, op] : operators_) {
-      if (op->parallelism() <= 1) continue;
-      if (shard_pool_ == nullptr) {
-        shard_pool_ = std::make_unique<TaskPool>(options_.shard_threads);
-      }
-      TaskPool* pool = shard_pool_.get();
-      op->set_shard_executor(
-          [pool](size_t n, const std::function<void(size_t)>& body) {
-            pool->ParallelFor(n, body);
-          });
-    }
-  }
   for (const auto& name : dataflow_.SinkNames()) {
     const Node& node = **dataflow_.node(name);
     SL_ASSIGN_OR_RETURN(
@@ -946,34 +929,15 @@ monitor::OperatorSample ThreadedRuntime::SampleStage(const Stage& stage,
   sample.pool_size = options_.pool_size;
   sample.quanta = stage.quanta.load(std::memory_order_relaxed);
   if (final && stage.op != nullptr) {
-    // Final samples only: the operator's plain counters are safe to
-    // read once its worker has joined.
+    // Final samples only: the operator's plain counters, range counts
+    // included, are safe to read once its worker has joined.
     const ops::OperatorStats& op_stats = stage.op->stats();
     sample.batches = op_stats.batches;
     if (op_stats.batches > 0) {
       sample.batch_fill = static_cast<double>(op_stats.batched_tuples) /
                           static_cast<double>(op_stats.batches);
     }
-  }
-  if (final && stage.op != nullptr && stage.op->parallelism() > 1) {
-    // Per-instance load and key skew, computed as the simulator's
-    // monitor does. Final samples only: the shard counters are plain
-    // fields, safe to read once the workers have joined.
-    const size_t par = stage.op->parallelism();
-    uint64_t max_in = 0;
-    uint64_t sum_in = 0;
-    for (size_t k = 0; k < par; ++k) {
-      const ops::OperatorStats* inst = stage.op->instance_stats(k);
-      uint64_t in = inst != nullptr ? inst->tuples_in : 0;
-      sample.instance_load.push_back(in);
-      max_in = std::max(max_in, in);
-      sum_in += in;
-    }
-    if (sum_in > 0) {
-      sample.key_skew = static_cast<double>(max_in) *
-                        static_cast<double>(par) /
-                        static_cast<double>(sum_in);
-    }
+    monitor::SetInstanceGauges(stage.op->range_counts(), &sample);
   }
   uint64_t depth = 0;
   for (const Channel* channel : stage.inputs) {

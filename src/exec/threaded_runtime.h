@@ -37,10 +37,8 @@
 // Execution modes: dedicated worker threads (one per stage, the
 // default), a bounded per-node worker pool (ThreadedOptions::pool_size)
 // multiplexing every stage over N pooled workers with cooperative
-// quantum scheduling, per-instance shard threads (shard_threads)
-// flushing a partitioned operator's shards concurrently, and
-// batch-aware channel transfer (batch_max) coalescing consecutive
-// emissions into one ring message. A kBatch message that reaches a
+// quantum scheduling, and batch-aware channel transfer (batch_max)
+// coalescing consecutive emissions into one ring message. A kBatch message that reaches a
 // batch-capable stage (ops::Operator::batchable) goes through
 // ProcessBatch as one columnar run; other stages process its tuples
 // one by one.
@@ -101,11 +99,6 @@ struct ThreadedOptions {
   /// parks it idle. Blocked producers help-run their consumer instead
   /// of parking, so a pool of any size stays deadlock-free.
   size_t pool_size = 0;
-  /// Per-instance shard threads. > 1 installs a TaskPool-backed
-  /// ShardExecutor of this many threads on every partitioned operator,
-  /// so an N-way operator's shards flush concurrently instead of
-  /// sequentially on the stage thread. 0/1 = shared stage thread.
-  size_t shard_threads = 0;
   /// Batch-aware channel transfer: up to this many consecutive
   /// emissions (or consecutive same-source trace events between flush
   /// boundaries) coalesce into one ring message. A run of one travels
@@ -311,9 +304,6 @@ class ThreadedRuntime {
   WaitGate pool_gate_;
   std::vector<std::thread> pool_threads_;
   std::atomic<size_t> stages_done_{0};
-
-  // -- shard threads (shard_threads > 1) -----------------------------------
-  std::unique_ptr<TaskPool> shard_pool_;
 };
 
 }  // namespace sl::exec

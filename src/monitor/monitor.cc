@@ -7,6 +7,23 @@
 
 namespace sl::monitor {
 
+void SetInstanceGauges(const std::vector<uint64_t>& range_counts,
+                       OperatorSample* sample) {
+  if (range_counts.size() < 2) return;
+  sample->instance_load = range_counts;
+  uint64_t max_in = 0;
+  uint64_t sum_in = 0;
+  for (uint64_t in : range_counts) {
+    max_in = std::max(max_in, in);
+    sum_in += in;
+  }
+  if (sum_in > 0) {
+    sample->key_skew = static_cast<double>(max_in) *
+                       static_cast<double>(range_counts.size()) /
+                       static_cast<double>(sum_in);
+  }
+}
+
 std::string AssignmentChange::ToString() const {
   if (from_node.empty()) {
     return StrFormat("%s  %s/%s placed on %s", FormatTimestamp(at).c_str(),

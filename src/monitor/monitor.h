@@ -39,11 +39,11 @@ struct OperatorSample {
   uint64_t late_routed = 0;   ///< late tuples diverted to the late sink
   /// Key-partitioned parallelism (1 for single-instance operations).
   size_t parallelism = 1;
-  /// Cumulative tuples consumed per instance (parallelism entries;
-  /// empty when single-instance).
+  /// Tuples counted into each key range since deploy or the last
+  /// rescale (parallelism entries; empty when single-instance).
   std::vector<uint64_t> instance_load;
   /// Key skew: max over mean of instance_load (1.0 = perfectly uniform,
-  /// parallelism = all keys on one instance; 0 until any tuple routed).
+  /// parallelism = all keys in one range; 0 until any tuple counted).
   double key_skew = 0;
   /// Threaded runtime only: deepest input ring of this stage (current
   /// depth on a live sample, peak over the run on the final one).
@@ -64,6 +64,13 @@ struct OperatorSample {
   /// `batches`; 0 when no batch ran).
   double batch_fill = 0;
 };
+
+/// Sets `sample`'s instance gauges from an operator's per-range arrival
+/// counts (ops::Operator::range_counts): `instance_load` copies them and
+/// `key_skew` is their max over mean. Fewer than two ranges leave both
+/// unset. Both runtimes sample through this one function.
+void SetInstanceGauges(const std::vector<uint64_t>& range_counts,
+                       OperatorSample* sample);
 
 /// \brief Per-node measurements over one monitoring window.
 struct NodeSample {

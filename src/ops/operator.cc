@@ -4,9 +4,16 @@ namespace sl::ops {
 
 Status Operator::Flush(Timestamp) { return Status::OK(); }
 
-Status Operator::Rescale(size_t) {
-  return Status::Unimplemented("operator '" + name_ +
-                               "' is not key-partitioned");
+Status Operator::Rescale(size_t new_parallelism) {
+  if (range_counts_.empty()) {
+    return Status::Unimplemented("operator '" + name_ +
+                                 "' is not key-partitioned");
+  }
+  if (new_parallelism == 0) {
+    return Status::InvalidArgument("parallelism must be at least 1");
+  }
+  range_counts_.assign(new_parallelism, 0);
+  return Status::OK();
 }
 
 Status Operator::ProcessBatch(size_t port, const stt::TupleRef* tuples,

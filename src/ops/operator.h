@@ -26,16 +26,6 @@ namespace sl::ops {
 /// refs: the executor forwards the same ref to every out-edge.
 using EmitFn = std::function<void(const stt::TupleRef&)>;
 
-/// \brief Parallel-for over partitioned instances.
-///
-/// Runs `body(k)` for every k in [0, n) — possibly concurrently — and
-/// returns only when every call has completed. The threaded runtime
-/// installs one on partitioned wrappers so an N-way operator's shards
-/// flush on their own threads; the discrete-event simulator installs
-/// none and shards flush sequentially on the calling thread.
-using ShardExecutor =
-    std::function<void(size_t n, const std::function<void(size_t)>& body)>;
-
 /// \brief Receiver of trigger activation requests.
 ///
 /// Trigger On/Off operators do not know how streams are started or
@@ -193,9 +183,7 @@ class Operator {
 
   /// Folds the watermark piggybacked on a delivery to `port` into the
   /// input frontier. stt::kNoWatermark observations are ignored.
-  /// Virtual so a partitioned wrapper can fan the observation out to its
-  /// instances (whose event windows advance on their own frontiers).
-  virtual void ObserveWatermark(size_t port, Timestamp watermark);
+  void ObserveWatermark(size_t port, Timestamp watermark);
 
   /// Merged input frontier: min over ports (stt::kNoWatermark until all
   /// ports have carried one).
@@ -215,42 +203,29 @@ class Operator {
 
   // -- key-partitioned parallelism ----------------------------------------
 
-  /// Number of parallel key-partitioned instances behind this operator
-  /// (1 for everything except the partitioned blocking wrapper).
-  virtual size_t parallelism() const { return 1; }
-
-  /// Counters of instance `k` (k < parallelism()); nullptr for
-  /// single-instance operators. The monitor renders these as per-
-  /// instance load and key-skew gauges.
-  virtual const OperatorStats* instance_stats(size_t k) const {
-    (void)k;
-    return nullptr;
+  /// The spec's `parallelism` N, or the N of the last Rescale; 1 for an
+  /// operator built with N = 1. Every N runs this one operator: N sizes
+  /// the key-range gauges below and the node's process count, nothing
+  /// else.
+  size_t parallelism() const {
+    return range_counts_.empty() ? 1 : range_counts_.size();
   }
 
-  /// The instance a tuple delivered to `port` routes to; -1 means the
-  /// tuple is broadcast to every instance (NaN join keys). Always 0 for
-  /// single-instance operators. Used by the executor to attribute
-  /// per-instance transfer counters without consuming the tuple.
-  virtual int route_instance(size_t port, const stt::TupleRef& tuple) const {
-    (void)port;
-    (void)tuple;
-    return 0;
-  }
+  /// Arrivals counted into each of the N key ranges since the operator
+  /// was built or last rescaled, before the late check (the monitor's
+  /// instance_load); empty for an operator built with N = 1. A tuple
+  /// falls in range hash(partition key) mod N; a NaN join key counts in
+  /// every range and a null one in range 0.
+  const std::vector<uint64_t>& range_counts() const { return range_counts_; }
 
-  /// Re-partitions cached state across `new_parallelism` instances
-  /// (elastic scale-out/in). Only the partitioned wrapper implements
-  /// this; everything else reports Unimplemented.
-  virtual Status Rescale(size_t new_parallelism);
-
-  /// Installs a parallel executor for per-instance flush work. Only the
-  /// partitioned wrapper honors it; single-instance operators have no
-  /// independent shards to run and ignore the installation.
-  virtual void set_shard_executor(ShardExecutor executor) { (void)executor; }
+  /// Sets N to `new_parallelism` and zeroes the range counts; the cache
+  /// is untouched. Only an operator built with N > 1, which has a
+  /// partition key, rescales; the others report Unimplemented.
+  Status Rescale(size_t new_parallelism);
 
   /// Resets the in/out counters (monitoring-window rollover); cache
-  /// contents are untouched. Virtual so the partitioned wrapper can
-  /// cascade the rollover to its instances.
-  virtual void ResetWindowCounters();
+  /// contents are untouched.
+  void ResetWindowCounters();
 
   /// Tuples seen in the current monitoring window.
   uint64_t window_in() const { return window_in_; }
@@ -285,13 +260,9 @@ class Operator {
   /// diverted to the late side.
   bool ApplyLatePolicy(const stt::TupleRef& tuple);
 
-  /// Pushes a tuple to the late-side sink directly (the partitioned
-  /// wrapper routes its instances' late outputs through its own sink).
-  void ForwardLate(const stt::TupleRef& tuple) {
-    if (late_emit_) late_emit_(tuple);
-  }
-
   OperatorStats stats_;
+  /// Arrivals per key range (range_counts()); empty at N = 1.
+  std::vector<uint64_t> range_counts_;
 
  private:
   std::string name_;

@@ -130,7 +130,7 @@ JoinKeyInfo MakeJoinKeyInfo(const stt::Tuple& t,
     }
     if (info.has_nan) continue;  // hash is moot, but nulls still dominate
     if (v.is_numeric()) {
-      // Canonicalize to double so int 5 and double 5.0 share a shard.
+      // Canonicalize to double so int 5 and double 5.0 share a range.
       double d = CanonicalDouble(v);
       if (std::isnan(d)) {
         info.has_nan = true;
@@ -308,8 +308,8 @@ bool SlotLess(const PaneStore::Slot& a, const PaneStore::Slot& b) {
 
 }  // namespace
 
-size_t PaneStore::Add(Timestamp pane_key, stt::TupleRef tuple, uint32_t key,
-                      uint64_t seq, bool broadcast) {
+size_t PaneStore::Add(Timestamp pane_key, stt::TupleRef tuple,
+                      uint32_t key) {
   const Timestamp ts = tuple->timestamp();
   if (last_pane_ == nullptr || last_pane_key_ != pane_key) {
     auto [it, created] = panes_.try_emplace(pane_key);
@@ -319,8 +319,7 @@ size_t PaneStore::Add(Timestamp pane_key, stt::TupleRef tuple, uint32_t key,
     last_pane_key_ = pane_key;
   }
   Pane& pane = *last_pane_;
-  pane.slots.push_back({ts, seq, key, broadcast, std::move(tuple)});
-  next_seq_ = seq + 1;
+  pane.slots.push_back({ts, next_seq_++, key, std::move(tuple)});
   pane.indexed = false;
   pane.min_ts = std::min(pane.min_ts, ts);
   pane.max_ts = std::max(pane.max_ts, ts);
@@ -548,19 +547,6 @@ void PaneStore::Probe(uint32_t key, const Range& range, View* out) {
       }
     }
   }
-}
-
-PaneStore::View PaneStore::Arrivals() const {
-  View view;
-  view.reserve(live_);
-  for (const auto& [key, pane] : panes_) {
-    for (const Slot& s : pane.slots) {
-      if (Live(s)) view.push_back(&s);
-    }
-  }
-  std::sort(view.begin(), view.end(),
-            [](const Slot* a, const Slot* b) { return a->seq < b->seq; });
-  return view;
 }
 
 void PaneStore::MarkKeys(std::vector<bool>* used) const {

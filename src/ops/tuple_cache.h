@@ -5,8 +5,8 @@
 // processed every t time intervals" (Table 1); PaneStore is that cache,
 // and the only window state the three operators keep. It holds every
 // cached tuple once, in a slot that also carries what a fire needs —
-// event time, arrival seq, an interned key id and the shard provenance —
-// in panes of one blocking interval:
+// event time, arrival seq and an interned key id — in panes of one
+// blocking interval:
 //  - under event time a pane is [p, p + t) of event time, so every
 //    aligned window is a run of consecutive panes, and a fire sorts
 //    only the panes that took an out-of-order insert since they were
@@ -115,12 +115,12 @@ class EventWindow {
 /// evaluates to null, which is non-true).
 bool JoinKeyEquals(const stt::Value& a, const stt::Value& b);
 
-/// \brief Hash + oddity flags of one tuple's key columns (the
-/// partitioned join routes on these).
+/// \brief Hash + oddity flags of one tuple's key columns (a join with
+/// `parallelism` N > 1 counts its arrivals into key ranges by these).
 ///
 /// `hash` canonicalizes numerics to double (-0.0 → +0.0) so every pair
-/// JoinKeyEquals accepts lands on one shard — except NaN, which equals
-/// everything and is therefore broadcast (`has_nan`).
+/// JoinKeyEquals accepts falls in one range — except NaN, which equals
+/// everything and therefore counts in every range (`has_nan`).
 struct JoinKeyInfo {
   uint64_t hash = 0;
   bool has_null = false;  ///< some key column is null: matches nothing
@@ -207,11 +207,8 @@ class PaneStore {
 
   struct Slot {
     Timestamp ts;
-    /// Arrival order: the store's own count, or in shard mode the
-    /// wrapper-level arrival seq, which is comparable across shards.
-    uint64_t seq;
-    uint32_t key;    ///< interned key id, kNullKey or kNanKey
-    bool broadcast;  ///< shard mode: a copy every shard holds
+    uint64_t seq;  ///< arrival order
+    uint32_t key;  ///< interned key id, kNullKey or kNanKey
     stt::TupleRef tuple;
   };
   using View = std::vector<const Slot*>;
@@ -227,11 +224,9 @@ class PaneStore {
 
   explicit PaneStore(size_t max_tuples) : max_tuples_(max_tuples) {}
 
-  /// Caches `tuple` in pane `pane` as arrival `seq`, which must not be
-  /// below next_seq(); returns the number of older tuples the capacity
-  /// bound evicted to make room.
-  size_t Add(Timestamp pane, stt::TupleRef tuple, uint32_t key, uint64_t seq,
-             bool broadcast = false);
+  /// Caches `tuple` in pane `pane` as arrival next_seq(); returns the
+  /// number of older tuples the capacity bound evicted to make room.
+  size_t Add(Timestamp pane, stt::TupleRef tuple, uint32_t key);
 
   /// Drops every tuple stamped before `cutoff` (raised to the highest
   /// cutoff seen: expiry never un-expires). Panes wholly below it go at
@@ -244,7 +239,7 @@ class PaneStore {
   /// Live tuples.
   size_t size() const { return live_; }
 
-  /// One past the last arrival's seq: the lowest seq Add accepts.
+  /// The seq the next arrival gets: one past the last arrival's.
   uint64_t next_seq() const { return next_seq_; }
 
   /// The processing-time pane arrivals go to; CloseEpoch starts the next.
@@ -265,9 +260,6 @@ class PaneStore {
   /// the order the last Read of the range listed them, from per-pane key
   /// buckets. `key` must be an interned id (not kNullKey or kNanKey).
   void Probe(uint32_t key, const Range& range, View* out);
-
-  /// Every live slot, in arrival order.
-  View Arrivals() const;
 
   /// Marks the key ids live slots carry (key interner compaction).
   void MarkKeys(std::vector<bool>* used) const;

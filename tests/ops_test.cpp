@@ -6,8 +6,10 @@
 #include <cmath>
 
 #include "dataflow/op_spec.h"
+#include "monitor/monitor.h"
 #include "ops/debugger.h"
 #include "ops/operator.h"
+#include "ops/tuple_cache.h"
 #include "pubsub/broker.h"
 #include "tests/reference/blocking.h"
 #include "tests/test_util.h"
@@ -1001,6 +1003,140 @@ TEST(CacheBoundTest, OldestEvictedBeyondLimit) {
   SL_EXPECT_OK(h.op().Flush(duration::kHour));
   // The minimum reflects only the surviving (newest) tuples.
   EXPECT_DOUBLE_EQ(h.out.at(0).value(0).AsDouble(), 15.0);
+}
+
+// ------------------------------------------------------------ key ranges --
+//
+// `parallelism` N runs the one operator at every N; it only counts each
+// arrival into one of N key ranges, which the monitor reads as
+// instance_load and key_skew.
+
+/// FNV-1a over each value's display form followed by '\x1f': the hash
+/// that picks an aggregation or trigger arrival's key range.
+uint64_t DisplayFormHash(const std::vector<Value>& key) {
+  std::string bytes;
+  for (const Value& v : key) {
+    bytes += v.ToString();
+    bytes += '\x1f';
+  }
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// The instance_load the monitor reads for `op`.
+std::vector<uint64_t> InstanceLoad(const Operator& op) {
+  monitor::OperatorSample sample;
+  monitor::SetInstanceGauges(op.range_counts(), &sample);
+  return sample.instance_load;
+}
+
+/// Rescales `op` to 2 and checks that no tuple moved: the cache keeps its
+/// size, the counts restart, and the next flush emits what `twin`, never
+/// rescaled, emits.
+void ExpectRescaleMovesNoTuple(Operator* op, const std::vector<Tuple>& out,
+                               Operator* twin,
+                               const std::vector<Tuple>& twin_out) {
+  const size_t cached = op->stats().cache_size;
+  ASSERT_GT(cached, 0u);
+  SL_ASSERT_OK(op->Rescale(2));
+  EXPECT_EQ(op->parallelism(), 2u);
+  EXPECT_EQ(op->stats().cache_size, cached);
+  EXPECT_EQ(op->range_counts(), (std::vector<uint64_t>{0, 0}));
+  SL_ASSERT_OK(op->Flush(duration::kMinute));
+  SL_ASSERT_OK(twin->Flush(duration::kMinute));
+  ASSERT_FALSE(twin_out.empty());
+  ExpectSameRows(out, twin_out, 0, op->name().c_str());
+}
+
+TEST(KeyRangeTest, RangeCountsFeedTheGaugesAndRescaleMovesNoTuple) {
+  Rng rng(61);
+  const size_t kN = 4;
+
+  // Equi-join on a double key: an ordinary key counts in its hash range,
+  // NaN (equal to every key) in every range, null (equal to none) in
+  // range 0.
+  JoinSpec join_spec;
+  join_spec.interval = duration::kMinute;
+  join_spec.predicate = "temp == rain";
+  join_spec.parallelism = kN;
+  std::vector<Tuple> join_out, join_twin_out;
+  auto join = MakeBlocking(OpKind::kJoin, join_spec,
+                           {TempSchema(), RainSchema()}, {"l", "r"},
+                           /*naive=*/false, &join_out);
+  auto join_twin = MakeBlocking(OpKind::kJoin, join_spec,
+                                {TempSchema(), RainSchema()}, {"l", "r"},
+                                /*naive=*/false, &join_twin_out);
+  EXPECT_EQ(join->parallelism(), kN);
+  std::vector<uint64_t> want(kN, 0);
+  for (int i = 0; i < 60; ++i) {
+    const size_t port = rng.NextBounded(2);
+    Value key;
+    switch (rng.NextBounded(6)) {
+      case 0: key = Value::Double(std::nan("")); break;
+      case 1: key = Value::Null(); break;
+      default: key = Value::Double(static_cast<double>(rng.NextBounded(9)));
+    }
+    std::vector<Value> values{key};
+    if (port == 0) values.push_back(Value::String("osaka"));
+    Tuple t = Tuple::MakeUnsafe(port == 0 ? TempSchema() : RainSchema(),
+                                std::move(values), i * 500, std::nullopt,
+                                port == 0 ? "l" : "r");
+    if (key.is_null()) {
+      ++want[0];
+    } else if (std::isnan(key.AsDouble())) {
+      for (uint64_t& w : want) ++w;
+    } else {
+      ++want[MakeJoinKeyInfo(t, {0}).hash % kN];
+    }
+    SL_ASSERT_OK(join->Process(port, t));
+    SL_ASSERT_OK(join_twin->Process(port, t));
+  }
+  EXPECT_EQ(InstanceLoad(*join), want);
+  ExpectRescaleMovesNoTuple(join.get(), join_out, join_twin.get(),
+                            join_twin_out);
+
+  // Grouped aggregation: every arrival counts in the range of its group
+  // key's display form.
+  AggregationSpec agg_spec;
+  agg_spec.interval = duration::kMinute;
+  agg_spec.func = AggFunc::kAvg;
+  agg_spec.attributes = {"temp"};
+  agg_spec.group_by = {"station"};
+  agg_spec.parallelism = kN;
+  std::vector<Tuple> agg_out, agg_twin_out;
+  auto agg = MakeBlocking(OpKind::kAggregation, agg_spec, {TempSchema()},
+                          {"in"}, /*naive=*/false, &agg_out);
+  auto agg_twin = MakeBlocking(OpKind::kAggregation, agg_spec, {TempSchema()},
+                               {"in"}, /*naive=*/false, &agg_twin_out);
+  std::fill(want.begin(), want.end(), 0);
+  for (int i = 0; i < 60; ++i) {
+    Value station = rng.NextBounded(8) == 0
+                        ? Value::Null()
+                        : Value::String(StrFormat(
+                              "s%d", static_cast<int>(rng.NextBounded(12))));
+    ++want[DisplayFormHash({station}) % kN];
+    Tuple t = Tuple::MakeUnsafe(
+        TempSchema(), {Value::Double(rng.NextDouble(-5, 30)), station},
+        i * 500, stt::GeoPoint{34.69, 135.50}, "t");
+    SL_ASSERT_OK(agg->Process(0, t));
+    SL_ASSERT_OK(agg_twin->Process(0, t));
+  }
+  EXPECT_EQ(InstanceLoad(*agg), want);
+  ExpectRescaleMovesNoTuple(agg.get(), agg_out, agg_twin.get(), agg_twin_out);
+
+  // Only an operator built with N > 1 has a partition key to rescale by.
+  EXPECT_TRUE(agg->Rescale(0).IsInvalidArgument());
+  agg_spec.parallelism = 1;
+  std::vector<Tuple> single_out;
+  auto single = MakeBlocking(OpKind::kAggregation, agg_spec, {TempSchema()},
+                             {"in"}, /*naive=*/false, &single_out);
+  EXPECT_TRUE(single->range_counts().empty());
+  EXPECT_EQ(single->parallelism(), 1u);
+  EXPECT_TRUE(single->Rescale(2).IsUnimplemented());
 }
 
 // ---------------------------------------------------------- window stats --

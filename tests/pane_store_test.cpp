@@ -102,8 +102,7 @@ TEST(PaneStoreTest, SortedReadMatchesTheWindowScan) {
             stt::GeoPoint{34.0, 135.0},
             rng.NextBounded(2) == 0 ? "a" : "b"));
         const size_t dropped =
-            store.Add(stt::AlignDown(ts, kInterval), t, /*key=*/0,
-                      store.next_seq());
+            store.Add(stt::AlignDown(ts, kInterval), t, /*key=*/0);
         ASSERT_EQ(dropped, model.Add(t)) << "seed " << seed;
         evicted_total += dropped;
       }
@@ -119,11 +118,18 @@ TEST(PaneStoreTest, SortedReadMatchesTheWindowScan) {
       model.Expire(grid.EvictionCutoff());
       ASSERT_EQ(store.size(), model.entries.size()) << "seed " << seed;
     }
-    // Arrival order survives sorting, eviction and sweeps.
-    PaneStore::View arrivals = store.Arrivals();
-    ASSERT_EQ(arrivals.size(), model.entries.size());
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-      EXPECT_EQ(arrivals[i]->tuple, model.entries[i]) << "seed " << seed;
+    // Arrival order survives sorting, eviction and sweeps: an unsorted
+    // read lists the panes in order, each in arrival order.
+    std::vector<TupleRef> by_pane(model.entries.begin(), model.entries.end());
+    std::stable_sort(by_pane.begin(), by_pane.end(),
+                     [&](const TupleRef& a, const TupleRef& b) {
+                       return stt::AlignDown(a->timestamp(), kInterval) <
+                              stt::AlignDown(b->timestamp(), kInterval);
+                     });
+    store.Read({}, /*sorted=*/false, &view);
+    ASSERT_EQ(view.size(), by_pane.size());
+    for (size_t i = 0; i < view.size(); ++i) {
+      EXPECT_EQ(view[i]->tuple, by_pane[i]) << "seed " << seed;
     }
   }
   EXPECT_GT(evicted_total, 0u);
@@ -136,7 +142,7 @@ TEST(PaneStoreTest, UnsortedReadIsArrivalOrderAcrossEpochs) {
   for (int i = 0; i < 6; ++i) {
     auto t = Tuple::Share(TempTuple(schema, i, 1000 - 100 * i));
     added.push_back(t);
-    store.Add(store.epoch(), t, 0, store.next_seq());
+    store.Add(store.epoch(), t, 0);
     if (i == 2) store.CloseEpoch();
   }
   // The bound kept the four newest arrivals; a read lists them in
@@ -233,7 +239,7 @@ TEST(PaneStoreTest, JoinBucketsFollowKeyEquality) {
       Timestamp ts = static_cast<Timestamp>(copy * 1000 + i);
       auto t = Tuple::Share(Tuple::MakeUnsafe(schema, {values[i]}, ts,
                                               std::nullopt, "r"));
-      right.Add(stt::AlignDown(ts, 1000), t, key_of(*t), right.next_seq());
+      right.Add(stt::AlignDown(ts, 1000), t, key_of(*t));
       stored.push_back(t);
     }
   }

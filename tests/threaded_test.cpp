@@ -179,7 +179,6 @@ struct DiffOptions {
   // Execution-mode matrix (each axis independently oracle-checked):
   bool feed = false;        ///< Start, Feed per event, Finish (no RunTrace)
   size_t pool_size = 0;     ///< pooled workers (0 = thread per stage)
-  size_t shard_threads = 0; ///< partitioned-instance flush threads
   size_t batch_max = 1;     ///< ring-message coalescing bound
 };
 
@@ -293,7 +292,6 @@ DiffResult RunSimVsThreaded(uint64_t seed, const dsn::DsnSpec& spec,
   threaded_options.deploy_time = deploy_time;
   threaded_options.queue_capacity = options.queue_capacity;
   threaded_options.pool_size = options.pool_size;
-  threaded_options.shard_threads = options.shard_threads;
   threaded_options.batch_max = options.batch_max;
   exec::ThreadedRuntime runtime(*threaded_df, &broker, threaded_context,
                                 threaded_options);
@@ -539,34 +537,6 @@ TEST(SimVsThreadedOracleTest, PooledTinyRingsExerciseHelping) {
   }
 }
 
-// ------------------------------------------------ shard-thread oracle --
-
-TEST(SimVsThreadedOracleTest, ShardThreadsPartitionedAggMatchesSim) {
-  for (uint64_t seed : ChaosSeeds(25, 11200)) {
-    for (size_t shard_threads : {size_t{2}, size_t{4}}) {
-      DiffOptions options;
-      options.shard_threads = shard_threads;
-      ExpectSimThreadedIdentity(seed, ThAggSpec(0, /*parallelism=*/2),
-                                options);
-      ExpectSimThreadedIdentity(
-          seed, ThAggSpec(10 * duration::kSecond, /*parallelism=*/4),
-          options);
-    }
-  }
-}
-
-TEST(SimVsThreadedOracleTest, ShardThreadsPartitionedJoinMatchesSim) {
-  DiffOptions options;
-  options.with_rain = true;
-  options.shard_threads = 4;
-  for (uint64_t seed : ChaosSeeds(25, 11300)) {
-    ExpectSimThreadedIdentity(seed, ThJoinSpec(0, /*parallelism=*/2),
-                              options);
-    ExpectSimThreadedIdentity(seed, ThJoinSpec(0, /*parallelism=*/4),
-                              options);
-  }
-}
-
 // --------------------------------------------- batched-transfer oracle --
 
 TEST(SimVsThreadedOracleTest, BatchedTransferMatchesSim) {
@@ -601,10 +571,9 @@ TEST(SimVsThreadedOracleTest, BatchedEventTimeAggMatchesSim) {
 
 TEST(SimVsThreadedOracleTest, AllModesCombinedMatchesSim) {
   // Every axis at once: trace replay into pooled workers with
-  // shard-threaded partitioned flushes and batched rings.
+  // partitioned operators and batched rings.
   DiffOptions options;
   options.pool_size = 2;
-  options.shard_threads = 2;
   options.batch_max = 8;
   options.queue_capacity = 64;
   for (uint64_t seed : ChaosSeeds(25, 11700)) {
@@ -711,10 +680,9 @@ TEST(SimVsThreadedOracleTest, ColumnarEventTimeChainMatchesSim) {
 
 TEST(SimVsThreadedOracleTest, ColumnarAllModesCombinedMatchesSim) {
   // Columnar stages under every concurrency axis at once: pooled
-  // workers, shard threads, batched rings.
+  // workers and batched rings.
   DiffOptions options;
   options.pool_size = 2;
-  options.shard_threads = 2;
   options.batch_max = 8;
   options.queue_capacity = 64;
   for (uint64_t seed : ChaosSeeds(25, 12100)) {
