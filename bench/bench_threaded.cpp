@@ -4,7 +4,9 @@
 // latency percentiles exported as counters (and into
 // BENCH_threaded.json via the shared JSON reporter).
 //
-// The pipeline benchmarks use count_only_sinks so they measure the
+// Every pipeline runs on the runtime's worker pool: the default-sized
+// pool unless BM_ThreadedPooledFilterTransform sweeps the size. The
+// pipeline benchmarks use count_only_sinks so they measure the
 // transport and operator path, not sink-side row retention, and a large
 // ring so the driver thread is never the bottleneck under measurement.
 
@@ -136,7 +138,7 @@ dataflow::Dataflow TumblingAggFlow(size_t parallelism) {
 /// modes (pool_size, batch_max) onto the shared large-ring,
 /// count-only-sink baseline.
 struct PipelineKnobs {
-  size_t pool_size = 0;
+  size_t pool_size = 0;  ///< 0: the runtime sizes the pool
   size_t batch_max = 1;
 };
 
@@ -200,8 +202,8 @@ BENCHMARK(BM_ThreadedPartitionedAgg)
 
 // ------------------------------------------------ phase-2 mode knobs --
 
-/// Pooled scheduling: every stage multiplexed over Arg(0) workers
-/// instead of one dedicated thread per stage.
+/// Pool-size sweep: every stage multiplexed over Arg(0) workers instead
+/// of the runtime's default-sized pool.
 void BM_ThreadedPooledFilterTransform(benchmark::State& state) {
   PipelineKnobs knobs;
   knobs.pool_size = static_cast<size_t>(state.range(0));

@@ -13,6 +13,12 @@
 # as the union of gcov's JSON line counts over both builds, and writes
 # the functions that no driver ran to artifacts/CENSUS_unrun.txt.
 #
+# Gate: every unrun function must match an entry of
+# scripts/census_allow.txt, which names it (by demangled name, never by
+# line) with the reason it stays. An unlisted unrun function fails the
+# script. Entries that matched nothing are printed and do not fail it:
+# timing-dependent paths run in some censuses and not in others.
+#
 # Usage: scripts/census.sh [jobs]
 
 set -euo pipefail
@@ -62,10 +68,11 @@ registry="${root}/examples/dsn/sensors.reg"
 )
 
 echo "==> census: reading gcov counts"
-python3 - "${root}" "${out}" "${artifacts}/CENSUS_unrun.txt" <<'EOF'
-import json, os, subprocess, sys
+python3 - "${root}" "${out}" "${artifacts}/CENSUS_unrun.txt" \
+  "${root}/scripts/census_allow.txt" <<'EOF'
+import json, os, re, subprocess, sys
 
-root, out, unrun_path = sys.argv[1:4]
+root, out, unrun_path, allow_path = sys.argv[1:5]
 src = os.path.join(root, "src") + os.sep
 executable, executed = set(), set()
 functions = {}  # (file, start line, name) -> executions over both builds
@@ -103,4 +110,42 @@ with open(unrun_path, "w") as listing:
         listing.write(f"{rel}:{line} {name}\n")
 print(f"==> census: {len(unrun)} of {len(functions)} src/ functions never "
       f"ran (listed in {os.path.relpath(unrun_path, root)})")
+
+# The allowlist: "<category> <demangled name>" per line, where `*` in the
+# name matches any run of characters and everything else is literal.
+categories = {"fault", "error", "wait", "surface", "bound"}
+entries = []
+with open(allow_path) as listing:
+    for number, text in enumerate(listing, 1):
+        text = text.strip()
+        if not text or text.startswith("#"):
+            continue
+        category, _, pattern = text.partition(" ")
+        pattern = pattern.strip()
+        if category not in categories or not pattern:
+            sys.exit(f"{allow_path}:{number}: want '<category> <name>' with "
+                     f"a category in {sorted(categories)}")
+        regex = re.compile(".*".join(map(re.escape, pattern.split("*"))))
+        entries.append((category, pattern, regex))
+matched = set()
+unlisted = []
+for rel, line, name in unrun:
+    hits = [i for i, (_, _, regex) in enumerate(entries)
+            if regex.fullmatch(name)]
+    matched.update(hits)
+    if not hits:
+        unlisted.append(f"{rel}:{line} {name}")
+for i, (category, pattern, _) in enumerate(entries):
+    if i not in matched:
+        print(f"==> census: listed but not unrun this time ({category}): "
+              f"{pattern}")
+if unlisted:
+    print(f"==> census: FAIL: {len(unlisted)} unrun src/ functions are not "
+          f"in {os.path.relpath(allow_path, root)}; list each with its "
+          "reason, or delete it:", file=sys.stderr)
+    for item in unlisted:
+        print(f"  {item}", file=sys.stderr)
+    sys.exit(1)
+print(f"==> census: every unrun function is allowlisted "
+      f"({len(entries)} entries)")
 EOF

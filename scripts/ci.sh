@@ -146,8 +146,8 @@ echo "==> live stage-sample gauges under TSan, repeated"
 ctest --test-dir "${root}/build-tsan" --output-on-failure \
   -R 'LiveStageSamplesAreSane' --repeat-until-fail 10
 
-# The phase-2 execution-mode matrix (pooled workers with work-stealing
-# help, batched rings — and all of them combined — plus the Feed-driven
+# The execution-mode matrix (pool sizes with producers that help,
+# batched rings — and all of them combined — plus the Feed-driven
 # run perfbench uses) is where new lock-free orderings live; repeat
 # those differential identities under TSan too. The full 50-seed
 # batteries already ran once in the build-tsan ctest pass above.
@@ -208,7 +208,8 @@ cp "${root}/build/BENCH_vector.json" "${artifacts}/BENCH_vector.json"
 
 # What production runs: the share of src/'s executable lines that the
 # example programs, sl_lint and perfbench execute, printed next to the
-# line count above (a tracked figure; it gates nothing yet).
+# line count above. It fails the run when a function no driver ran is
+# missing from scripts/census_allow.txt.
 "${root}/scripts/census.sh" "${jobs}"
 
 echo "==> all configs green (artifacts in ${artifacts}/)"

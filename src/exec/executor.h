@@ -43,7 +43,7 @@ using DeploymentId = uint64_t;
 struct ExecutorOptions {
   PlacementStrategy placement = PlacementStrategy::kLeastLoaded;
   /// Blocking-operation cache bound (per input).
-  size_t max_cache_tuples = 1 << 20;
+  size_t max_cache_tuples = ops::kDefaultMaxCacheTuples;
   /// Re-assign operators away from nodes above this utilization on each
   /// monitor tick (0 disables auto-rebalancing).
   double rebalance_threshold = 1.0;
@@ -54,7 +54,7 @@ struct ExecutorOptions {
   /// sees its upstream's freshly flushed results in the *same* interval
   /// instead of one interval later. 0 disables staggering (all flushes
   /// land exactly on the boundary).
-  Duration flush_stagger_ms = 50;
+  Duration flush_stagger_ms = ops::kDefaultFlushStaggerMs;
   /// Reliable tuple delivery: transfers are acked and retransmitted on
   /// timeout (net::TransferOptions). Off by default — the fair-weather
   /// pipeline needs no acks and keeps the seed's exact event schedule.

@@ -1,15 +1,16 @@
 // StreamLoader: single-producer/single-consumer ring buffers — the
 // channels of the wall-clock threaded runtime (exec/threaded_runtime.h).
 //
-// Every dataflow edge becomes one SpscRing: the upstream stage's worker
-// thread is the only producer, the downstream stage's worker thread the
-// only consumer. The bounded capacity doubles as the edge's credit pool
-// for backpressure: a producer that finds the ring full is out of
-// credits and must wait until the consumer pops (each pop returns one
-// credit), so pressure propagates transitively from slow sinks back to
-// the sources. WaitGate supplies the sleep/wake half: waits are bounded
-// (the condition is re-polled every millisecond), so a lost wakeup can
-// cost latency but never liveness.
+// Every dataflow edge becomes one SpscRing: whichever thread holds the
+// upstream stage's claim is the only producer, whichever holds the
+// downstream stage's claim the only consumer. The bounded capacity
+// doubles as the edge's credit pool for backpressure: a producer that
+// finds the ring full is out of credits until the consumer pops (each
+// pop returns one credit), so pressure propagates transitively from
+// slow sinks back to the sources. WaitGate is where the runtime's idle
+// pool workers sleep: waits are bounded (the condition is re-polled
+// every millisecond), so a lost wakeup can cost latency but never
+// liveness.
 
 #ifndef STREAMLOADER_EXEC_SPSC_QUEUE_H_
 #define STREAMLOADER_EXEC_SPSC_QUEUE_H_
@@ -96,8 +97,8 @@ class SpscRing {
   alignas(64) uint64_t head_cache_ = 0;  // consumer's view of head_
 };
 
-/// \brief Bounded sleep/wake rendezvous for ring producers (waiting for
-/// credits) and stage workers (waiting for input).
+/// \brief Bounded sleep/wake rendezvous for the threaded runtime's pool
+/// workers, which wait here while no stage is ready to run.
 ///
 /// Notify is cheap when nobody waits: it reads one atomic flag and
 /// returns. The waiter publishes the flag, re-checks its condition and
@@ -115,8 +116,8 @@ class WaitGate {
   }
 
   /// Blocks until `ready()` returns true (-> true) or `aborted()`
-  /// returns true (-> false). `ready` may have side effects (e.g. a
-  /// TryPush attempt); it is re-invoked on every wakeup or poll tick.
+  /// returns true (-> false). `ready` is re-invoked on every wakeup or
+  /// poll tick.
   template <typename ReadyFn, typename AbortFn>
   bool Await(ReadyFn ready, AbortFn aborted) SL_EXCLUDES(mu_) {
     if (ready()) return true;

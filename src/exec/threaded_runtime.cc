@@ -30,6 +30,10 @@ Status NotASource(const std::string& source, const dataflow::Dataflow& df) {
                           df.name() + "'");
 }
 
+Status NotRunning() {
+  return Status::FailedPrecondition("threaded runtime is not running");
+}
+
 Status TimeGoesBack(const std::string& source, Timestamp at,
                     Timestamp reached) {
   return Status::InvalidArgument(
@@ -65,9 +69,8 @@ struct ThreadedRuntime::Message {
 
 /// One dataflow edge: an SPSC ring plus the consumer hookup and the
 /// gauges the monitor samples. The ring's bounded capacity is the
-/// edge's credit pool; `space` is where a credit-starved producer
-/// parks. All gauge counters are relaxed atomics — they are read
-/// cross-thread by SampleStages while both ends keep running.
+/// edge's credit pool. All gauge counters are relaxed atomics — they
+/// are read cross-thread by SampleStages while both ends keep running.
 struct ThreadedRuntime::Channel {
   explicit Channel(size_t capacity) : ring(capacity) {}
 
@@ -75,16 +78,16 @@ struct ThreadedRuntime::Channel {
   Stage* consumer = nullptr;
   size_t port = 0;        ///< input port at the consumer
   size_t input_idx = 0;   ///< position in consumer->inputs
-  WaitGate space;         ///< producers wait here for credits
   std::atomic<uint64_t> peak_depth{0};
   std::atomic<uint64_t> backpressure_waits{0};
   std::atomic<uint64_t> bytes{0};  ///< Tuple::ApproxValueBytes charged
 };
 
-/// One worker: an operator or sink plus its input channels (one per
+/// One stage: an operator or sink plus its input channels (one per
 /// port), output channels (one per downstream edge), punctuation state
-/// and flush schedule. Fields below the thread are touched only by the
-/// owning worker; the atomics are shared with SampleStages.
+/// and flush schedule. The fields below the wiring are touched only by
+/// the thread holding the stage's claim token; the atomics are shared
+/// with SampleStages.
 struct ThreadedRuntime::Stage {
   std::string name;
   ops::Operator* op = nullptr;  // owned by ThreadedRuntime::operators_
@@ -92,10 +95,8 @@ struct ThreadedRuntime::Stage {
   size_t parallelism = 1;
   std::vector<Channel*> inputs;
   std::vector<Channel*> outputs;
-  WaitGate work;  ///< worker parks here when all inputs are empty
-  std::thread thread;
 
-  // Worker-thread state. Punctuation doubles as a cross-port barrier:
+  // Claim-holder state. Punctuation doubles as a cross-port barrier:
   // an input whose punct_in is ahead of punct_min has delivered a
   // boundary the other ports have not reached, and must not be drained
   // further — otherwise a two-port stage (join) would admit the fast
@@ -105,7 +106,7 @@ struct ThreadedRuntime::Stage {
   std::vector<Timestamp> punct_in;  ///< last punctuation per input
   std::vector<bool> input_closed;   ///< end-of-stream reached per input
   Timestamp punct_min = 0;
-  size_t eos_count = 0;      ///< closed inputs (owner thread)
+  size_t eos_count = 0;      ///< closed inputs
   Duration interval = 0;     ///< blocking operators only
   Timestamp next_flush = 0;  ///< 0 = non-blocking, no flush schedule
   int64_t current_ingest_ns = 0;  ///< lineage for emissions in Process
@@ -115,14 +116,14 @@ struct ThreadedRuntime::Stage {
   /// every quantum.
   std::vector<Message::Item> emit_buffer;
   /// Columnar-run scratch: contiguous TupleRef view of the current
-  /// kBatch message and the per-run error/lineage context. Worker-owned;
-  /// reused so steady state allocates nothing.
+  /// kBatch message and the per-run error/lineage context. Claim-holder
+  /// owned; reused so steady state allocates nothing.
   std::vector<stt::TupleRef> batch_refs;
   ops::Operator::BatchContext batch_ctx;
 
-  // Pooled scheduling (pool_size > 0): the claim token that keeps the
-  // worker-owned state above single-threaded even though any pool
-  // worker (or a helping producer) may run the stage. Transitions:
+  // The claim token that keeps the state above single-threaded even
+  // though any pool worker (or a helping producer) may run the stage.
+  // Transitions:
   // kIdle->kQueued (ScheduleStage, with a ready-deque hint),
   // kQueued->kRunning (PopReady/TryHelp claim), kRunning->kRunningDirty
   // (a producer pushed mid-run), kRunning->kIdle (clean release; a
@@ -136,7 +137,7 @@ struct ThreadedRuntime::Stage {
   std::atomic<uint64_t> out_count{0};
   std::atomic<uint64_t> process_errors{0};
   std::atomic<size_t> cache_gauge{0};
-  std::atomic<uint64_t> quanta{0};  ///< pooled/help quanta executed
+  std::atomic<uint64_t> quanta{0};  ///< quanta run by workers and helpers
 
   /// Counts one failed process, flush or sink write. Only the stage's
   /// first failure is logged; FinishCollect reports the total, so a
@@ -149,8 +150,9 @@ struct ThreadedRuntime::Stage {
   }
 };
 
-/// Thread-safe trigger activation recorder: trigger stages run on their
-/// own workers, so requests from different operators can interleave.
+/// Thread-safe trigger activation recorder: trigger stages run on
+/// different workers, so requests from different operators can
+/// interleave.
 class ThreadedRuntime::Recorder : public ops::ActivationHandler {
  public:
   void ActivateSensors(const std::vector<std::string>& ids,
@@ -205,7 +207,6 @@ Status ThreadedRuntime::Build() {
       input_schemas.push_back(report.schemas.at(in));
     }
     ops::OperatorOptions op_options;
-    op_options.max_cache_tuples = options_.max_cache_tuples;
     op_options.watermark = options_.watermark;
     op_options.activation = recorder_.get();
     SL_ASSIGN_OR_RETURN(std::unique_ptr<ops::Operator> op,
@@ -238,7 +239,7 @@ Status ThreadedRuntime::Build() {
       if (stage->op->is_blocking()) {
         stage->interval = stage->op->interval();
         stage->next_flush = options_.deploy_time + stage->interval +
-                            options_.flush_stagger_ms * stagger_depth;
+                            ops::kDefaultFlushStaggerMs * stagger_depth;
         ++stagger_depth;
         boundaries_.push({stage->next_flush, stage->interval});
       }
@@ -310,21 +311,16 @@ Status ThreadedRuntime::Start() {
     return Status::FailedPrecondition("threaded runtime already started");
   }
   SL_RETURN_IF_ERROR(Build());
+  // The pool is sized once, before any worker starts (ThreadedOptions).
+  if (options_.pool_size == 0) {
+    const size_t cores = std::max(3u, std::thread::hardware_concurrency());
+    options_.pool_size = std::min(stages_.size(), cores - 2);
+  }
   started_ = true;
   wall_start_ = std::chrono::steady_clock::now();
-  if (options_.pool_size > 0) {
-    // Per-node worker pool: the node's stages multiplex over pool_size
-    // workers via the run_state claim protocol instead of getting one
-    // dedicated thread each.
-    pool_threads_.reserve(options_.pool_size);
-    for (size_t i = 0; i < options_.pool_size; ++i) {
-      pool_threads_.emplace_back([this] { PoolLoop(); });
-    }
-  } else {
-    for (auto& stage : stages_) {
-      Stage* s = stage.get();
-      s->thread = std::thread([this, s] { StageLoop(s); });
-    }
+  pool_threads_.reserve(options_.pool_size);
+  for (size_t i = 0; i < options_.pool_size; ++i) {
+    pool_threads_.emplace_back([this] { PoolLoop(); });
   }
   return Status::OK();
 }
@@ -338,7 +334,15 @@ void ThreadedRuntime::EmitPunct(Timestamp time) {
   }
 }
 
-void ThreadedRuntime::AdvanceTime(Timestamp now) {
+Status ThreadedRuntime::AdvanceTime(Timestamp now) {
+  // After Finish no stage drains the source rings, so punctuation
+  // pushed now would fill them and spin forever.
+  if (!started_ || finished_) return NotRunning();
+  ReachTime(now);
+  return Status::OK();
+}
+
+void ThreadedRuntime::ReachTime(Timestamp now) {
   if (now > reached_) reached_ = now;
   while (!boundaries_.empty() && boundaries_.top().at <= now) {
     Boundary b = boundaries_.top();
@@ -354,16 +358,14 @@ void ThreadedRuntime::AdvanceTime(Timestamp now) {
 Status ThreadedRuntime::Feed(const std::string& source,
                              const stt::TupleRef& tuple, Timestamp at,
                              Timestamp watermark) {
-  if (!started_ || finished_) {
-    return Status::FailedPrecondition("threaded runtime is not running");
-  }
+  if (!started_ || finished_) return NotRunning();
   auto it = source_channels_.find(source);
   if (it == source_channels_.end()) return NotASource(source, dataflow_);
   if (at < reached_) return TimeGoesBack(source, at, reached_);
   // Punctuation for boundaries <= `at` goes first: a flush at B must
   // not see a tuple ingested at B (the simulator's tie-break — the
   // re-armed flush timer has the smaller sequence number).
-  AdvanceTime(at);
+  ReachTime(at);
   fed_.fetch_add(1, std::memory_order_relaxed);
   Message m;
   m.kind = Message::Kind::kData;
@@ -390,29 +392,18 @@ void ThreadedRuntime::PushBlocking(Channel* channel, Message&& message) {
                              std::memory_order_relaxed);
   }
   if (!channel->ring.TryPush(message)) {
-    // Out of credits: the consumer is behind.
+    // Out of credits: the consumer is behind. Parking could deadlock
+    // the pool (every worker blocked pushing into rings only pool
+    // workers drain), so the producer help-runs its consumer inline. A
+    // failed claim means another thread is draining it right now, and
+    // the chain of helpers bottoms out at the sinks, which never push.
     channel->backpressure_waits.fetch_add(1, std::memory_order_relaxed);
-    if (options_.pool_size > 0) {
-      // Pooled mode: parking could deadlock the pool (every worker
-      // blocked pushing into rings only pooled workers drain). Instead
-      // the producer help-runs its consumer inline; a failed claim
-      // means another thread is draining it right now, and the chain
-      // of helpers bottoms out at the sinks, which never push.
-      for (;;) {
-        if (channel->ring.TryPush(message)) break;
-        if (abort_.load(std::memory_order_relaxed)) return;  // dropped
-        if (!TryHelp(channel->consumer)) {
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
+    do {
+      if (abort_.load(std::memory_order_relaxed)) return;  // dropped
+      if (!TryHelp(channel->consumer)) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
-    } else {
-      // Dedicated workers: park until a pop returns a credit
-      // (backpressure) or the run is aborted.
-      bool pushed = channel->space.Await(
-          [&] { return channel->ring.TryPush(message); },
-          [&] { return abort_.load(std::memory_order_relaxed); });
-      if (!pushed) return;  // aborted; the message is dropped
-    }
+    } while (!channel->ring.TryPush(message));
   }
   // The ring's own snapshot: it reads head before tail, so unlike two
   // separately kept push/pop counters it never exceeds the capacity.
@@ -420,11 +411,7 @@ void ThreadedRuntime::PushBlocking(Channel* channel, Message&& message) {
   if (depth > channel->peak_depth.load(std::memory_order_relaxed)) {
     channel->peak_depth.store(depth, std::memory_order_relaxed);
   }
-  if (options_.pool_size > 0) {
-    ScheduleStage(channel->consumer);
-  } else {
-    channel->consumer->work.Notify();
-  }
+  ScheduleStage(channel->consumer);
 }
 
 ThreadedRuntime::Message ThreadedRuntime::MakeRun(const TraceEvent* first,
@@ -608,10 +595,9 @@ bool ThreadedRuntime::HasRunnableInput(const Stage* stage) const {
   return false;
 }
 
-bool ThreadedRuntime::RunStageQuantum(Stage* stage) {
+void ThreadedRuntime::RunStageQuantum(Stage* stage) {
   const size_t n_inputs = stage->inputs.size();
   Message message;
-  bool progress = false;
   for (size_t i = 0; i < n_inputs; ++i) {
     if (stage->input_closed[i]) continue;
     // Barrier: an input whose punctuation is ahead of the stage
@@ -621,13 +607,11 @@ bool ThreadedRuntime::RunStageQuantum(Stage* stage) {
     if (stage->punct_in[i] > stage->punct_min) continue;
     Channel* channel = stage->inputs[i];
     // Bounded drain per round keeps multi-port stages fair: a firehose
-    // on one port cannot starve the other port's punctuation. In pool
-    // mode the same bound is the scheduling quantum — a stage yields
-    // its worker after it.
+    // on one port cannot starve the other port's punctuation. The same
+    // bound is the scheduling quantum — a stage yields its worker after
+    // it.
     size_t budget = 256;
     while (budget-- > 0 && channel->ring.TryPop(&message)) {
-      channel->space.Notify();
-      progress = true;
       if (message.kind == Message::Kind::kEos) {
         stage->input_closed[i] = true;
         ++stage->eos_count;
@@ -646,15 +630,15 @@ bool ThreadedRuntime::RunStageQuantum(Stage* stage) {
         // sibling: stop draining it until the frontier catches up.
         if (stage->punct_in[i] > stage->punct_min) break;
       }
-      if (abort_.load(std::memory_order_relaxed)) return progress;
+      if (abort_.load(std::memory_order_relaxed)) return;
     }
-    if (abort_.load(std::memory_order_relaxed)) return progress;
+    if (abort_.load(std::memory_order_relaxed)) return;
   }
   if (stage->op != nullptr) {
     stage->cache_gauge.store(stage->op->stats().cache_size,
                              std::memory_order_relaxed);
-    // Seal pending batched emissions before the stage yields or parks —
-    // a buffered tuple must never wait on more input arriving.
+    // Seal pending batched emissions before the stage yields — a
+    // buffered tuple must never wait on more input arriving.
     FlushEmitBuffers(stage);
   }
   if (stage->eos_count >= n_inputs &&
@@ -668,19 +652,6 @@ bool ThreadedRuntime::RunStageQuantum(Stage* stage) {
     stage->done.store(true, std::memory_order_release);
     stages_done_.fetch_add(1, std::memory_order_relaxed);
     pool_gate_.Notify();
-  }
-  return progress;
-}
-
-void ThreadedRuntime::StageLoop(Stage* stage) {
-  while (!stage->done.load(std::memory_order_relaxed)) {
-    const bool progress = RunStageQuantum(stage);
-    if (abort_.load(std::memory_order_relaxed)) return;
-    if (!progress && !stage->done.load(std::memory_order_relaxed)) {
-      stage->work.Await([&] { return HasRunnableInput(stage); },
-                        [&] { return abort_.load(std::memory_order_relaxed); });
-      if (abort_.load(std::memory_order_relaxed)) return;
-    }
   }
 }
 
@@ -807,9 +778,6 @@ void ThreadedRuntime::JoinWorkers() {
   // The mutex makes joining idempotent when Abort races Finish from
   // another thread.
   MutexLock lock(&join_mu_);
-  for (auto& stage : stages_) {
-    if (stage->thread.joinable()) stage->thread.join();
-  }
   for (auto& thread : pool_threads_) {
     if (thread.joinable()) thread.join();
   }
@@ -822,7 +790,7 @@ Result<ThreadedRunResult> ThreadedRuntime::Finish(Timestamp end_time) {
   if (finished_) {
     return Status::FailedPrecondition("threaded runtime already finished");
   }
-  AdvanceTime(end_time);
+  ReachTime(end_time);
   for (Channel* channel : all_source_channels_) {
     Message m;
     m.kind = Message::Kind::kEos;
@@ -901,8 +869,6 @@ Result<ThreadedRunResult> ThreadedRuntime::FinishCollect() {
 void ThreadedRuntime::Abort() {
   if (!started_ || finished_) return;
   abort_.store(true, std::memory_order_relaxed);
-  for (auto& stage : stages_) stage->work.Notify();
-  for (auto& channel : channels_) channel->space.Notify();
   pool_gate_.Notify();
   JoinWorkers();
   finished_ = true;
@@ -987,8 +953,8 @@ Result<ThreadedRunResult> ThreadedRuntime::RunTrace(const InputTrace& trace,
   while (i < trace.size()) {
     const TraceEvent& first = trace[i];
     const std::vector<Channel*>& channels = source_channels_.at(first.source);
-    AdvanceTime(first.at);
-    // After AdvanceTime every scheduled boundary is strictly ahead of
+    ReachTime(first.at);
+    // After ReachTime every scheduled boundary is strictly ahead of
     // first.at, so events below the heap top batch safely.
     const Timestamp limit = boundaries_.empty()
                                 ? std::numeric_limits<Timestamp>::max()

@@ -4,41 +4,41 @@
 // The simulator (exec/executor.h) runs everything on one virtual-clock
 // event loop and is the semantic reference. The ThreadedRuntime executes
 // the *same* validated dataflow with the *same* operator objects on real
-// worker threads: one worker per operator/sink stage, one bounded SPSC
-// ring per dataflow edge (exec/spsc_queue.h), credit-based backpressure
-// from sinks back to the sources (a full ring = zero credits blocks the
-// producer), and watermarks piggybacked on every queued tuple exactly as
-// the simulator piggybacks them on network transfers.
+// threads: a per-node worker pool that every operator/sink stage
+// multiplexes over, one bounded SPSC ring per dataflow edge
+// (exec/spsc_queue.h), credit-based backpressure from sinks back to the
+// sources (a producer that finds a ring full runs its consumer's quantum
+// itself until a slot frees), and watermarks piggybacked on every queued
+// tuple exactly as the simulator piggybacks them on network transfers.
 //
 // Equivalence contract. Thread timing is nondeterministic, so the
 // runtime aligns the blocking operators' flush schedule with
 // punctuation messages instead of raw timers: punct(B) enters every
 // source channel for each flush boundary
-// B = deploy_time + interval + flush_stagger_ms * depth + k * interval,
-// *before* any tuple whose ingestion time equals B (mirroring the event
-// loop's tie-break, where a periodic flush re-armed earlier always runs
-// before a same-instant delivery). A stage fires Flush(B) when the
-// punctuation minimum over its input ports passes B, then forwards the
-// punctuation downstream after the flush emissions. Window membership
-// in the blocking operators is decided by tuple timestamps against the
-// flush-tick time (half-open, ts < B), so as long as no simulated
-// network delay carries a tuple across a flush boundary (delays are
-// a few ms; boundaries are staggered 50 ms apart), the threaded run
-// produces the identical multiset of sink rows — enforced by the
-// SimVsThreadedOracleTest battery (tests/threaded_test.cpp).
+// B = deploy_time + interval + ops::kDefaultFlushStaggerMs * depth +
+// k * interval, *before* any tuple whose ingestion time equals B
+// (mirroring the event loop's tie-break, where a periodic flush re-armed
+// earlier always runs before a same-instant delivery). A stage fires
+// Flush(B) when the punctuation minimum over its input ports passes B,
+// then forwards the punctuation downstream after the flush emissions.
+// Window membership in the blocking operators is decided by tuple
+// timestamps against the flush-tick time (half-open, ts < B), so as long
+// as no simulated network delay carries a tuple across a flush boundary
+// (delays are a few ms; boundaries are staggered 50 ms apart), the
+// threaded run produces the identical multiset of sink rows — enforced
+// by the SimVsThreadedOracleTest battery (tests/threaded_test.cpp).
 //
 // One driver plays the sources: the caller of Start/Feed/AdvanceTime/
 // Finish, or RunTrace, which replays a simulator-captured trace
-// (ExecutorOptions::source_tap) in global virtual order on the same
-// AdvanceTime. The driver mints the punctuation inline as its virtual
-// clock passes each boundary, so a driver with no data to feed calls
-// AdvanceTime to make the due flushes fire.
+// (ExecutorOptions::source_tap) in global virtual order. The driver
+// mints the punctuation inline as its virtual clock passes each
+// boundary, so a driver with no data to feed calls AdvanceTime to make
+// the due flushes fire.
 //
-// Execution modes: dedicated worker threads (one per stage, the
-// default), a bounded per-node worker pool (ThreadedOptions::pool_size)
-// multiplexing every stage over N pooled workers with cooperative
-// quantum scheduling, and batch-aware channel transfer (batch_max)
-// coalescing consecutive emissions into one ring message. A kBatch message that reaches a
+// Scheduling: a stage with runnable input is queued; a pool worker
+// claims it, runs one bounded quantum and requeues or idles it.
+// Batch-aware channel transfer (batch_max) coalesces consecutive
+// emissions into one ring message. A kBatch message that reaches a
 // batch-capable stage (ops::Operator::batchable) goes through
 // ProcessBatch as one columnar run; other stages process its tuples
 // one by one.
@@ -73,17 +73,12 @@ namespace sl::exec {
 /// \brief Configuration of a ThreadedRuntime.
 struct ThreadedOptions {
   /// Per-edge SPSC ring capacity (rounded up to a power of two). This
-  /// is the edge's credit pool: a full ring blocks the producer until
-  /// the consumer pops, which is how sink pressure reaches the sources.
+  /// is the edge's credit pool: a producer that finds the ring full
+  /// runs the consumer until it pops, which is how sink pressure
+  /// reaches the sources.
   size_t queue_capacity = 1024;
-  /// Blocking-operation cache bound (as ExecutorOptions).
-  size_t max_cache_tuples = 1 << 20;
   /// Event-time configuration handed to every operator.
   ops::WatermarkOptions watermark;
-  /// Flush-schedule stagger, replicated from the simulator: a blocking
-  /// operator at topological depth d first flushes at
-  /// deploy_time + interval + flush_stagger_ms * d.
-  Duration flush_stagger_ms = 50;
   /// Virtual time of the reference deployment (anchors the flush
   /// boundaries; use the simulated run's deploy timestamp).
   Timestamp deploy_time = 0;
@@ -92,12 +87,15 @@ struct ThreadedOptions {
   /// retains its rows or encodes them, and either cost would swamp the
   /// transport figure).
   bool count_only_sinks = false;
-  /// Per-node worker-pool size. 0 (default) keeps one dedicated thread
-  /// per stage; N > 0 multiplexes every stage of the node over N pooled
-  /// workers: a stage with runnable input is queued, a worker claims it,
-  /// runs one bounded quantum and either requeues it (more input) or
-  /// parks it idle. Blocked producers help-run their consumer instead
-  /// of parking, so a pool of any size stays deadlock-free.
+  /// Workers in the node's pool, which every stage multiplexes over: a
+  /// stage with runnable input is queued, a worker claims it, runs one
+  /// bounded quantum and either requeues it (more input) or idles it.
+  /// Producers that find a ring full help-run its consumer instead of
+  /// parking, so a pool of any size stays deadlock-free. 0 (default)
+  /// lets Start size the pool as min(stages, max(3, cores) - 2): at most
+  /// one worker per stage, and the pool plus the driver thread one core
+  /// short of the machine (the size perfbench runs). Any other value is
+  /// used as given. Stage samples report the size in effect.
   size_t pool_size = 0;
   /// Batch-aware channel transfer: up to this many consecutive
   /// emissions (or consecutive same-source trace events between flush
@@ -155,13 +153,14 @@ struct ThreadedRunResult {
   std::vector<monitor::OperatorSample> stage_samples;
 };
 
-/// \brief Executes one validated dataflow on worker threads.
+/// \brief Executes one validated dataflow on a worker pool.
 ///
 /// Lifecycle: construct → Start() → {Feed(), AdvanceTime()}* →
 /// Finish(end_time), or Abort() at any point for a hard stop
 /// (shutdown-while-draining). The driver thread (the caller of
-/// Feed/AdvanceTime/Finish) plays the sources; it blocks when a source
-/// edge is out of credits, which is the intended backpressure behavior.
+/// Feed/AdvanceTime/Finish) plays the sources; when a source edge is out
+/// of credits it runs the edge's consumer itself until a slot frees,
+/// which is the intended backpressure behavior.
 class ThreadedRuntime {
  public:
   ThreadedRuntime(dataflow::Dataflow dataflow, const pubsub::Broker* broker,
@@ -172,8 +171,8 @@ class ThreadedRuntime {
   ThreadedRuntime(const ThreadedRuntime&) = delete;
   ThreadedRuntime& operator=(const ThreadedRuntime&) = delete;
 
-  /// Validates the dataflow, builds operators/sinks/channels and spawns
-  /// one worker thread per stage.
+  /// Validates the dataflow, builds operators/sinks/channels, resolves
+  /// the pool size and spawns the pool's workers.
   Status Start();
 
   /// Feeds one tuple into `source` at virtual time `at`. Times must be
@@ -182,15 +181,16 @@ class ThreadedRuntime {
   /// InvalidArgument, because the punctuation for the boundaries in
   /// between has gone out. Emits any flush punctuation due before `at`
   /// first, so a tuple stamped exactly on a boundary lands after the
-  /// flush — the simulator's tie-break. Blocks while the source's
-  /// out-edges are saturated (backpressure).
+  /// flush — the simulator's tie-break. While the source's out-edges are
+  /// saturated it help-runs their consumers (backpressure).
   Status Feed(const std::string& source, const stt::TupleRef& tuple,
               Timestamp at, Timestamp watermark = stt::kNoWatermark);
 
   /// Advances virtual time to `now` without data: emits the punctuation
   /// due by then, so the flushes it fires run without a tuple behind
-  /// them.
-  void AdvanceTime(Timestamp now);
+  /// them. FailedPrecondition before Start and after Finish or Abort,
+  /// as for Feed.
+  Status AdvanceTime(Timestamp now);
 
   /// Emits punctuation up to `end_time`, closes every source with an
   /// end-of-stream marker, drains and joins all workers, and returns
@@ -198,8 +198,8 @@ class ThreadedRuntime {
   Result<ThreadedRunResult> Finish(Timestamp end_time);
 
   /// Hard stop: workers abandon queued work and exit promptly; queued
-  /// tuples are dropped. Safe to call concurrently with a blocked
-  /// Feed (it unblocks the credit wait).
+  /// tuples are dropped. Safe to call from another thread while Feed
+  /// help-runs a saturated edge's consumer (Feed then returns).
   void Abort();
 
   /// Live per-stage gauges (thread-safe; queue_depth is the current
@@ -219,13 +219,15 @@ class ThreadedRuntime {
   class Recorder;
 
   Status Build();
-  void StageLoop(Stage* stage);
-  /// One bounded drain round over the stage's runnable inputs; returns
-  /// whether any message was consumed. The unit of work a pooled worker
-  /// runs per claim; the dedicated StageLoop calls it in a loop.
-  bool RunStageQuantum(Stage* stage);
+  /// Moves the driver's virtual clock to `now`, emitting the punctuation
+  /// due by then. The unchecked core of AdvanceTime, for Feed, Finish
+  /// and RunTrace, which have checked the run state themselves.
+  void ReachTime(Timestamp now);
+  /// One bounded drain round over the stage's runnable inputs: the unit
+  /// of work a pool worker (or a helping producer) runs per claim.
+  void RunStageQuantum(Stage* stage);
   /// True when some open, non-barrier-blocked input ring is non-empty.
-  /// Owner-thread only (reads worker-owned punctuation state).
+  /// Claim holder only (reads the stage's punctuation state).
   bool HasRunnableInput(const Stage* stage) const;
   void HandleData(Stage* stage, size_t input_idx, Message& message);
   void HandleBatch(Stage* stage, size_t input_idx, Message& message);
@@ -295,7 +297,7 @@ class ThreadedRuntime {
   Mutex join_mu_;  ///< makes worker joins idempotent under races
   std::chrono::steady_clock::time_point wall_start_;
 
-  // -- pooled scheduling (pool_size > 0) -----------------------------------
+  // -- pooled scheduling ----------------------------------------------------
   // Ready hints: a stage appears here while its run_state is kQueued.
   // PopReady validates each hint with a CAS, so stale entries (a helper
   // stole the stage) are dropped harmlessly.

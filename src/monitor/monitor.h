@@ -51,11 +51,11 @@ struct OperatorSample {
   /// Threaded runtime only: producer stalls on this stage's full input
   /// rings — the credit-based backpressure counter.
   uint64_t backpressure_waits = 0;
-  /// Threaded runtime, pooled mode only: size of the worker pool the
-  /// stage multiplexes over (0 = dedicated thread per stage).
+  /// Threaded runtime only: size of the worker pool the stage
+  /// multiplexes over, as resolved at Start (0 on simulator samples).
   size_t pool_size = 0;
-  /// Threaded runtime, pooled mode only: scheduling quanta this stage
-  /// has been claimed for (pool workers plus helping producers).
+  /// Threaded runtime only: scheduling quanta this stage has been
+  /// claimed for (pool workers plus helping producers).
   uint64_t quanta = 0;
   /// Columnar execution: batch runs handed to ProcessBatch (0 when the
   /// operator took only the per-tuple path).

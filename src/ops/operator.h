@@ -277,13 +277,21 @@ class Operator {
   uint64_t window_out_ = 0;
 };
 
+/// The blocking-operation cache bound per input that the executor's and
+/// the operators' options start from; the threaded runtime always
+/// applies it.
+inline constexpr size_t kDefaultMaxCacheTuples = size_t{1} << 20;
+/// The flush-schedule stagger (exec::ExecutorOptions::flush_stagger_ms)
+/// the executor starts from; the threaded runtime always applies it.
+inline constexpr Duration kDefaultFlushStaggerMs = 50;
+
 /// Options shared by operator construction.
 struct OperatorOptions {
   /// Maximum tuples a blocking operation caches per input; the oldest
   /// tuple is evicted (and counted in stats().dropped) beyond this.
   /// Must be > 0 for blocking kinds — a zero cache would silently evict
   /// every tuple it admits (MakeOperator rejects it).
-  size_t max_cache_tuples = 1 << 20;
+  size_t max_cache_tuples = kDefaultMaxCacheTuples;
   /// Handler for trigger activations; required for TriggerOn/Off.
   ActivationHandler* activation = nullptr;
   /// Event-time configuration for the blocking operations.

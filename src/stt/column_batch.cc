@@ -12,10 +12,6 @@ ColumnBatch::ColumnBatch(SchemaPtr schema, const TupleRef* tuples, size_t n)
   computed_.resize(cols);
 }
 
-ColumnBatch::ColumnBatch(const RefBatch& batch)
-    : ColumnBatch(batch.schema(), batch.tuples().data(),
-                  batch.tuples().size()) {}
-
 const Value& ColumnBatch::value(size_t r, size_t col) const {
   if (col < computed_.size() && !computed_[col].empty()) {
     return computed_[col][r];

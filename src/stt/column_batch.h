@@ -3,9 +3,9 @@
 // A ColumnBatch presents a run of same-schema tuples as typed per-
 // property value vectors (plus null and type-mismatch masks) and a
 // selection vector of the rows still alive. It is built once from a
-// delivered run (the threaded runtime's ring batch, the simulator's
-// coalesced delivery run, a flush RefBatch) and decoded lazily: only
-// the properties an expression actually reads are ever columnarized.
+// delivered run (the threaded runtime's batched ring message) and
+// decoded lazily: only the properties an expression actually reads are
+// ever columnarized.
 // Stateless operators evaluate whole columns at a time (expr/
 // vector_program.h), narrow the selection (filter) or overwrite/append
 // a computed column (transform, virtual property), and convert back to
@@ -52,9 +52,6 @@ class ColumnBatch {
   /// Builds the view over `tuples[0..n)`; every tuple must conform to
   /// `schema` (operators guarantee this). Selection starts as all rows.
   ColumnBatch(SchemaPtr schema, const TupleRef* tuples, size_t n);
-
-  /// Convenience over a flush batch.
-  explicit ColumnBatch(const RefBatch& batch);
 
   size_t rows() const { return rows_; }
   const SchemaPtr& schema() const { return schema_; }

@@ -153,37 +153,12 @@ bool Tuple::EqualsIgnoringSensor(const Tuple& other) const {
   return true;
 }
 
-void Batch::Add(Tuple tuple) {
-  assert(schema_ == nullptr || tuple.schema() == schema_ ||
-         (tuple.schema() != nullptr && tuple.schema()->Equals(*schema_)));
-  if (schema_ == nullptr) schema_ = tuple.schema();
-  tuples_.push_back(std::move(tuple));
-}
-
-size_t Batch::ApproxBytes() const {
-  size_t bytes = 32;  // header
-  for (const auto& t : tuples_) {
-    bytes += 24;  // ts + loc + flags
-    bytes += t.ApproxValueBytes();
-  }
-  return bytes;
-}
-
 void RefBatch::Add(TupleRef tuple) {
   assert(tuple != nullptr);
   assert(schema_ == nullptr || tuple->schema() == schema_ ||
          (tuple->schema() != nullptr && tuple->schema()->Equals(*schema_)));
   if (schema_ == nullptr) schema_ = tuple->schema();
   tuples_.push_back(std::move(tuple));
-}
-
-size_t RefBatch::ApproxBytes() const {
-  size_t bytes = 32;  // header
-  for (const auto& t : tuples_) {
-    bytes += 24;  // ts + loc + flags
-    bytes += t->ApproxValueBytes();
-  }
-  return bytes;
 }
 
 }  // namespace sl::stt

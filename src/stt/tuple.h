@@ -164,37 +164,6 @@ class Tuple {
   mutable std::atomic<size_t> value_bytes_{kBytesUnset};
 };
 
-/// \brief A batch of tuples sharing one schema — the unit in which
-/// streams move between operators and across network links.
-class Batch {
- public:
-  Batch() = default;
-  explicit Batch(SchemaPtr schema) : schema_(std::move(schema)) {}
-
-  const SchemaPtr& schema() const { return schema_; }
-  void set_schema(SchemaPtr schema) { schema_ = std::move(schema); }
-
-  /// Appends a tuple; in debug builds asserts the schema pointer matches.
-  void Add(Tuple tuple);
-
-  const std::vector<Tuple>& tuples() const { return tuples_; }
-  std::vector<Tuple>& mutable_tuples() { return tuples_; }
-
-  size_t size() const { return tuples_.size(); }
-  bool empty() const { return tuples_.empty(); }
-  const Tuple& operator[](size_t i) const { return tuples_[i]; }
-
-  void Clear() { tuples_.clear(); }
-
-  /// Rough serialized size in bytes, used by the network simulator for
-  /// link-bandwidth accounting.
-  size_t ApproxBytes() const;
-
- private:
-  SchemaPtr schema_;
-  std::vector<Tuple> tuples_;
-};
-
 /// \brief A batch of shared tuple refs — what blocking operators emit from
 /// a flush so every downstream edge forwards the same allocations.
 class RefBatch {
@@ -215,9 +184,6 @@ class RefBatch {
   const TupleRef& operator[](size_t i) const { return tuples_[i]; }
 
   void Clear() { tuples_.clear(); }
-
-  /// Rough serialized size in bytes (memoized per tuple).
-  size_t ApproxBytes() const;
 
  private:
   SchemaPtr schema_;

@@ -273,19 +273,5 @@ TEST(TupleTest, EqualsIgnoringSensor) {
       TempTuple(schema, 1.0, 10, std::nullopt)));
 }
 
-TEST(BatchTest, AddAndBytes) {
-  auto schema = TempSchema();
-  Batch batch(schema);
-  EXPECT_TRUE(batch.empty());
-  batch.Add(TempTuple(schema, 20.0, 0));
-  batch.Add(TempTuple(schema, 21.0, 1));
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].value(0).AsDouble(), 20.0);
-  size_t bytes = batch.ApproxBytes();
-  EXPECT_GT(bytes, 2 * 8u);  // at least the doubles
-  batch.Clear();
-  EXPECT_TRUE(batch.empty());
-}
-
 }  // namespace
 }  // namespace sl::stt

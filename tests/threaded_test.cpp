@@ -20,7 +20,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <set>
 #include <string>
@@ -178,7 +180,7 @@ struct DiffOptions {
   size_t queue_capacity = 1024;
   // Execution-mode matrix (each axis independently oracle-checked):
   bool feed = false;        ///< Start, Feed per event, Finish (no RunTrace)
-  size_t pool_size = 0;     ///< pooled workers (0 = thread per stage)
+  size_t pool_size = 0;     ///< pool workers (0 = sized by the runtime)
   size_t batch_max = 1;     ///< ring-message coalescing bound
 };
 
@@ -783,11 +785,9 @@ TEST(ThreadedChaosTest, BackpressureSaturationLosesNothing) {
 
 TEST(ThreadedChaosTest, ShutdownWhileDrainingStopsPromptly) {
   // Abort mid-stream from the driver thread while queues are full: all
-  // workers must exit (no deadlock on credit waits), and the runtime
-  // must not crash on teardown. Regression note: Abort must notify the
-  // *channel* gates too — a producer parked on a full ring's space gate
-  // would otherwise wait out its poll period holding no lock anyone
-  // releases.
+  // pool workers must exit, including one inside a quantum whose
+  // emissions help-run a saturated consumer, and the runtime must not
+  // crash on teardown.
   for (uint64_t seed : ChaosSeeds(10, 9100)) {
     DirectThreaded direct(seed);
     Rng rng(seed ^ 0xabcd);
@@ -811,9 +811,10 @@ TEST(ThreadedChaosTest, ShutdownWhileDrainingStopsPromptly) {
 }
 
 TEST(ThreadedChaosTest, AbortFromSecondThreadUnblocksSaturatedFeed) {
-  // The driver blocks on a full source ring (sink is very slow); a
-  // second thread calls Abort. Feed must unblock and the join must
-  // complete — the shutdown-while-draining deadlock case.
+  // The sink is very slow, so the driver finds the source ring full and
+  // help-runs its consumer; a second thread calls Abort. Feed must stop
+  // helping and return, and the pool's join must complete — the
+  // shutdown-while-draining deadlock case.
   DirectThreaded direct(4242);
   exec::InputTrace trace = direct.MakeTrace(20000);
   exec::ThreadedOptions options;
@@ -1027,7 +1028,7 @@ TEST(ThreadedRuntimeTest, FeedRejectsTimeGoingBack) {
   SL_EXPECT_OK(
       runtime.Feed(late.source, late.tuple, late.at, late.watermark));
   // AdvanceTime moves the reached time too.
-  runtime.AdvanceTime(late.at + 1000);
+  SL_ASSERT_OK(runtime.AdvanceTime(late.at + 1000));
   Status behind = runtime.Feed(late.source, late.tuple, late.at + 500,
                                late.watermark);
   EXPECT_EQ(behind.code(), StatusCode::kInvalidArgument)
@@ -1092,7 +1093,7 @@ TEST(ThreadedRuntimeTest, AdvanceTimeFlushesWithoutData) {
     SL_ASSERT_OK(runtime.Feed(trace[i].source, trace[i].tuple, trace[i].at,
                               trace[i].watermark));
   }
-  runtime.AdvanceTime(boundary);
+  SL_ASSERT_OK(runtime.AdvanceTime(boundary));
   // The header plus one row per station of the first window.
   const size_t want = 1 + stations.size();
   const auto deadline =
@@ -1124,6 +1125,67 @@ TEST(ThreadedRuntimeTest, AdvanceTimeFlushesWithoutData) {
   std::sort(replay_lines.begin(), replay_lines.end());
   EXPECT_GT(replay_lines.size(), want);
   EXPECT_EQ(lines, replay_lines);
+}
+
+TEST(ThreadedRuntimeTest, AdvanceTimeOutsideARunIsRefused) {
+  // Like Feed, AdvanceTime refuses to run before Start and after Finish.
+  // Before Start it must not move the reached time. After Finish no
+  // stage drains the source rings, so an hour of punctuation (720
+  // boundaries of a 5 s aggregation) would fill the 4-slot rings and
+  // spin forever; a watchdog turns that hang into a failure.
+  DirectThreaded direct(9);
+  const exec::InputTrace trace = direct.MakeTrace(20);
+  const auto df = *dsn::TranslateFromDsn(ThAggSpec(0));
+  exec::ThreadedOptions options;
+  options.queue_capacity = 4;
+  exec::ThreadedRuntime runtime(df, direct.broker(), {}, options);
+  const Timestamp hour_later = trace.back().at + duration::kHour;
+  EXPECT_EQ(runtime.AdvanceTime(hour_later).code(),
+            StatusCode::kFailedPrecondition);
+  SL_ASSERT_OK(runtime.Start());
+  for (const auto& event : trace) {
+    // Had the refused call moved the reached time, this would go back.
+    SL_ASSERT_OK(
+        runtime.Feed(event.source, event.tuple, event.at, event.watermark));
+  }
+  SL_ASSERT_OK(runtime.Finish(trace.back().at + 1000).status());
+  std::promise<Status> advanced;
+  std::future<Status> done = advanced.get_future();
+  std::thread driver(
+      [&] { advanced.set_value(runtime.AdvanceTime(hour_later)); });
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // The hung call still uses the runtime, so it can be neither joined
+    // nor destroyed: end the process, which fails the test.
+    ADD_FAILURE() << "AdvanceTime after Finish did not return within 10 s";
+    std::abort();
+  }
+  driver.join();
+  EXPECT_EQ(done.get().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ThreadedRuntimeTest, DefaultOptionsRunOnThePool) {
+  // pool_size 0 sizes the pool at Start as min(stages, max(3, cores) - 2),
+  // and every stage, the sink included, runs its quanta on that pool. An
+  // explicit size is used as given, even above the stage count.
+  DirectThreaded direct(10);
+  const exec::InputTrace trace = direct.MakeTrace(1000);
+  const auto df = *dsn::TranslateFromDsn(ThFilterTransformSpec());
+  const size_t cores = std::max(3u, std::thread::hardware_concurrency());
+  const size_t stages = 3;  // flt, f2c, out
+  for (size_t pool_size : {size_t{0}, size_t{5}}) {
+    exec::ThreadedOptions options;
+    options.pool_size = pool_size;
+    exec::ThreadedRuntime runtime(df, direct.broker(), {}, options);
+    auto result = runtime.RunTrace(trace, trace.back().at + 1000);
+    SL_ASSERT_OK(result.status());
+    ASSERT_EQ(result->stage_samples.size(), stages);
+    const size_t want =
+        pool_size > 0 ? pool_size : std::min(stages, cores - 2);
+    for (const auto& sample : result->stage_samples) {
+      EXPECT_EQ(sample.pool_size, want) << sample.op_name;
+      EXPECT_GT(sample.quanta, 0u) << sample.op_name;
+    }
+  }
 }
 
 // ------------------------------------------- latent-race regressions --
