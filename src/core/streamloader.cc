@@ -97,16 +97,13 @@ Result<exec::ThreadedRunResult> StreamLoader::RunThreaded(
   // The threaded runtime does not simulate network faults: a delay
   // fault could carry a tuple across a flush boundary the punctuation
   // cannot see and silently produce wrong windows. Refuse a session
-  // whose network has a plan that would actually perturb delivery,
-  // unless the caller explicitly opts in.
+  // whose network has a plan that would actually perturb delivery.
   if (network_->fault_plan_installed() &&
-      !network_->installed_fault_plan().IsZero() &&
-      !options.allow_fault_plan) {
+      !network_->installed_fault_plan().IsZero()) {
     return Status::FailedPrecondition(
         "RunThreaded: a non-zero fault plan is installed on this session's "
         "network, but threaded mode does not simulate faults — results "
-        "would silently diverge from the simulator. Set "
-        "ThreadedOptions::allow_fault_plan to run anyway.");
+        "would silently diverge from the simulator.");
   }
   sinks::SinkContext sink_context;
   sink_context.warehouse = warehouse_.get();

@@ -114,9 +114,8 @@ class StreamLoader {
   /// ExecutorOptions::source_tap) and drains at `end_time`. The
   /// simulator deployments are untouched, and the simulated run of the
   /// same trace is the correctness oracle of this path. Fails fast when
-  /// the session's network carries a non-zero fault plan (threaded mode
-  /// does not simulate faults); ThreadedOptions::allow_fault_plan
-  /// overrides the check.
+  /// the session's network carries a non-zero fault plan: threaded mode
+  /// does not simulate faults, so its results would silently diverge.
   Result<exec::ThreadedRunResult> RunThreaded(
       const dataflow::Dataflow& dataflow, const exec::InputTrace& trace,
       Timestamp end_time, exec::ThreadedOptions options = {});

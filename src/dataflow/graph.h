@@ -115,6 +115,10 @@ class DataflowBuilder {
   DataflowBuilder& AddSourceByQuery(const std::string& name,
                                     pubsub::DiscoveryQuery query);
 
+  /// Adds a node as given, every field kept (how an edited copy of a
+  /// dataflow is rebuilt).
+  DataflowBuilder& Add(Node node);
+
   /// Adds any operator node explicitly.
   DataflowBuilder& AddOperator(const std::string& name, OpKind op, OpSpec spec,
                                std::vector<std::string> inputs);
@@ -171,8 +175,6 @@ class DataflowBuilder {
   Result<Dataflow> Build() const;
 
  private:
-  DataflowBuilder& Add(Node node);
-
   std::string name_;
   std::vector<Node> nodes_;  // in insertion order
   std::vector<std::string> errors_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "dataflow/validate.h"
 #include "dsn/translate.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -133,23 +132,20 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
   // 1. Lift the DSN description back to an operator graph.
   SL_ASSIGN_OR_RETURN(Dataflow dataflow, dsn::TranslateFromDsn(spec));
 
-  // 2. Soundness check against the live sensor registry.
-  dataflow::Validator validator(broker_);
-  SL_ASSIGN_OR_RETURN(dataflow::ValidationReport report,
-                      validator.Validate(dataflow));
-  if (!report.ok()) {
-    return Status::ValidationError("cannot deploy '" + spec.name + "':\n" +
-                                   report.ToString());
-  }
-
+  // 2. Soundness check against the live sensor registry, and the
+  // operators, each blocking one with its first flush.
   auto deployment = std::make_shared<Deployment>();
   Deployment* dep = deployment.get();
+  dep->activation = std::make_unique<DeploymentActivation>(this, &dep->stats);
+  SL_ASSIGN_OR_RETURN(
+      ops::BuiltDataflow built,
+      ops::BuildDataflow(dataflow, broker_, OperatorOptionsOf(dep)));
   dep->id = next_id_++;
   dep->self = deployment;
   dep->dataflow = std::move(dataflow);
-  dep->activation = std::make_unique<DeploymentActivation>(this, &dep->stats);
+  dep->schemas = std::move(built.report.schemas);
   if (options_.watermark.late_policy == ops::LatePolicy::kSideOutput) {
-    dep->late_sink = std::make_unique<sinks::LateSink>(spec.name + "/late");
+    dep->late_sink = std::make_unique<sinks::CollectSink>(spec.name + "/late");
   }
 
   // QoS lookup for edges.
@@ -188,10 +184,8 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
         break;
       }
       case NodeKind::kOperator: {
-        std::vector<stt::SchemaPtr> input_schemas;
         std::vector<std::string> upstream_nodes;
         for (const auto& in : node.inputs) {
-          input_schemas.push_back(report.schemas.at(in));
           auto src_it = dep->source_nodes.find(in);
           if (src_it != dep->source_nodes.end()) {
             upstream_nodes.push_back(src_it->second);
@@ -204,9 +198,9 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
         }
         SL_ASSIGN_OR_RETURN(std::string placed,
                             placer_.Place(upstream_nodes));
-        SL_ASSIGN_OR_RETURN(DeployedOperator deployed,
-                            BuildOperator(dep, name, node.op, node.spec,
-                                          input_schemas));
+        ops::BuiltOperator& op = built.operators.at(name);
+        DeployedOperator deployed =
+            InstallOperator(dep, name, std::move(op.op), op.first_flush);
         deployed.node_id = placed;
         // A key-partitioned operator counts as an instance group: the
         // node is billed one process per key range.
@@ -320,19 +314,19 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
   return id;
 }
 
-Result<Executor::DeployedOperator> Executor::BuildOperator(
-    Deployment* dep, const std::string& name, dataflow::OpKind kind,
-    const dataflow::OpSpec& spec,
-    const std::vector<stt::SchemaPtr>& input_schemas) {
+ops::OperatorOptions Executor::OperatorOptionsOf(Deployment* dep) const {
   ops::OperatorOptions op_options;
   op_options.max_cache_tuples = options_.max_cache_tuples;
   op_options.activation = dep->activation.get();
   op_options.watermark = options_.watermark;
+  return op_options;
+}
+
+Executor::DeployedOperator Executor::InstallOperator(
+    Deployment* dep, const std::string& name,
+    std::unique_ptr<ops::Operator> op_ptr, Duration first_flush) {
   DeployedOperator deployed;
-  SL_ASSIGN_OR_RETURN(deployed.op,
-                      ops::MakeOperator(name, kind, spec, input_schemas,
-                                        (*dep->dataflow.node(name))->inputs,
-                                        op_options));
+  deployed.op = std::move(op_ptr);
   ops::Operator* op = deployed.op.get();
   // Emission: route from wherever the operator currently runs,
   // piggybacking the operator's current output watermark.
@@ -351,18 +345,9 @@ Result<Executor::DeployedOperator> Executor::BuildOperator(
     });
   }
   if (!op->is_blocking()) return deployed;
-  // Blocking operations: periodic cache processing. The flush is
-  // staggered by topological depth (schedule optimization, §1) so
-  // cascaded blocking stages consume fresh upstream flushes within the
-  // same interval.
-  Duration depth = 0;
-  for (const auto& n : dep->dataflow.topological_order()) {
-    if (n == name) break;
-    auto it = dep->operators.find(n);
-    if (it != dep->operators.end() && it->second.op->is_blocking()) ++depth;
-  }
-  // Weak, like the delivery callbacks: a timer outliving a failed
-  // Deploy finds no deployment and returns.
+  // Blocking operations: periodic cache processing, first due
+  // `first_flush` from now. Weak, like the delivery callbacks: a timer
+  // outliving a failed Deploy finds no deployment and returns.
   std::weak_ptr<Deployment> weak = dep->self;
   deployed.flush_timer = loop_->SchedulePeriodic(
       op->interval(),
@@ -385,8 +370,7 @@ Result<Executor::DeployedOperator> Executor::BuildOperator(
           (void)ws;
         }
       },
-      /*first_at=*/loop_->Now() + op->interval() +
-          options_.flush_stagger_ms * depth);
+      /*first_at=*/loop_->Now() + first_flush);
   return deployed;
 }
 
@@ -548,44 +532,24 @@ Status Executor::ReplaceOperator(DeploymentId id, const std::string& op_name,
   dataflow::OpKind new_kind =
       dataflow::SpecKind(new_spec, node.op != dataflow::OpKind::kTriggerOff);
 
-  // Recompute the input schemas.
-  dataflow::Validator validator(broker_);
-  SL_ASSIGN_OR_RETURN(dataflow::ValidationReport report,
-                      validator.Validate(dep->dataflow));
-  if (!report.ok()) {
-    return Status::ValidationError(
-        "running dataflow no longer validates:\n" + report.ToString());
-  }
+  // Every step that can fail runs before the swap. The replacement is
+  // built on the input schemas the deployment was built with.
   std::vector<stt::SchemaPtr> input_schemas;
   for (const auto& in : node.inputs) {
-    input_schemas.push_back(report.schemas.at(in));
+    input_schemas.push_back(dep->schemas.at(in));
   }
-
-  SL_ASSIGN_OR_RETURN(DeployedOperator replacement,
-                      BuildOperator(dep, op_name, new_kind, new_spec,
-                                    input_schemas));
+  SL_ASSIGN_OR_RETURN(std::unique_ptr<ops::Operator> op,
+                      ops::MakeOperator(op_name, new_kind, new_spec,
+                                        input_schemas, node.inputs,
+                                        OperatorOptionsOf(dep)));
   // The downstream wiring is schema-typed: the replacement must keep it.
-  if (!replacement.op->output_schema()->Equals(
-          *op_it->second.op->output_schema())) {
-    loop_->Cancel(replacement.flush_timer);
+  if (!op->output_schema()->Equals(*op_it->second.op->output_schema())) {
     return Status::ValidationError(
         "replacement for '" + op_name +
         "' changes the output schema; downstream operators would break");
   }
-  // The replacement may change the instance-group size.
-  int group_delta = static_cast<int>(replacement.op->parallelism()) -
-                    static_cast<int>(op_it->second.op->parallelism());
-  if (group_delta != 0) {
-    Status ps =
-        network_->AdjustProcessCount(op_it->second.node_id, group_delta);
-    (void)ps;
-  }
-  // Swap: cancel the old flush timer, install the new operator in place.
-  loop_->Cancel(op_it->second.flush_timer);
-  replacement.node_id = op_it->second.node_id;
-  op_it->second = std::move(replacement);
-  // Update the conceptual dataflow so the live canvas reflects the edit.
-  // (Dataflow is immutable; rebuild it with the new spec.)
+  // The conceptual dataflow with the new spec, so the live canvas
+  // reflects the edit; every other node keeps all of its fields.
   dataflow::DataflowBuilder builder(dep->dataflow.name());
   for (const auto& n : dep->dataflow.topological_order()) {
     Node copy = **dep->dataflow.node(n);
@@ -593,20 +557,30 @@ Status Executor::ReplaceOperator(DeploymentId id, const std::string& op_name,
       copy.spec = new_spec;
       copy.op = new_kind;
     }
-    switch (copy.kind) {
-      case NodeKind::kSource:
-        builder.AddSource(copy.name, copy.sensor_id);
-        break;
-      case NodeKind::kOperator:
-        builder.AddOperator(copy.name, copy.op, copy.spec, copy.inputs);
-        break;
-      case NodeKind::kSink:
-        builder.AddSink(copy.name, copy.inputs[0], copy.sink,
-                        copy.sink_target);
-        break;
-    }
+    builder.Add(std::move(copy));
   }
-  SL_ASSIGN_OR_RETURN(dep->dataflow, builder.Build());
+  SL_ASSIGN_OR_RETURN(Dataflow edited, builder.Build());
+
+  // Swap: cancel the old flush timer, install the new operator in place
+  // with the first flush the blocking operators ahead of it give it.
+  const Duration first_flush = ops::FirstFlushOffset(
+      dep->dataflow, op_name, op->interval(), [dep](const std::string& n) {
+        return dep->operators.at(n).op->is_blocking();
+      });
+  // The replacement may change the instance-group size.
+  int group_delta = static_cast<int>(op->parallelism()) -
+                    static_cast<int>(op_it->second.op->parallelism());
+  if (group_delta != 0) {
+    Status ps =
+        network_->AdjustProcessCount(op_it->second.node_id, group_delta);
+    (void)ps;
+  }
+  loop_->Cancel(op_it->second.flush_timer);
+  DeployedOperator replacement =
+      InstallOperator(dep, op_name, std::move(op), first_flush);
+  replacement.node_id = op_it->second.node_id;
+  op_it->second = std::move(replacement);
+  dep->dataflow = std::move(edited);
   if (monitor_ != nullptr) {
     monitor_->Log("replaced operator '" + op_name + "' in dataflow '" +
                   dep->dataflow.name() + "'");
@@ -717,33 +691,45 @@ Status Executor::DrainNode(const std::string& node_id) {
   }
   for (auto& [id, dep] : deployments_) {
     if (!dep->active) continue;
-    // Operators: reuse the migration path (state transfer + logging).
-    std::vector<std::string> ops_to_move;
-    for (const auto& [name, deployed] : dep->operators) {
-      if (deployed.node_id == node_id) ops_to_move.push_back(name);
-    }
-    for (const auto& name : ops_to_move) {
-      SL_ASSIGN_OR_RETURN(std::string target, placer_.Place({}, node_id));
-      SL_RETURN_IF_ERROR(MigrateOperator(id, name, target));
-    }
-    // Sinks: relocate the process; no cache state to move.
-    for (auto& [name, deployed] : dep->sinks) {
-      if (deployed.node_id != node_id) continue;
-      SL_ASSIGN_OR_RETURN(std::string target, placer_.Place({}, node_id));
-      SL_RETURN_IF_ERROR(network_->AdjustProcessCount(node_id, -1));
-      SL_RETURN_IF_ERROR(network_->AdjustProcessCount(target, +1));
-      if (monitor_ != nullptr) {
-        monitor_->RecordAssignment(dep->dataflow.name(), name, node_id,
-                                   target);
-      }
-      scn_log_.Record(loop_->Now(), ScnCommandKind::kMigrateService, id, name,
-                      node_id + " => " + target);
-      deployed.node_id = target;
-      ++dep->stats.migrations;
-    }
+    SL_RETURN_IF_ERROR(
+        RelocateProcesses(id, dep.get(), node_id, /*recovery=*/false));
   }
   if (monitor_ != nullptr) {
     monitor_->Log("drained node '" + node_id + "'");
+  }
+  return Status::OK();
+}
+
+Status Executor::RelocateProcesses(DeploymentId id, Deployment* dep,
+                                   const std::string& node_id,
+                                   bool recovery) {
+  // Operators: reuse the migration path (state transfer + logging). A
+  // crash loses the blocking caches, which the hand-off from the dead
+  // node, conclusively lost, models.
+  std::vector<std::string> ops_to_move;
+  for (const auto& [name, deployed] : dep->operators) {
+    if (deployed.node_id == node_id) ops_to_move.push_back(name);
+  }
+  for (const auto& name : ops_to_move) {
+    SL_ASSIGN_OR_RETURN(std::string target, placer_.Place({}, node_id));
+    SL_RETURN_IF_ERROR(MigrateOperator(id, name, target));
+    if (recovery) ++dep->stats.recoveries;
+  }
+  // Sinks: relocate the process; there is no cache state to move.
+  for (auto& [name, deployed] : dep->sinks) {
+    if (deployed.node_id != node_id) continue;
+    SL_ASSIGN_OR_RETURN(std::string target, placer_.Place({}, node_id));
+    SL_RETURN_IF_ERROR(network_->AdjustProcessCount(node_id, -1));
+    SL_RETURN_IF_ERROR(network_->AdjustProcessCount(target, +1));
+    if (monitor_ != nullptr) {
+      monitor_->RecordAssignment(dep->dataflow.name(), name, node_id, target);
+    }
+    scn_log_.Record(loop_->Now(), ScnCommandKind::kMigrateService, id, name,
+                    node_id + " => " + target +
+                        (recovery ? " (crash recovery)" : ""));
+    deployed.node_id = target;
+    ++dep->stats.migrations;
+    if (recovery) ++dep->stats.recoveries;
   }
   return Status::OK();
 }
@@ -791,7 +777,7 @@ Result<sinks::Sink*> Executor::SinkOf(DeploymentId id,
   return sink_it->second.sink.get();
 }
 
-Result<sinks::LateSink*> Executor::LateSinkOf(DeploymentId id) const {
+Result<sinks::CollectSink*> Executor::LateSinkOf(DeploymentId id) const {
   auto it = deployments_.find(id);
   if (it == deployments_.end()) {
     return Status::NotFound("no such deployment");
@@ -895,25 +881,13 @@ std::vector<monitor::OperatorSample> Executor::SampleOperators(
       sample.dataflow = dep->dataflow.name();
       sample.op_name = name;
       sample.node_id = deployed.node_id;
+      monitor::SetOperatorCounters(*op, &sample);
       sample.in_per_sec = static_cast<double>(op->window_in()) / seconds;
       sample.out_per_sec = static_cast<double>(op->window_out()) / seconds;
-      sample.total_in = op->stats().tuples_in;
-      sample.total_out = op->stats().tuples_out;
-      sample.cache_size = op->stats().cache_size;
-      sample.trigger_fires = op->stats().trigger_fires;
-      sample.late_dropped = op->stats().late_dropped;
-      sample.late_routed = op->stats().late_routed;
-      sample.batches = op->stats().batches;
-      if (sample.batches > 0) {
-        sample.batch_fill = static_cast<double>(op->stats().batched_tuples) /
-                            static_cast<double>(sample.batches);
-      }
       // Watermark lag: how far event time trails the virtual clock; -1
       // until the operator's inputs have carried a watermark.
       Timestamp wm = op->stats().watermark_low;
       sample.watermark_lag_ms = wm == stt::kNoWatermark ? -1 : loop_->Now() - wm;
-      sample.parallelism = op->parallelism();
-      monitor::SetInstanceGauges(op->range_counts(), &sample);
       samples.push_back(std::move(sample));
       deployed.op->ResetWindowCounters();
     }
@@ -990,46 +964,11 @@ void Executor::OnHeartbeat() {
 
 void Executor::RecoverDeployment(DeploymentId id, Deployment* dep,
                                  const std::string& node_id) {
-  // Operators: reuse the migration machinery. The simulated state
-  // hand-off originates on the dead node and is conclusively lost — a
-  // crash loses blocking caches, which the lost transfer models.
-  std::vector<std::string> ops_to_move;
-  for (const auto& [name, deployed] : dep->operators) {
-    if (deployed.node_id == node_id) ops_to_move.push_back(name);
-  }
-  for (const auto& name : ops_to_move) {
-    auto target = placer_.Place({}, node_id);
-    if (!target.ok()) {
-      SL_LOG(kWarning) << "no live node to recover '" << name
-                       << "': " << target.status().ToString();
-      return;
-    }
-    Status s = MigrateOperator(id, name, *target);
-    if (!s.ok()) {
-      SL_LOG(kWarning) << "recovery of '" << name
-                       << "' failed: " << s.ToString();
-      continue;
-    }
-    ++dep->stats.recoveries;
-  }
-  // Sinks: relocate the process; there is no cache state to lose.
-  for (auto& [name, deployed] : dep->sinks) {
-    if (deployed.node_id != node_id) continue;
-    auto target = placer_.Place({}, node_id);
-    if (!target.ok()) break;
-    Status s1 = network_->AdjustProcessCount(node_id, -1);
-    (void)s1;
-    Status s2 = network_->AdjustProcessCount(*target, +1);
-    (void)s2;
-    if (monitor_ != nullptr) {
-      monitor_->RecordAssignment(dep->dataflow.name(), name, node_id,
-                                 *target);
-    }
-    scn_log_.Record(loop_->Now(), ScnCommandKind::kMigrateService, id, name,
-                    node_id + " => " + *target + " (crash recovery)");
-    deployed.node_id = *target;
-    ++dep->stats.migrations;
-    ++dep->stats.recoveries;
+  Status s = RelocateProcesses(id, dep, node_id, /*recovery=*/true);
+  if (!s.ok()) {
+    SL_LOG(kWarning) << "recovery of '" << dep->dataflow.name() << "' off '"
+                     << node_id << "' stopped: " << s.ToString();
+    return;
   }
   if (monitor_ != nullptr) {
     monitor_->Log("recovered deployment '" + dep->dataflow.name() +

@@ -47,14 +47,6 @@ struct ExecutorOptions {
   /// Re-assign operators away from nodes above this utilization on each
   /// monitor tick (0 disables auto-rebalancing).
   double rebalance_threshold = 1.0;
-  /// Schedule optimization (§1: "optimize the schedule for the execution
-  /// of the dataflow"): blocking operators flush `flush_stagger_ms` *
-  /// depth after the interval boundary, where depth is the operator's
-  /// topological position — so a downstream aggregation/join/trigger
-  /// sees its upstream's freshly flushed results in the *same* interval
-  /// instead of one interval later. 0 disables staggering (all flushes
-  /// land exactly on the boundary).
-  Duration flush_stagger_ms = ops::kDefaultFlushStaggerMs;
   /// Reliable tuple delivery: transfers are acked and retransmitted on
   /// timeout (net::TransferOptions). Off by default — the fair-weather
   /// pipeline needs no acks and keeps the seed's exact event schedule.
@@ -75,7 +67,7 @@ struct ExecutorOptions {
   /// the seed's exact behavior; TimePolicy::kEvent makes the blocking
   /// operators fire on the watermarks the executor piggybacks on tuple
   /// deliveries — delivery-order independent within allowed_lateness.
-  /// LatePolicy::kSideOutput adds one LateSink per deployment
+  /// LatePolicy::kSideOutput adds one CollectSink per deployment
   /// (LateSinkOf) receiving the diverted late tuples.
   ops::WatermarkOptions watermark;
   /// \brief Observer of every tuple entering a source, invoked with the
@@ -149,7 +141,9 @@ class Executor : public ops::ActivationHandler {
   /// On-the-fly operator replacement (P3: "operators in the dataflow are
   /// modified on the fly"): swaps the spec of one operator in a running
   /// deployment; its cache is discarded, its placement kept. The new
-  /// spec must derive the same output schema.
+  /// operator is built on the input schemas the deployment was built
+  /// with, and must derive the same output schema. A refused
+  /// replacement changes nothing.
   Status ReplaceOperator(DeploymentId id, const std::string& op_name,
                          const dataflow::OpSpec& new_spec);
 
@@ -197,7 +191,7 @@ class Executor : public ops::ActivationHandler {
   /// late data. Late tuples are written locally by the operator's node —
   /// they took their network hop already; re-shipping them would distort
   /// the fault model.
-  Result<sinks::LateSink*> LateSinkOf(DeploymentId id) const;
+  Result<sinks::CollectSink*> LateSinkOf(DeploymentId id) const;
 
   /// Ids of active deployments.
   std::vector<DeploymentId> ActiveDeployments() const;
@@ -246,9 +240,12 @@ class Executor : public ops::ActivationHandler {
     /// Out-edges by producer. Fixed once Deploy returns: delivery
     /// callbacks in flight point into these vectors.
     std::map<std::string, std::vector<Edge>> edges;
+    /// Every node's output schema, as validated at deployment: what a
+    /// replacement operator is built on.
+    std::map<std::string, stt::SchemaPtr> schemas;
     std::vector<pubsub::Broker::SubscriptionId> subscriptions;
     /// Late-side sink (LatePolicy::kSideOutput only, else nullptr).
-    std::unique_ptr<sinks::LateSink> late_sink;
+    std::unique_ptr<sinks::CollectSink> late_sink;
     DeploymentStats stats;
     /// Weak self-reference handed to event-loop callbacks: a callback
     /// firing after the deployment (or the whole executor) is gone
@@ -265,16 +262,17 @@ class Executor : public ops::ActivationHandler {
              const std::string& producer_node, const stt::TupleRef& tuple,
              Timestamp watermark);
 
-  /// \brief Builds operator `name` of `dep` from `kind` and `spec` with
-  /// the executor's operator options, routes its emissions and late-side
-  /// output, and arms a blocking operator's periodic flush, staggered by
-  /// the blocking operators ahead of it in topological order. Deploy and
+  /// The options every operator of `dep` is built with.
+  ops::OperatorOptions OperatorOptionsOf(Deployment* dep) const;
+
+  /// \brief Installs operator `name` of `dep`: routes its emissions and
+  /// late-side output, and arms a blocking operator's periodic flush
+  /// `first_flush` (ops::FirstFlushOffset) from now. Deploy and
   /// ReplaceOperator both install operators through here; the caller
-  /// stores the result in dep->operators, or cancels its flush timer.
-  Result<DeployedOperator> BuildOperator(
-      Deployment* dep, const std::string& name, dataflow::OpKind kind,
-      const dataflow::OpSpec& spec,
-      const std::vector<stt::SchemaPtr>& input_schemas);
+  /// stores the result in dep->operators.
+  DeployedOperator InstallOperator(Deployment* dep, const std::string& name,
+                                   std::unique_ptr<ops::Operator> op,
+                                   Duration first_flush);
 
   /// Network node where a sensor's tuples enter (query-bound sources).
   const std::string& ResolveOrigin(const std::string& sensor_id) const;
@@ -299,6 +297,14 @@ class Executor : public ops::ActivationHandler {
   /// `node_id` onto surviving nodes; counts recoveries.
   void RecoverDeployment(DeploymentId id, Deployment* dep,
                          const std::string& node_id);
+
+  /// \brief The one relocation path of DrainNode and RecoverDeployment:
+  /// moves every operator (through MigrateOperator) and sink process of
+  /// `dep` off `node_id` to nodes placement chooses. A `recovery` counts
+  /// each moved process in stats.recoveries and notes "(crash recovery)"
+  /// on the SCN records of moved sinks. Stops at the first failure.
+  Status RelocateProcesses(DeploymentId id, Deployment* dep,
+                           const std::string& node_id, bool recovery);
 
   net::EventLoop* loop_;
   net::Network* network_;

@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "dataflow/validate.h"
 #include "exec/spsc_queue.h"
 #include "sinks/streams.h"
 #include "util/logging.h"
@@ -80,7 +79,6 @@ struct ThreadedRuntime::Channel {
   size_t input_idx = 0;   ///< position in consumer->inputs
   std::atomic<uint64_t> peak_depth{0};
   std::atomic<uint64_t> backpressure_waits{0};
-  std::atomic<uint64_t> bytes{0};  ///< Tuple::ApproxValueBytes charged
 };
 
 /// One stage: an operator or sink plus its input channels (one per
@@ -90,9 +88,8 @@ struct ThreadedRuntime::Channel {
 /// with SampleStages.
 struct ThreadedRuntime::Stage {
   std::string name;
-  ops::Operator* op = nullptr;  // owned by ThreadedRuntime::operators_
-  sinks::Sink* sink = nullptr;  // owned by ThreadedRuntime::sinks_
-  size_t parallelism = 1;
+  std::unique_ptr<ops::Operator> op;  // an operator stage, or
+  std::unique_ptr<sinks::Sink> sink;  // a sink stage
   std::vector<Channel*> inputs;
   std::vector<Channel*> outputs;
 
@@ -150,31 +147,6 @@ struct ThreadedRuntime::Stage {
   }
 };
 
-/// Thread-safe trigger activation recorder: trigger stages run on
-/// different workers, so requests from different operators can
-/// interleave.
-class ThreadedRuntime::Recorder : public ops::ActivationHandler {
- public:
-  void ActivateSensors(const std::vector<std::string>& ids,
-                       Timestamp at) override {
-    MutexLock lock(&mu_);
-    records_.push_back({true, ids, at});
-  }
-  void DeactivateSensors(const std::vector<std::string>& ids,
-                         Timestamp at) override {
-    MutexLock lock(&mu_);
-    records_.push_back({false, ids, at});
-  }
-  std::vector<ops::ActivationRecord> Take() {
-    MutexLock lock(&mu_);
-    return std::move(records_);
-  }
-
- private:
-  Mutex mu_;
-  std::vector<ops::ActivationRecord> records_ SL_GUARDED_BY(mu_);
-};
-
 ThreadedRuntime::ThreadedRuntime(dataflow::Dataflow dataflow,
                                  const pubsub::Broker* broker,
                                  sinks::SinkContext sink_context,
@@ -182,69 +154,40 @@ ThreadedRuntime::ThreadedRuntime(dataflow::Dataflow dataflow,
     : dataflow_(std::move(dataflow)),
       broker_(broker),
       sink_context_(std::move(sink_context)),
-      options_(std::move(options)),
-      recorder_(std::make_unique<Recorder>()) {}
+      options_(std::move(options)) {}
 
 ThreadedRuntime::~ThreadedRuntime() {
   if (started_ && !finished_) Abort();
 }
 
 Status ThreadedRuntime::Build() {
-  dataflow::Validator validator(broker_);
-  SL_ASSIGN_OR_RETURN(dataflow::ValidationReport report,
-                      validator.Validate(dataflow_));
-  if (!report.ok()) {
-    return Status::ValidationError(
-        "threaded runtime: cannot execute an unsound dataflow:\n" +
-        report.ToString());
-  }
+  // The operators, built as the simulator builds them.
+  ops::OperatorOptions op_options;
+  op_options.watermark = options_.watermark;
+  op_options.activation = &recorder_;
+  SL_ASSIGN_OR_RETURN(ops::BuiltDataflow built,
+                      ops::BuildDataflow(dataflow_, broker_, op_options));
 
-  // Operators and sinks, with the same options the simulator would use.
-  for (const auto& name : dataflow_.OperatorNames()) {
-    const Node& node = **dataflow_.node(name);
-    std::vector<stt::SchemaPtr> input_schemas;
-    for (const auto& in : node.inputs) {
-      input_schemas.push_back(report.schemas.at(in));
-    }
-    ops::OperatorOptions op_options;
-    op_options.watermark = options_.watermark;
-    op_options.activation = recorder_.get();
-    SL_ASSIGN_OR_RETURN(std::unique_ptr<ops::Operator> op,
-                        ops::MakeOperator(name, node.op, node.spec,
-                                          input_schemas, node.inputs,
-                                          op_options));
-    operators_.emplace(name, std::move(op));
-  }
-  for (const auto& name : dataflow_.SinkNames()) {
-    const Node& node = **dataflow_.node(name);
-    SL_ASSIGN_OR_RETURN(
-        std::unique_ptr<sinks::Sink> sink,
-        sinks::MakeSink(name, node.sink, node.sink_target, sink_context_));
-    sinks_.emplace(name, std::move(sink));
-  }
-
-  // Stages, with the simulator's flush stagger: blocking operators
-  // fire interval + stagger * depth after deploy, depth counting the
-  // blocking operators preceding them in topological order.
+  // Stages, each blocking one on the simulator's flush schedule: first
+  // at deploy_time plus its first-flush offset, then every interval.
   std::map<std::string, Stage*> stage_of;
-  Duration stagger_depth = 0;
   for (const auto& name : dataflow_.topological_order()) {
     const Node& node = **dataflow_.node(name);
     if (node.kind == NodeKind::kSource) continue;
     auto stage = std::make_unique<Stage>();
     stage->name = name;
     if (node.kind == NodeKind::kOperator) {
-      stage->op = operators_.at(name).get();
-      stage->parallelism = stage->op->parallelism();
+      ops::BuiltOperator& op = built.operators.at(name);
+      stage->op = std::move(op.op);
       if (stage->op->is_blocking()) {
         stage->interval = stage->op->interval();
-        stage->next_flush = options_.deploy_time + stage->interval +
-                            ops::kDefaultFlushStaggerMs * stagger_depth;
-        ++stagger_depth;
+        stage->next_flush = options_.deploy_time + op.first_flush;
         boundaries_.push({stage->next_flush, stage->interval});
       }
     } else {
-      stage->sink = sinks_.at(name).get();
+      SL_ASSIGN_OR_RETURN(stage->sink,
+                          sinks::MakeSink(name, node.sink, node.sink_target,
+                                          sink_context_));
     }
     stage_of[name] = stage.get();
     stages_.push_back(std::move(stage));
@@ -380,17 +323,6 @@ Status ThreadedRuntime::Feed(const std::string& source,
 }
 
 void ThreadedRuntime::PushBlocking(Channel* channel, Message&& message) {
-  // Byte gauge per edge. This deliberately calls the tuple's memoized
-  // ApproxValueBytes from whichever thread produces the edge — the
-  // memoization must be (and now is) an atomic, see stt/tuple.h.
-  if (message.tuple != nullptr) {
-    channel->bytes.fetch_add(message.tuple->ApproxValueBytes(),
-                             std::memory_order_relaxed);
-  }
-  for (const Message::Item& item : message.items) {
-    channel->bytes.fetch_add(item.tuple->ApproxValueBytes(),
-                             std::memory_order_relaxed);
-  }
   if (!channel->ring.TryPush(message)) {
     // Out of credits: the consumer is behind. Parking could deadlock
     // the pool (every worker blocked pushing into rings only pool
@@ -809,7 +741,7 @@ Result<ThreadedRunResult> ThreadedRuntime::FinishCollect() {
 
   ThreadedRunResult result;
   result.tuples_fed = fed_.load(std::memory_order_relaxed);
-  result.activations = recorder_->Take();
+  result.activations = recorder_.Take();
   {
     MutexLock lock(&late_mu_);
     result.late_rows = late_rows_;
@@ -832,7 +764,8 @@ Result<ThreadedRunResult> ThreadedRuntime::FinishCollect() {
           stage->in_count.load(std::memory_order_relaxed);
       latencies.insert(latencies.end(), stage->latencies_ns.begin(),
                        stage->latencies_ns.end());
-      if (auto* collect = dynamic_cast<sinks::CollectSink*>(stage->sink)) {
+      if (auto* collect =
+              dynamic_cast<sinks::CollectSink*>(stage->sink.get())) {
         std::vector<std::string> rows;
         rows.reserve(collect->tuples().size());
         for (const auto& t : collect->tuples()) rows.push_back(t->ToString());
@@ -882,6 +815,14 @@ monitor::OperatorSample ThreadedRuntime::SampleStage(const Stage& stage,
   sample.node_id = "worker";
   sample.total_in = stage.in_count.load(std::memory_order_relaxed);
   sample.total_out = stage.out_count.load(std::memory_order_relaxed);
+  sample.cache_size = stage.cache_gauge.load(std::memory_order_relaxed);
+  if (stage.op != nullptr) {
+    // Fixed at Build: reads no counter.
+    sample.parallelism = stage.op->parallelism();
+    // Final samples only: the operator's plain counters are safe to
+    // read once its worker has joined.
+    if (final) monitor::SetOperatorCounters(*stage.op, &sample);
+  }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start_)
@@ -890,21 +831,8 @@ monitor::OperatorSample ThreadedRuntime::SampleStage(const Stage& stage,
     sample.in_per_sec = static_cast<double>(sample.total_in) / elapsed;
     sample.out_per_sec = static_cast<double>(sample.total_out) / elapsed;
   }
-  sample.cache_size = stage.cache_gauge.load(std::memory_order_relaxed);
-  sample.parallelism = stage.parallelism;
   sample.pool_size = options_.pool_size;
   sample.quanta = stage.quanta.load(std::memory_order_relaxed);
-  if (final && stage.op != nullptr) {
-    // Final samples only: the operator's plain counters, range counts
-    // included, are safe to read once its worker has joined.
-    const ops::OperatorStats& op_stats = stage.op->stats();
-    sample.batches = op_stats.batches;
-    if (op_stats.batches > 0) {
-      sample.batch_fill = static_cast<double>(op_stats.batched_tuples) /
-                          static_cast<double>(op_stats.batches);
-    }
-    monitor::SetInstanceGauges(stage.op->range_counts(), &sample);
-  }
   uint64_t depth = 0;
   for (const Channel* channel : stage.inputs) {
     const uint64_t d =

@@ -15,8 +15,9 @@
 // runtime aligns the blocking operators' flush schedule with
 // punctuation messages instead of raw timers: punct(B) enters every
 // source channel for each flush boundary
-// B = deploy_time + interval + ops::kDefaultFlushStaggerMs * depth +
-// k * interval, *before* any tuple whose ingestion time equals B
+// B = deploy_time + first flush + k * interval, the first flush being
+// the simulator's own (ops::BuildDataflow, through which both runtimes
+// build), *before* any tuple whose ingestion time equals B
 // (mirroring the event loop's tie-break, where a periodic flush re-armed
 // earlier always runs before a same-instant delivery). A stage fires
 // Flush(B) when the punctuation minimum over its input ports passes B,
@@ -104,11 +105,6 @@ struct ThreadedOptions {
   /// message at a batch-capable stage (ops::Operator::batchable) goes
   /// through ProcessBatch.
   size_t batch_max = 1;
-  /// StreamLoader::RunThreaded only: run even though the session's
-  /// network has a non-zero fault plan installed. The threaded runtime
-  /// does not simulate network faults, so results then diverge from a
-  /// faulty simulation; without this flag RunThreaded fails fast.
-  bool allow_fault_plan = false;
 };
 
 /// \brief One tuple entering a source, with its virtual ingestion time
@@ -216,7 +212,6 @@ class ThreadedRuntime {
   struct Channel;
   struct Stage;
   struct Message;
-  class Recorder;
 
   Status Build();
   /// Moves the driver's virtual clock to `now`, emitting the punctuation
@@ -264,13 +259,11 @@ class ThreadedRuntime {
   sinks::SinkContext sink_context_;
   ThreadedOptions options_;
 
-  std::map<std::string, std::unique_ptr<ops::Operator>> operators_;
-  std::map<std::string, std::unique_ptr<sinks::Sink>> sinks_;
   std::vector<std::unique_ptr<Channel>> channels_;
   std::vector<std::unique_ptr<Stage>> stages_;
   std::map<std::string, std::vector<Channel*>> source_channels_;
   std::vector<Channel*> all_source_channels_;
-  std::unique_ptr<Recorder> recorder_;
+  ops::ActivationRecorder recorder_;
 
   /// The union flush schedule: min-heap of upcoming boundaries, one
   /// recurring entry per blocking stage.

@@ -2,13 +2,29 @@
 
 #include <algorithm>
 
+#include "ops/operator.h"
 #include "util/json.h"
 #include "util/strings.h"
 
 namespace sl::monitor {
 
-void SetInstanceGauges(const std::vector<uint64_t>& range_counts,
-                       OperatorSample* sample) {
+void SetOperatorCounters(const ops::Operator& op, OperatorSample* sample) {
+  const ops::OperatorStats& stats = op.stats();
+  sample->total_in = stats.tuples_in;
+  sample->total_out = stats.tuples_out;
+  sample->cache_size = stats.cache_size;
+  sample->trigger_fires = stats.trigger_fires;
+  sample->late_dropped = stats.late_dropped;
+  sample->late_routed = stats.late_routed;
+  sample->batches = stats.batches;
+  if (stats.batches > 0) {
+    sample->batch_fill = static_cast<double>(stats.batched_tuples) /
+                         static_cast<double>(stats.batches);
+  }
+  sample->parallelism = op.parallelism();
+  // Instance gauges: the per-range arrival counts and their max over
+  // mean; left unset below two ranges.
+  const std::vector<uint64_t>& range_counts = op.range_counts();
   if (range_counts.size() < 2) return;
   sample->instance_load = range_counts;
   uint64_t max_in = 0;

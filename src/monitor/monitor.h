@@ -19,6 +19,10 @@
 #include "net/event_loop.h"
 #include "net/network.h"
 
+namespace sl::ops {
+class Operator;
+}  // namespace sl::ops
+
 namespace sl::monitor {
 
 /// \brief Per-operator measurements over one monitoring window.
@@ -65,12 +69,15 @@ struct OperatorSample {
   double batch_fill = 0;
 };
 
-/// Sets `sample`'s instance gauges from an operator's per-range arrival
+/// Sets `sample`'s operator fields from `op`'s counters: the totals,
+/// cache size, trigger fires, late counts, batch figures and
+/// parallelism, plus the instance gauges from its per-range arrival
 /// counts (ops::Operator::range_counts): `instance_load` copies them and
-/// `key_skew` is their max over mean. Fewer than two ranges leave both
-/// unset. Both runtimes sample through this one function.
-void SetInstanceGauges(const std::vector<uint64_t>& range_counts,
-                       OperatorSample* sample);
+/// `key_skew` is their max over mean, both unset below two ranges.
+/// Names, rates and the watermark lag are the caller's. Both runtimes
+/// sample operators through this one function: the simulator on every
+/// monitor tick, the threaded runtime once a stage's worker has joined.
+void SetOperatorCounters(const ops::Operator& op, OperatorSample* sample);
 
 /// \brief Per-node measurements over one monitoring window.
 struct NodeSample {

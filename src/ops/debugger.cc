@@ -1,6 +1,7 @@
 #include "ops/debugger.h"
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 
 #include "util/strings.h"
@@ -15,6 +16,23 @@ std::string ActivationRecord::ToString() const {
   return StrFormat("%s {%s} at %s", activate ? "ACTIVATE" : "DEACTIVATE",
                    Join(sensor_ids, ", ").c_str(),
                    FormatTimestamp(at).c_str());
+}
+
+void ActivationRecorder::ActivateSensors(const std::vector<std::string>& ids,
+                                         Timestamp at) {
+  MutexLock lock(&mu_);
+  records_.push_back({true, ids, at});
+}
+
+void ActivationRecorder::DeactivateSensors(
+    const std::vector<std::string>& ids, Timestamp at) {
+  MutexLock lock(&mu_);
+  records_.push_back({false, ids, at});
+}
+
+std::vector<ActivationRecord> ActivationRecorder::Take() {
+  MutexLock lock(&mu_);
+  return std::move(records_);
 }
 
 std::string DebugResult::ToString(const Dataflow& dataflow) const {
@@ -44,75 +62,34 @@ std::string DebugResult::ToString(const Dataflow& dataflow) const {
   return out;
 }
 
-namespace {
-
-/// Records trigger requests without acting on them.
-class RecordingActivation : public ActivationHandler {
- public:
-  explicit RecordingActivation(std::vector<ActivationRecord>* records)
-      : records_(records) {}
-  void ActivateSensors(const std::vector<std::string>& ids,
-                       Timestamp at) override {
-    records_->push_back({true, ids, at});
-  }
-  void DeactivateSensors(const std::vector<std::string>& ids,
-                         Timestamp at) override {
-    records_->push_back({false, ids, at});
-  }
-
- private:
-  std::vector<ActivationRecord>* records_;
-};
-
-}  // namespace
-
 Result<DebugResult> DataflowDebugger::Run(
     const Dataflow& dataflow,
     const std::map<std::string, std::vector<stt::Tuple>>& samples) const {
-  DebugResult result;
-  dataflow::Validator validator(broker_);
-  SL_ASSIGN_OR_RETURN(result.report, validator.Validate(dataflow));
-  if (!result.report.ok()) {
-    return Status::ValidationError("cannot debug an unsound dataflow:\n" +
-                                   result.report.ToString());
-  }
-  for (const auto& [source, tuples] : samples) {
-    auto node = dataflow.node(source);
+  ActivationRecorder activation;
+  OperatorOptions options;
+  options.activation = &activation;
+  SL_ASSIGN_OR_RETURN(BuiltDataflow built,
+                      BuildDataflow(dataflow, broker_, options));
+  for (const auto& entry : samples) {
+    auto node = dataflow.node(entry.first);
     if (!node.ok() || (*node)->kind != NodeKind::kSource) {
-      return Status::InvalidArgument("samples provided for '" + source +
+      return Status::InvalidArgument("samples provided for '" + entry.first +
                                      "', which is not a source of the "
                                      "dataflow");
     }
-    (void)tuples;
   }
-
-  // Build the operators.
-  RecordingActivation activation(&result.activations);
-  OperatorOptions options;
-  options.activation = &activation;
-  std::map<std::string, std::unique_ptr<Operator>> operators;
-  for (const auto& name : dataflow.OperatorNames()) {
-    const Node& node = **dataflow.node(name);
-    std::vector<stt::SchemaPtr> input_schemas;
-    for (const auto& in : node.inputs) {
-      input_schemas.push_back(result.report.schemas.at(in));
-    }
-    SL_ASSIGN_OR_RETURN(std::unique_ptr<Operator> op,
-                        MakeOperator(name, node.op, node.spec, input_schemas,
-                                     node.inputs, options));
-    operators.emplace(name, std::move(op));
-  }
+  DebugResult result;
+  result.report = std::move(built.report);
 
   // Wire node -> downstream consumers; every emission is also recorded.
-  // Delivery is breadth-first through an explicit work queue so that
+  // Delivery is breadth-first through a FIFO work queue so that
   // emissions inside Flush cascade correctly.
   struct Delivery {
     std::string to;
     size_t port;
     stt::TupleRef tuple;
   };
-  std::vector<Delivery> queue;
-  Status sticky_status = Status::OK();
+  std::deque<Delivery> queue;
 
   auto fanout = [&](const std::string& from, const stt::TupleRef& tuple) {
     result.outputs[from].push_back(tuple);
@@ -126,9 +103,9 @@ Result<DebugResult> DataflowDebugger::Run(
     }
   };
 
-  for (auto& [name, op] : operators) {
+  for (auto& [name, b] : built.operators) {
     const std::string node_name = name;
-    op->set_emit([&fanout, node_name](const stt::TupleRef& t) {
+    b.op->set_emit([&fanout, node_name](const stt::TupleRef& t) {
       fanout(node_name, t);
     });
   }
@@ -136,13 +113,13 @@ Result<DebugResult> DataflowDebugger::Run(
   auto drain = [&]() -> Status {
     while (!queue.empty()) {
       Delivery d = std::move(queue.front());
-      queue.erase(queue.begin());
+      queue.pop_front();
       const Node& node = **dataflow.node(d.to);
       if (node.kind == NodeKind::kSink) {
         result.outputs[d.to].push_back(d.tuple);
         continue;
       }
-      SL_RETURN_IF_ERROR(operators.at(d.to)->Process(d.port, d.tuple));
+      SL_RETURN_IF_ERROR(built.operators.at(d.to).op->Process(d.port, d.tuple));
     }
     return Status::OK();
   };
@@ -173,13 +150,13 @@ Result<DebugResult> DataflowDebugger::Run(
   // blocking stages see their upstream's aggregates.
   Timestamp flush_at = max_ts + duration::kSecond;
   for (const auto& name : dataflow.OperatorNames()) {
-    Operator* op = operators.at(name).get();
+    Operator* op = built.operators.at(name).op.get();
     if (op->is_blocking()) {
       SL_RETURN_IF_ERROR(op->Flush(flush_at));
       SL_RETURN_IF_ERROR(drain());
     }
   }
-  SL_RETURN_IF_ERROR(sticky_status);
+  result.activations = activation.Take();
   return result;
 }
 

@@ -18,6 +18,7 @@
 #include "dataflow/validate.h"
 #include "ops/operator.h"
 #include "pubsub/broker.h"
+#include "util/thread_annotations.h"
 
 namespace sl::ops {
 
@@ -28,6 +29,25 @@ struct ActivationRecord {
   Timestamp at = 0;
 
   std::string ToString() const;
+};
+
+/// \brief Records trigger requests instead of acting on them: the
+/// handler of the design-time debugger and of the threaded runtime.
+/// Thread-safe, because the threaded runtime runs trigger stages on
+/// different workers, whose requests can interleave.
+class ActivationRecorder : public ActivationHandler {
+ public:
+  void ActivateSensors(const std::vector<std::string>& sensor_ids,
+                       Timestamp at) override;
+  void DeactivateSensors(const std::vector<std::string>& sensor_ids,
+                         Timestamp at) override;
+
+  /// The requests recorded so far, in arrival order; leaves none behind.
+  std::vector<ActivationRecord> Take();
+
+ private:
+  Mutex mu_;
+  std::vector<ActivationRecord> records_ SL_GUARDED_BY(mu_);
 };
 
 /// \brief What one debugging run produced.

@@ -12,11 +12,15 @@
 #define STREAMLOADER_OPS_OPERATOR_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "dataflow/graph.h"
 #include "dataflow/op_spec.h"
+#include "dataflow/validate.h"
+#include "pubsub/broker.h"
 #include "stt/tuple.h"
 #include "stt/watermark.h"
 
@@ -281,8 +285,8 @@ class Operator {
 /// the operators' options start from; the threaded runtime always
 /// applies it.
 inline constexpr size_t kDefaultMaxCacheTuples = size_t{1} << 20;
-/// The flush-schedule stagger (exec::ExecutorOptions::flush_stagger_ms)
-/// the executor starts from; the threaded runtime always applies it.
+/// The flush-schedule stagger of FirstFlushOffset: a constant, which
+/// both runtimes apply through that one function.
 inline constexpr Duration kDefaultFlushStaggerMs = 50;
 
 /// Options shared by operator construction.
@@ -311,6 +315,48 @@ Result<std::unique_ptr<Operator>> MakeOperator(
     const std::vector<stt::SchemaPtr>& input_schemas,
     const std::vector<std::string>& input_names,
     const OperatorOptions& options = {});
+
+/// \brief The flush rule of both runtimes (schedule optimization, §1:
+/// "optimize the schedule for the execution of the dataflow"). Blocking
+/// operator `name` with this `interval` first flushes
+/// interval + kDefaultFlushStaggerMs * depth after it is deployed, then
+/// every interval; depth counts the operators ahead of it in
+/// `dataflow`'s topological order for which `blocking` holds. A
+/// downstream aggregation, join or trigger thus sees its upstream's
+/// freshly flushed results in the same interval instead of one interval
+/// later. The threaded runtime's punctuation replays this schedule, so
+/// the sink rows of both runtimes rest on this one function.
+Duration FirstFlushOffset(
+    const dataflow::Dataflow& dataflow, const std::string& name,
+    Duration interval,
+    const std::function<bool(const std::string&)>& blocking);
+
+/// One operator built by BuildDataflow.
+struct BuiltOperator {
+  std::unique_ptr<Operator> op;
+  /// Blocking operators: the first flush as an offset from deployment
+  /// (FirstFlushOffset); 0 for the others.
+  Duration first_flush = 0;
+};
+
+/// \brief A dataflow's operators, built and ready to wire.
+struct BuiltDataflow {
+  /// The validation the dataflow passed: `report.schemas` holds every
+  /// node's output schema, its warnings what the checker flagged.
+  dataflow::ValidationReport report;
+  /// One entry per operator node, keyed by node name.
+  std::map<std::string, BuiltOperator> operators;
+};
+
+/// \brief Validates `dataflow` against `broker`'s sensor registry and
+/// builds every operator with `options`, in topological order, each
+/// blocking one with its FirstFlushOffset. The simulator, the threaded
+/// runtime and the design-time debugger all build through here and
+/// keep only their own wiring. An unsound dataflow is a ValidationError
+/// carrying the report.
+Result<BuiltDataflow> BuildDataflow(const dataflow::Dataflow& dataflow,
+                                    const pubsub::Broker* broker,
+                                    const OperatorOptions& options);
 
 }  // namespace sl::ops
 

@@ -1,4 +1,5 @@
-// Implementations of the nine Table 1 operators and their factory.
+// Implementations of the nine Table 1 operators, their factory and the
+// dataflow builder every runtime builds through.
 //
 // Time convention: every window is half-open, [begin, end) — a tuple
 // with timestamp() == end belongs to the *next* window (DESIGN.md §8).
@@ -1167,6 +1168,54 @@ Result<std::unique_ptr<Operator>> MakeOperator(
     return Status::Internal("unreachable op kind in MakeOperator");
   }
   built->set_watermark_options(options.watermark);
+  return built;
+}
+
+Duration FirstFlushOffset(
+    const dataflow::Dataflow& dataflow, const std::string& name,
+    Duration interval,
+    const std::function<bool(const std::string&)>& blocking) {
+  Duration depth = 0;
+  for (const auto& n : dataflow.topological_order()) {
+    if (n == name) break;
+    if ((*dataflow.node(n))->kind == dataflow::NodeKind::kOperator &&
+        blocking(n)) {
+      ++depth;
+    }
+  }
+  return interval + kDefaultFlushStaggerMs * depth;
+}
+
+Result<BuiltDataflow> BuildDataflow(const dataflow::Dataflow& dataflow,
+                                    const pubsub::Broker* broker,
+                                    const OperatorOptions& options) {
+  BuiltDataflow built;
+  dataflow::Validator validator(broker);
+  SL_ASSIGN_OR_RETURN(built.report, validator.Validate(dataflow));
+  if (!built.report.ok()) {
+    return Status::ValidationError("cannot build dataflow '" +
+                                   dataflow.name() + "':\n" +
+                                   built.report.ToString());
+  }
+  auto blocking = [&built](const std::string& n) {
+    return built.operators.at(n).op->is_blocking();
+  };
+  for (const auto& name : dataflow.OperatorNames()) {
+    const dataflow::Node& node = **dataflow.node(name);
+    std::vector<stt::SchemaPtr> input_schemas;
+    for (const auto& in : node.inputs) {
+      input_schemas.push_back(built.report.schemas.at(in));
+    }
+    BuiltOperator b;
+    SL_ASSIGN_OR_RETURN(b.op, MakeOperator(name, node.op, node.spec,
+                                           input_schemas, node.inputs,
+                                           options));
+    if (b.op->is_blocking()) {
+      b.first_flush =
+          FirstFlushOffset(dataflow, name, b.op->interval(), blocking);
+    }
+    built.operators.emplace(name, std::move(b));
+  }
   return built;
 }
 

@@ -72,34 +72,14 @@ class CsvSink : public Sink {
 
 /// \brief Collects tuple refs in memory. Stored refs share ownership
 /// with the rest of the dataflow — pointer equality across sinks means
-/// the same tuple was fanned out, not copied.
+/// the same tuple was fanned out, not copied. Also the late-side output
+/// of event-time blocking operators (ops::LatePolicy::kSideOutput): one
+/// per deployment (exec::Executor::LateSinkOf) collects the tuples that
+/// arrived behind the fired window horizon, so a consumer can reconcile
+/// them instead of their silently vanishing.
 class CollectSink : public Sink {
  public:
   explicit CollectSink(std::string name) : Sink(std::move(name)) {}
-
-  using Sink::Write;
-  Status Write(const stt::TupleRef& tuple) override {
-    tuples_.push_back(tuple);
-    CountWrite();
-    return Status::OK();
-  }
-
-  const std::vector<stt::TupleRef>& tuples() const { return tuples_; }
-  void Clear() { tuples_.clear(); }
-
- private:
-  std::vector<stt::TupleRef> tuples_;
-};
-
-/// \brief The late-side output of event-time blocking operators
-/// (ops::LatePolicy::kSideOutput): tuples that arrived behind the fired
-/// window horizon are diverted here instead of silently vanishing, so a
-/// downstream consumer can reconcile them (re-aggregate, audit, alert).
-/// One per deployment (Executor::LateSinkOf); written locally by the
-/// operator's node — the tuple already took its network hop.
-class LateSink : public Sink {
- public:
-  explicit LateSink(std::string name) : Sink(std::move(name)) {}
 
   using Sink::Write;
   Status Write(const stt::TupleRef& tuple) override {

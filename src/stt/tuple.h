@@ -156,11 +156,11 @@ class Tuple {
   std::string sensor_id_;
   // Lazily computed by ApproxValueBytes(); value-preserving derivations
   // (WithStt) keep it, value-changing ones (WithAppended/WithValueAt)
-  // reset it. Atomic because the threaded runtime calls
-  // ApproxValueBytes from every producer thread that pushes the shared
-  // (immutable) tuple onto an edge: the relaxed load/store race is a
-  // duplicated computation of the same value, not a torn read (plain
-  // size_t here was a TSan-reportable data race on fan-out edges).
+  // reset it. Atomic because a shared (immutable) tuple can reach
+  // several threaded-runtime stages at once: the relaxed load/store
+  // race is a duplicated computation of the same value, not a torn read
+  // (plain size_t here was a TSan-reportable data race on fan-out
+  // edges).
   mutable std::atomic<size_t> value_bytes_{kBytesUnset};
 };
 

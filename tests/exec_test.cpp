@@ -291,12 +291,10 @@ TEST_F(ExecutorTest, ReplaceOperatorKeepsSchemaContract) {
 TEST_F(ExecutorTest, FlushStaggerDeliversCascadesInSameInterval) {
   // Two chained per-minute aggregations. With staggered flushes the
   // downstream stage consumes the upstream's output in the SAME minute;
-  // with stagger disabled both flush exactly on the boundary and the
-  // downstream misses it, adding a full interval of staleness.
-  auto run = [this](Duration stagger) -> size_t {
-    ExecutorOptions options;
-    options.flush_stagger_ms = stagger;
-    auto exec = MakeExecutor(options);
+  // without the stagger both would flush exactly on the boundary and the
+  // downstream would miss it, adding a full interval of staleness.
+  auto run = [this]() -> size_t {
+    auto exec = MakeExecutor();
     auto df = *DataflowBuilder("cascade")
                    .AddSource("src", "t1")
                    .AddAggregation("a1", "src", duration::kMinute,
@@ -316,10 +314,7 @@ TEST_F(ExecutorTest, FlushStaggerDeliversCascadesInSameInterval) {
   };
   // Staggered: a2's flush at ~1m+50ms sees a1's 1m output -> first
   // result within the first interval; two results by 2m.
-  EXPECT_EQ(run(50), 2u);
-  // Unstaggered: a2 flushes at exactly 1m before a1's output arrives ->
-  // one interval of extra staleness.
-  EXPECT_EQ(run(0), 1u);
+  EXPECT_EQ(run(), 2u);
 }
 
 TEST_F(ExecutorTest, ReplacedAggregationKeepsFlushStagger) {
@@ -327,11 +322,9 @@ TEST_F(ExecutorTest, ReplacedAggregationKeepsFlushStagger) {
   // before a1's first flush. The replacement's timer is re-armed one
   // interval plus the stagger later, so at ~2m it trails a1's second
   // flush and counts both of a1's results in that interval. Without the
-  // stagger it flushes just ahead of a1 and counts only the first.
-  auto run = [this](Duration stagger) -> std::vector<int64_t> {
-    ExecutorOptions options;
-    options.flush_stagger_ms = stagger;
-    auto exec = MakeExecutor(options);
+  // stagger it would flush just ahead of a1 and count only the first.
+  auto run = [this]() -> std::vector<int64_t> {
+    auto exec = MakeExecutor();
     auto df = *DataflowBuilder("cascade")
                    .AddSource("src", "t1")
                    .AddAggregation("a1", "src", duration::kMinute,
@@ -353,8 +346,7 @@ TEST_F(ExecutorTest, ReplacedAggregationKeepsFlushStagger) {
     (void)s;
     return counts;
   };
-  EXPECT_EQ(run(50), std::vector<int64_t>{2});
-  EXPECT_EQ(run(0), std::vector<int64_t>{1});
+  EXPECT_EQ(run(), std::vector<int64_t>{2});
 }
 
 TEST_F(ExecutorTest, QosViolationsCounted) {

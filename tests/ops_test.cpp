@@ -1030,7 +1030,7 @@ uint64_t DisplayFormHash(const std::vector<Value>& key) {
 /// The instance_load the monitor reads for `op`.
 std::vector<uint64_t> InstanceLoad(const Operator& op) {
   monitor::OperatorSample sample;
-  monitor::SetInstanceGauges(op.range_counts(), &sample);
+  monitor::SetOperatorCounters(op, &sample);
   return sample.instance_load;
 }
 

@@ -151,6 +151,49 @@ TEST(QuerySourceTest, ConsumesAllMatchesAndFutureJoiners) {
   EXPECT_EQ((*loader.executor().stats(id))->process_errors, 0u);
 }
 
+TEST(QuerySourceTest, ReplaceOperatorKeepsTheQueryBoundSource) {
+  // An on-the-fly replacement rebuilds the deployed dataflow with the
+  // new spec. A source bound by query must come through that rebuild as
+  // it was, and the replacement must apply whole: the new filter live,
+  // the deployed dataflow showing it, the SCN log recording it.
+  StreamLoaderOptions options;
+  options.network_nodes = 2;
+  StreamLoader loader(options);
+  SL_ASSERT_OK(loader.AddSensor(TempAt("a", {34.5, 135.5}, "node_0", 1)));
+  auto df = *loader.NewDataflow("q")
+                 .AddSourceByQuery("src", OsakaTemps())
+                 .AddFilter("keep", "src", "temp > -100")
+                 .AddSink("out", "keep", SinkKind::kCollect)
+                 .Build();
+  auto id = *loader.Deploy(df);
+  loader.RunFor(5 * duration::kSecond);
+  auto* sink = dynamic_cast<sinks::CollectSink*>(
+      *loader.executor().SinkOf(id, "out"));
+  ASSERT_NE(sink, nullptr);
+  const size_t before = sink->tuples().size();
+  EXPECT_GT(before, 0u);
+
+  SL_ASSERT_OK(loader.executor().ReplaceOperator(
+      id, "keep", dataflow::FilterSpec{"temp > 1000"}));
+  loader.RunFor(30 * duration::kSecond);
+  // At most the tuple already in flight lands; the new filter passes
+  // nothing.
+  EXPECT_LE(sink->tuples().size(), before + 1);
+
+  const dataflow::Dataflow* deployed =
+      *loader.executor().DeployedDataflow(id);
+  const dataflow::Node& src = **deployed->node("src");
+  EXPECT_TRUE(src.by_query);
+  EXPECT_EQ(src.source_query.type, "temperature");
+  EXPECT_NE((*deployed->node("keep"))->ToString().find("temp > 1000"),
+            std::string::npos);
+  size_t replaced = 0;
+  for (const auto& command : loader.executor().scn_log().ForDeployment(id)) {
+    if (command.kind == exec::ScnCommandKind::kReplaceService) ++replaced;
+  }
+  EXPECT_EQ(replaced, 1u);
+}
+
 TEST(QuerySourceTest, LiveCanvasRendersQuerySource) {
   StreamLoaderOptions options;
   options.network_nodes = 2;

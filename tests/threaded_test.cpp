@@ -719,7 +719,8 @@ class DirectThreaded {
     auto schema = ThTempSchema();
     Timestamp at = loop_->Now();
     for (size_t i = 0; i < count; ++i) {
-      std::string station = "s" + std::to_string(rng.NextBounded(8));
+      std::string station = "s";
+      station += std::to_string(rng.NextBounded(8));
       auto tuple = stt::Tuple::Share(stt::Tuple::MakeUnsafe(
           schema,
           {stt::Value::Double(rng.NextDouble(-5.0, 30.0)),
@@ -1188,6 +1189,72 @@ TEST(ThreadedRuntimeTest, DefaultOptionsRunOnThePool) {
   }
 }
 
+TEST(ThreadedRuntimeTest, FinalSamplesCarryOperatorCounters) {
+  // A stage's final sample reads its operator's counters as the
+  // simulator's monitor does. Here an event-time aggregation and a
+  // trigger see every 50th tuple 20 s behind the watermark, after its
+  // windows fired, so both count late tuples, and the trigger fires.
+  DirectThreaded direct(31);
+  dataflow::AggregationSpec agg;
+  agg.interval = 5 * duration::kSecond;
+  agg.func = dataflow::AggFunc::kAvg;
+  agg.attributes = {"temp"};
+  agg.group_by = {"station"};
+  dataflow::TriggerSpec trig;
+  trig.interval = 5 * duration::kSecond;
+  trig.condition = "temp > 20";
+  trig.target_sensors = {"th_t0"};
+  const auto df =
+      *dataflow::DataflowBuilder("th_counters")
+           .AddSource("src", "th_t0")
+           .AddOperator("agg", dataflow::OpKind::kAggregation, agg, {"src"})
+           .AddOperator("trig", dataflow::OpKind::kTriggerOn, trig, {"src"})
+           .AddSink("out", "agg", dataflow::SinkKind::kCollect)
+           .AddSink("fired", "trig", dataflow::SinkKind::kCollect)
+           .Build();
+  const auto schema = ThTempSchema();
+  Rng rng(31);
+  exec::InputTrace trace;
+  for (int i = 0; i < 3000; ++i) {  // 30 s at 100 tuples per second
+    const Timestamp at = direct.now() + 10 * i;
+    const bool late = i >= 2500 && i % 50 == 49;
+    const double temp = rng.NextDouble(-5.0, 30.0);
+    std::string station = "s";
+    station += std::to_string(rng.NextBounded(8));
+    auto tuple = stt::Tuple::Share(stt::Tuple::MakeUnsafe(
+        schema, {stt::Value::Double(temp), stt::Value::String(station)},
+        late ? at - 20 * duration::kSecond : at,
+        stt::GeoPoint{34.69, 135.50}, "th_t0"));
+    trace.push_back({at, "src", tuple, at});
+  }
+  for (ops::LatePolicy policy :
+       {ops::LatePolicy::kDrop, ops::LatePolicy::kSideOutput}) {
+    exec::ThreadedOptions options;
+    options.watermark.time_policy = ops::TimePolicy::kEvent;
+    options.watermark.late_policy = policy;
+    options.deploy_time = direct.now();
+    exec::ThreadedRuntime runtime(df, direct.broker(), {}, options);
+    auto result =
+        runtime.RunTrace(trace, trace.back().at + 10 * duration::kSecond);
+    SL_ASSERT_OK(result.status());
+    const ops::OperatorStats& agg_stats = result->op_stats.at("agg");
+    EXPECT_GT(agg_stats.late_dropped + agg_stats.late_routed, 0u);
+    EXPECT_GT(result->op_stats.at("trig").trigger_fires, 0u);
+    size_t operators = 0;
+    for (const auto& sample : result->stage_samples) {
+      auto it = result->op_stats.find(sample.op_name);
+      if (it == result->op_stats.end()) continue;  // a sink stage
+      ++operators;
+      EXPECT_EQ(sample.late_dropped, it->second.late_dropped)
+          << sample.op_name;
+      EXPECT_EQ(sample.late_routed, it->second.late_routed) << sample.op_name;
+      EXPECT_EQ(sample.trigger_fires, it->second.trigger_fires)
+          << sample.op_name;
+    }
+    EXPECT_EQ(operators, 2u);
+  }
+}
+
 // ------------------------------------------- latent-race regressions --
 
 TEST(ThreadedChaosTest, TupleByteMemoizationIsThreadSafe) {
@@ -1328,7 +1395,7 @@ TEST(ThreadedFacadeTest, RunThreadedRejectsFaultPlan) {
       sl.RunThreaded(df, trace, sl.Now() + duration::kSecond, run_options);
   SL_ASSERT_OK(ok_run.status());
 
-  // A plan with a non-zero profile is refused...
+  // A plan with a non-zero profile is refused.
   net::FaultPlan lossy_plan(/*seed=*/11);
   net::FaultProfile profile;
   profile.drop_probability = 0.1;
@@ -1339,13 +1406,6 @@ TEST(ThreadedFacadeTest, RunThreadedRejectsFaultPlan) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(rejected.status().message().find("fault plan"),
             std::string::npos);
-
-  // ...unless the caller explicitly opts in.
-  exec::ThreadedOptions opt_in = run_options;
-  opt_in.allow_fault_plan = true;
-  auto allowed =
-      sl.RunThreaded(df, trace, sl.Now() + duration::kSecond, opt_in);
-  SL_ASSERT_OK(allowed.status());
 }
 
 }  // namespace
