@@ -76,7 +76,7 @@ class CsvSink : public Sink {
 /// of event-time blocking operators (ops::LatePolicy::kSideOutput): one
 /// per deployment (exec::Executor::LateSinkOf) collects the tuples that
 /// arrived behind the fired window horizon, so a consumer can reconcile
-/// them instead of their silently vanishing.
+/// them rather than lose them silently.
 class CollectSink : public Sink {
  public:
   explicit CollectSink(std::string name) : Sink(std::move(name)) {}
