@@ -6,7 +6,6 @@
 
 #include "analyze/abstract_eval.h"
 #include "expr/eval.h"
-#include "expr/parser.h"
 #include "util/strings.h"
 
 namespace sl::analyze {
@@ -66,6 +65,13 @@ class Analyzer {
   stt::SchemaPtr SchemaOf(const std::string& name) const {
     auto it = report_.schemas.find(name);
     return it == report_.schemas.end() ? nullptr : it->second;
+  }
+
+  /// What the validator's check of operator `name` bound, its programs
+  /// and join keys; nullptr when the check derived nothing.
+  const dataflow::CheckedOp* CheckedOf(const std::string& name) const {
+    auto it = report_.ops.find(name);
+    return it == report_.ops.end() ? nullptr : &it->second;
   }
 
   const StreamFacts* FactsOf(const std::string& name) const {
@@ -192,51 +198,51 @@ class Analyzer {
   void AnalyzeFilter(const Node& node) {
     StreamFacts in;
     if (!InputFacts(node.inputs[0], &in)) return;
+    const dataflow::CheckedOp* checked = CheckedOf(node.name);
+    if (checked == nullptr) return;
     const auto& spec = std::get<FilterSpec>(node.spec);
+    const BoundExpr& bound = checked->expr;
     StreamFacts out = in;
-    auto bound = BoundExpr::Parse(spec.condition, in.schema);
-    if (bound.ok()) {
-      AbstractRow row = AbstractRow::FromFacts(in);
-      std::vector<ExprFinding> findings;
-      AbstractValue cond = EvalAbstract(bound->program(), row, &findings);
-      EmitExprFindings(node.name, spec.condition, findings);
-      if (!DecidedWithoutRanges(*bound, in.schema) && in.may_produce) {
-        if (!cond.may_true) {
-          Warn(diag::Code::kRangeConstantCondition, node.name,
-               "filter condition is always false given upstream value "
-               "ranges: no tuple can ever pass",
-               WholeSpan(spec.condition), spec.condition);
-          out.may_produce = false;
-        } else if (!cond.may_false && !cond.may_null) {
-          Warn(diag::Code::kRangeConstantCondition, node.name,
-               "filter condition is always true given upstream value "
-               "ranges: the filter never drops anything",
-               WholeSpan(spec.condition), spec.condition);
-        }
+    AbstractRow row = AbstractRow::FromFacts(in);
+    std::vector<ExprFinding> findings;
+    AbstractValue cond = EvalAbstract(bound.program(), row, &findings);
+    EmitExprFindings(node.name, spec.condition, findings);
+    if (!DecidedWithoutRanges(bound, in.schema) && in.may_produce) {
+      if (!cond.may_true) {
+        Warn(diag::Code::kRangeConstantCondition, node.name,
+             "filter condition is always false given upstream value "
+             "ranges: no tuple can ever pass",
+             WholeSpan(spec.condition), spec.condition);
+        out.may_produce = false;
+      } else if (!cond.may_false && !cond.may_null) {
+        Warn(diag::Code::kRangeConstantCondition, node.name,
+             "filter condition is always true given upstream value "
+             "ranges: the filter never drops anything",
+             WholeSpan(spec.condition), spec.condition);
       }
-      NarrowByCondition(*bound->expr(), &row);
-      out.props = std::move(row.attrs);
     }
+    NarrowByCondition(*bound.expr(), &row);
+    out.props = std::move(row.attrs);
     out_.node_facts[node.name] = std::move(out);
   }
 
   void AnalyzeTransform(const Node& node) {
     StreamFacts in;
     if (!InputFacts(node.inputs[0], &in)) return;
-    stt::SchemaPtr schema = SchemaOf(node.name);
-    if (schema == nullptr) return;
+    const dataflow::CheckedOp* checked = CheckedOf(node.name);
+    if (checked == nullptr) return;
     const auto& spec = std::get<TransformSpec>(node.spec);
     StreamFacts out = in;
-    out.schema = schema;
-    auto idx = in.schema->FieldIndex(spec.attribute);
-    auto bound = BoundExpr::Parse(spec.expression, in.schema);
-    if (bound.ok() && idx.ok() && *idx < out.props.size()) {
+    out.schema = checked->schema;
+    size_t idx = checked->attribute;
+    if (idx < out.props.size()) {
       AbstractRow row = AbstractRow::FromFacts(in);
       std::vector<ExprFinding> findings;
-      AbstractValue v = EvalAbstract(bound->program(), row, &findings);
+      AbstractValue v =
+          EvalAbstract(checked->expr.program(), row, &findings);
       EmitExprFindings(node.name, spec.expression, findings);
-      v.type = schema->fields()[*idx].type;
-      out.props[*idx] = std::move(v);
+      v.type = out.schema->fields()[idx].type;
+      out.props[idx] = std::move(v);
     }
     out_.node_facts[node.name] = std::move(out);
   }
@@ -244,22 +250,16 @@ class Analyzer {
   void AnalyzeVirtualProperty(const Node& node) {
     StreamFacts in;
     if (!InputFacts(node.inputs[0], &in)) return;
-    stt::SchemaPtr schema = SchemaOf(node.name);
-    if (schema == nullptr) return;
+    const dataflow::CheckedOp* checked = CheckedOf(node.name);
+    if (checked == nullptr) return;
     const auto& spec = std::get<VirtualPropertySpec>(node.spec);
     StreamFacts out = in;
-    out.schema = schema;
-    auto bound = BoundExpr::Parse(spec.specification, in.schema);
-    AbstractValue v;
-    if (bound.ok()) {
-      AbstractRow row = AbstractRow::FromFacts(in);
-      std::vector<ExprFinding> findings;
-      v = EvalAbstract(bound->program(), row, &findings);
-      EmitExprFindings(node.name, spec.specification, findings);
-    } else {
-      v = AbstractValue::TopOf(schema->fields().back().type);
-    }
-    v.type = schema->fields().back().type;
+    out.schema = checked->schema;
+    AbstractRow row = AbstractRow::FromFacts(in);
+    std::vector<ExprFinding> findings;
+    AbstractValue v = EvalAbstract(checked->expr.program(), row, &findings);
+    EmitExprFindings(node.name, spec.specification, findings);
+    v.type = out.schema->fields().back().type;
     out.props.push_back(std::move(v));
     out_.node_facts[node.name] = std::move(out);
   }
@@ -267,22 +267,22 @@ class Analyzer {
   void AnalyzeTrigger(const Node& node) {
     StreamFacts in;
     if (!InputFacts(node.inputs[0], &in)) return;
+    const dataflow::CheckedOp* checked = CheckedOf(node.name);
+    if (checked == nullptr) return;
     const auto& spec = std::get<TriggerSpec>(node.spec);
-    auto bound = BoundExpr::Parse(spec.condition, in.schema);
-    if (bound.ok()) {
-      AbstractRow row = AbstractRow::FromFacts(in);
-      std::vector<ExprFinding> findings;
-      AbstractValue cond = EvalAbstract(bound->program(), row, &findings);
-      EmitExprFindings(node.name, spec.condition, findings);
-      if (!DecidedWithoutRanges(*bound, in.schema) && in.may_produce &&
-          !cond.may_true) {
-        // The input still passes through; only the target activation is
-        // provably dead, so may_produce is untouched.
-        Warn(diag::Code::kRangeConstantCondition, node.name,
-             "trigger condition can never be satisfied given upstream "
-             "value ranges: the targets are never switched",
-             WholeSpan(spec.condition), spec.condition);
-      }
+    const BoundExpr& bound = checked->expr;
+    AbstractRow row = AbstractRow::FromFacts(in);
+    std::vector<ExprFinding> findings;
+    AbstractValue cond = EvalAbstract(bound.program(), row, &findings);
+    EmitExprFindings(node.name, spec.condition, findings);
+    if (!DecidedWithoutRanges(bound, in.schema) && in.may_produce &&
+        !cond.may_true) {
+      // The input still passes through; only the target activation is
+      // provably dead, so may_produce is untouched.
+      Warn(diag::Code::kRangeConstantCondition, node.name,
+           "trigger condition can never be satisfied given upstream "
+           "value ranges: the targets are never switched",
+           WholeSpan(spec.condition), spec.condition);
     }
     CheckConstantPartitionKey(node, spec.parallelism, spec.partition_by, in);
     out_.node_facts[node.name] = std::move(in);
@@ -380,8 +380,9 @@ class Analyzer {
         !InputFacts(node.inputs[1], &right)) {
       return;
     }
-    stt::SchemaPtr schema = SchemaOf(node.name);
-    if (schema == nullptr) return;
+    const dataflow::CheckedOp* checked = CheckedOf(node.name);
+    if (checked == nullptr) return;
+    const stt::SchemaPtr& schema = checked->schema;
     const auto& spec = std::get<JoinSpec>(node.spec);
 
     StreamFacts out;
@@ -389,7 +390,6 @@ class Analyzer {
     out.may_produce = left.may_produce && right.may_produce;
     out.max_delay = std::max(left.max_delay, right.max_delay);
     out.rate_per_ms = kInf;
-    size_t split = left.schema->fields().size();
     out.props = left.props;
     out.props.insert(out.props.end(), right.props.begin(), right.props.end());
     while (out.props.size() < schema->fields().size()) {
@@ -397,11 +397,7 @@ class Analyzer {
           AbstractValue::TopOf(schema->fields()[out.props.size()].type));
     }
 
-    auto parsed = expr::ParseExpression(spec.predicate);
-    std::vector<dataflow::EquiConjunct> equi;
-    if (parsed.ok()) {
-      equi = dataflow::AnalyzeJoinPredicate(*parsed, *schema, split).equi;
-    }
+    const std::vector<dataflow::EquiConjunct>& equi = checked->equi;
     bool keys_disjoint = false;
     std::vector<AbstractValue> met_keys;
     for (const auto& eq : equi) {
@@ -428,24 +424,21 @@ class Analyzer {
     }
     if (keys_disjoint) out.may_produce = false;
 
-    auto bound = BoundExpr::Parse(spec.predicate, schema);
-    if (bound.ok()) {
-      StreamFacts joined = out;
-      AbstractRow row = AbstractRow::FromFacts(joined);
-      std::vector<ExprFinding> findings;
-      AbstractValue pred = EvalAbstract(bound->program(), row, &findings);
-      EmitExprFindings(node.name, spec.predicate, findings);
-      if (!DecidedWithoutRanges(*bound, schema) && !keys_disjoint &&
-          out.may_produce && !pred.may_true) {
-        Warn(diag::Code::kEmptyJoin, node.name,
-             "join predicate can never be satisfied given upstream value "
-             "ranges: the join is provably empty",
-             WholeSpan(spec.predicate), spec.predicate);
-        out.may_produce = false;
-      }
-      NarrowByCondition(*bound->expr(), &row);
-      out.props = std::move(row.attrs);
+    const BoundExpr& bound = checked->expr;
+    AbstractRow row = AbstractRow::FromFacts(out);
+    std::vector<ExprFinding> findings;
+    AbstractValue pred = EvalAbstract(bound.program(), row, &findings);
+    EmitExprFindings(node.name, spec.predicate, findings);
+    if (!DecidedWithoutRanges(bound, schema) && !keys_disjoint &&
+        out.may_produce && !pred.may_true) {
+      Warn(diag::Code::kEmptyJoin, node.name,
+           "join predicate can never be satisfied given upstream value "
+           "ranges: the join is provably empty",
+           WholeSpan(spec.predicate), spec.predicate);
+      out.may_produce = false;
     }
+    NarrowByCondition(*bound.expr(), &row);
+    out.props = std::move(row.attrs);
 
     // Partition key: the explicit partition_by columns, else the
     // equi-conjunct key columns the key ranges hash on.

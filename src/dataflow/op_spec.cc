@@ -156,33 +156,6 @@ std::string SpecToString(OpKind kind, const OpSpec& spec) {
   return "?";
 }
 
-Duration SpecInterval(const OpSpec& spec) {
-  switch (spec.index()) {
-    case 0: return std::get<AggregationSpec>(spec).interval;
-    case 4: return std::get<JoinSpec>(spec).interval;
-    case 6: return std::get<TriggerSpec>(spec).interval;
-    default: return 0;
-  }
-}
-
-size_t SpecParallelism(const OpSpec& spec) {
-  switch (spec.index()) {
-    case 0: return std::get<AggregationSpec>(spec).parallelism;
-    case 4: return std::get<JoinSpec>(spec).parallelism;
-    case 6: return std::get<TriggerSpec>(spec).parallelism;
-    default: return 1;
-  }
-}
-
-const std::vector<std::string>* SpecPartitionBy(const OpSpec& spec) {
-  switch (spec.index()) {
-    case 0: return &std::get<AggregationSpec>(spec).partition_by;
-    case 4: return &std::get<JoinSpec>(spec).partition_by;
-    case 6: return &std::get<TriggerSpec>(spec).partition_by;
-    default: return nullptr;
-  }
-}
-
 namespace {
 
 /// Flattens the top-level `and` chain of `e` into `out` in source

@@ -189,17 +189,6 @@ size_t ExpectedInputs(OpKind kind);
 /// "sigma(s, temp > 25)".
 std::string SpecToString(OpKind kind, const OpSpec& spec);
 
-/// The blocking interval of a spec (0 for non-blocking operations).
-Duration SpecInterval(const OpSpec& spec);
-
-/// The `parallelism` of a spec (1 for non-blocking operations, which
-/// have no parallelism knob).
-size_t SpecParallelism(const OpSpec& spec);
-
-/// The partition-key columns of a spec; nullptr for non-blocking
-/// operations.
-const std::vector<std::string>* SpecPartitionBy(const OpSpec& spec);
-
 // ---------------------------------------------------------------------
 // Join-predicate analysis.
 

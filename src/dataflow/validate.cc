@@ -118,6 +118,22 @@ bool HasErrorIssues(const std::vector<Issue>& issues) {
   });
 }
 
+// Appends the diagnostics of one expression check and returns what it
+// bound over `schema` (unbound after an error).
+expr::BoundExpr Bind(expr::TypecheckResult tc, const SchemaPtr& schema,
+                     std::vector<Issue>* issues) {
+  AppendDiags(tc.diags, issues);
+  return expr::BoundExpr::FromCheck(std::move(tc), schema);
+}
+
+// The input-schema indexes of `names`, which the check has resolved.
+std::vector<size_t> ColumnsOf(const Schema& schema,
+                              const std::vector<std::string>& names) {
+  std::vector<size_t> cols;
+  for (const auto& name : names) cols.push_back(*schema.FieldIndex(name));
+  return cols;
+}
+
 /// Merges two schemas for a join: collisions are prefixed with the
 /// upstream node name.
 Result<SchemaPtr> MergeForJoin(const SchemaPtr& left, const SchemaPtr& right,
@@ -195,12 +211,23 @@ void CheckInstantGranularity(const SchemaPtr& in,
 
 }  // namespace
 
-stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
-                                  const std::vector<SchemaPtr>& inputs,
-                                  const std::vector<std::string>& input_names,
-                                  std::vector<Issue>* issues) {
+Status FirstError(const std::vector<Issue>& issues) {
+  for (const auto& issue : issues) {
+    if (issue.severity == Issue::Severity::kError) {
+      return Status::ValidationError(
+          StrFormat("[%s] %s", diag::CodeToString(issue.code).c_str(),
+                    issue.message.c_str()));
+    }
+  }
+  return Status::OK();
+}
+
+CheckedOp Validator::CheckOp(OpKind op, const OpSpec& spec,
+                             const std::vector<SchemaPtr>& inputs,
+                             const std::vector<std::string>& input_names,
+                             std::vector<Issue>* issues) {
   std::vector<Issue> found;
-  SchemaPtr derived;
+  CheckedOp checked;
   auto fail = [&](diag::Code code, std::string message) {
     found.push_back(MakeIssue(code, std::move(message)));
   };
@@ -222,14 +249,15 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
     switch (op) {
       case OpKind::kFilter: {
         const auto& s = std::get<FilterSpec>(spec);
-        auto tc = expr::TypecheckCondition(s.condition, *in,
-                                           expr::ConditionContext::kFilter);
-        AppendDiags(tc.diags, &found);
-        derived = in;
+        checked.expr = Bind(expr::TypecheckCondition(
+                                s.condition, *in,
+                                expr::ConditionContext::kFilter),
+                            in, &found);
+        checked.schema = in;
         break;
       }
       case OpKind::kCullTime: {
-        derived = in;  // parameters checked structurally at Build time
+        checked.schema = in;  // parameters checked structurally at Build time
         break;
       }
       case OpKind::kCullSpace: {
@@ -239,7 +267,7 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
           fail(diag::Code::kBadRegion, "cull-space region is invalid");
           break;
         }
-        derived = in;
+        checked.schema = in;
         break;
       }
       case OpKind::kTransform: {
@@ -250,8 +278,8 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
                StrFormat("transform attribute '%s' is not in the input "
                          "schema", s.attribute.c_str()));
         }
-        auto tc = expr::TypecheckSource(s.expression, *in);
-        AppendDiags(tc.diags, &found);
+        checked.expr = Bind(expr::TypecheckSource(s.expression, *in), in,
+                            &found);
         std::string unit =
             s.new_unit.empty() && field.ok() ? field->unit : s.new_unit;
         if (!unit.empty() && !stt::UnitRegistry::Global().Contains(unit)) {
@@ -259,11 +287,12 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
                "unknown unit '" + unit + "' in transform");
         }
         if (field.ok() && !HasErrorIssues(found)) {
-          ValueType out_type =
-              tc.type == ValueType::kNull ? field->type : tc.type;
+          ValueType type = checked.expr.result_type();
+          ValueType out_type = type == ValueType::kNull ? field->type : type;
           if (auto changed = in->WithFieldChanged(s.attribute, out_type, unit);
               changed.ok()) {
-            derived = *changed;
+            checked.schema = *changed;
+            checked.attribute = *in->FieldIndex(s.attribute);
           } else {
             fail(diag::Code::kBadOpSpec, changed.status().message());
           }
@@ -272,9 +301,10 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
       }
       case OpKind::kVirtualProperty: {
         const auto& s = std::get<VirtualPropertySpec>(spec);
-        auto tc = expr::TypecheckSource(s.specification, *in);
-        AppendDiags(tc.diags, &found);
-        if (tc.ok() && tc.type == ValueType::kNull) {
+        checked.expr = Bind(expr::TypecheckSource(s.specification, *in), in,
+                            &found);
+        if (checked.expr.bound() &&
+            checked.expr.result_type() == ValueType::kNull) {
           Issue i = MakeIssue(
               diag::Code::kAlwaysNullProperty,
               "virtual property specification always evaluates to null");
@@ -290,11 +320,11 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
         if (!HasErrorIssues(found)) {
           Field f;
           f.name = s.property;
-          f.type = tc.type;
+          f.type = checked.expr.result_type();
           f.unit = s.unit;
           f.nullable = true;
           if (auto added = in->AddField(f); added.ok()) {
-            derived = *added;
+            checked.schema = *added;
           } else {
             fail(diag::Code::kBadOpSpec, added.status().message());
           }
@@ -386,9 +416,15 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
                 Schema::Make(std::move(fields), *tgran,
                              in->spatial_granularity(), in->theme());
             schema.ok()) {
-          derived = *schema;
+          checked.schema = *schema;
         } else {
           fail(diag::Code::kBadOpSpec, schema.status().message());
+        }
+        // Key ranges by group key, or the declared subset of it: either
+        // way a group falls in one range.
+        if (s.parallelism > 1) {
+          checked.partition_cols = {ColumnsOf(
+              *in, s.partition_by.empty() ? s.group_by : s.partition_by)};
         }
         break;
       }
@@ -410,64 +446,89 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
         CheckInstantGranularity(inputs[1], &found);
         auto tc = expr::TypecheckCondition(s.predicate, **merged,
                                            expr::ConditionContext::kJoin);
-        AppendDiags(tc.diags, &found);
-        // SL3009: a non-constant predicate with no `left.a == right.b`
-        // conjunct pairs every cached left tuple with every right tuple
-        // — almost always an accidental cross join (a deliberate one is
-        // written as the constant `true`, which SL3004 exempts).
-        if (!HasErrorIssues(found) && !tc.constant.has_value()) {
-          if (auto parsed = expr::ParseExpression(s.predicate); parsed.ok()) {
-            auto analysis = AnalyzeJoinPredicate(
-                *parsed, **merged, inputs[0]->fields().size());
-            if (!analysis.has_equi()) {
-              found.push_back(MakeIssue(
-                  diag::Code::kNoEquiJoin,
-                  "join predicate contains no equi-conjunct "
-                  "(left.a == right.b): every pair of cached tuples is "
-                  "enumerated — an accidental cross join?",
-                  {0, s.predicate.size()}, s.predicate));
-            }
+        const bool constant = tc.constant.has_value();
+        checked.expr = Bind(std::move(tc), *merged, &found);
+        // One split of the checked predicate into hash keys and residual
+        // serves both lints below and the build.
+        checked.split = inputs[0]->fields().size();
+        JoinPredicateAnalysis analysis;
+        if (!HasErrorIssues(found)) {
+          analysis = AnalyzeJoinPredicate(checked.expr.expr(), **merged,
+                                          checked.split);
+          // SL3009: a non-constant predicate with no `left.a == right.b`
+          // conjunct pairs every cached left tuple with every right
+          // tuple — almost always an accidental cross join (a deliberate
+          // one is written as the constant `true`, which SL3004 exempts).
+          if (!constant && !analysis.has_equi()) {
+            found.push_back(MakeIssue(
+                diag::Code::kNoEquiJoin,
+                "join predicate contains no equi-conjunct "
+                "(left.a == right.b): every pair of cached tuples is "
+                "enumerated — an accidental cross join?",
+                {0, s.predicate.size()}, s.predicate));
           }
         }
         // SL2011: a partitioned join ranges by equi-conjunct columns
         // only — any other key would split matching pairs across
-        // ranges.
+        // ranges. The key ranges take the equality-key columns, or the
+        // declared subset, side-local on each input: a matching pair
+        // shares its range.
         if (s.parallelism == 0) {
           fail(diag::Code::kBadPartition, "join parallelism must be >= 1");
         }
+        std::vector<size_t> part_left;
+        std::vector<size_t> part_right;
         if (!HasErrorIssues(found) &&
             (s.parallelism > 1 || !s.partition_by.empty())) {
-          if (auto parsed = expr::ParseExpression(s.predicate); parsed.ok()) {
-            auto analysis = AnalyzeJoinPredicate(
-                *parsed, **merged, inputs[0]->fields().size());
-            if (s.parallelism > 1 && !analysis.has_equi()) {
+          if (s.parallelism > 1 && !analysis.has_equi()) {
+            fail(diag::Code::kBadPartition,
+                 "parallel join requires an equi-conjunct "
+                 "(left.a == right.b) in the predicate to partition on");
+          }
+          for (const auto& p : s.partition_by) {
+            auto idx = (*merged)->FieldIndex(p);
+            if (!idx.ok()) {
               fail(diag::Code::kBadPartition,
-                   "parallel join requires an equi-conjunct "
-                   "(left.a == right.b) in the predicate to partition on");
+                   StrFormat("partition_by attribute '%s' is not in the "
+                             "joined schema", p.c_str()));
+              continue;
             }
-            for (const auto& p : s.partition_by) {
-              auto idx = (*merged)->FieldIndex(p);
-              if (!idx.ok()) {
-                fail(diag::Code::kBadPartition,
-                     StrFormat("partition_by attribute '%s' is not in the "
-                               "joined schema", p.c_str()));
-                continue;
-              }
-              bool is_equi = false;
-              for (const auto& e : analysis.equi) {
-                if (e.left_index == *idx || e.right_index == *idx) {
-                  is_equi = true;
-                }
-              }
-              if (!is_equi) {
-                fail(diag::Code::kBadPartition,
-                     StrFormat("partition_by attribute '%s' is not an "
-                               "equi-join key of the predicate", p.c_str()));
+            const EquiConjunct* key = nullptr;
+            for (const auto& e : analysis.equi) {
+              if (e.left_index == *idx || e.right_index == *idx) {
+                key = &e;
+                break;
               }
             }
+            if (key == nullptr) {
+              fail(diag::Code::kBadPartition,
+                   StrFormat("partition_by attribute '%s' is not an "
+                             "equi-join key of the predicate", p.c_str()));
+              continue;
+            }
+            part_left.push_back(key->left_index);
+            part_right.push_back(key->right_index - checked.split);
           }
         }
-        if (!HasErrorIssues(found)) derived = *merged;
+        if (HasErrorIssues(found)) break;
+        checked.schema = *merged;
+        checked.equi = analysis.equi;
+        if (analysis.has_equi() && analysis.residual != nullptr) {
+          // The residual's own program; its diagnostics are the
+          // predicate's, already reported.
+          checked.residual = expr::BoundExpr::FromCheck(
+              expr::TypecheckExpr(analysis.residual, **merged), *merged);
+        }
+        if (s.parallelism > 1) {
+          if (s.partition_by.empty()) {
+            for (const auto& e : analysis.equi) {
+              part_left.push_back(e.left_index);
+              part_right.push_back(e.right_index - checked.split);
+            }
+          }
+          checked.partition_cols = {std::move(part_left),
+                                    std::move(part_right)};
+        }
         break;
       }
       case OpKind::kTriggerOn:
@@ -476,9 +537,10 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
         CheckInterval(s.interval, in, "trigger", &found);
         CheckWindow(s.interval, s.window, &found);
         CheckInstantGranularity(in, &found);
-        auto tc = expr::TypecheckCondition(s.condition, *in,
-                                           expr::ConditionContext::kTrigger);
-        AppendDiags(tc.diags, &found);
+        checked.expr = Bind(expr::TypecheckCondition(
+                                s.condition, *in,
+                                expr::ConditionContext::kTrigger),
+                            in, &found);
         // SL2011: triggers have no implicit key, so parallel deployment
         // needs an explicit, resolvable partition_by.
         if (s.parallelism == 0) {
@@ -496,34 +558,29 @@ stt::SchemaPtr Validator::CheckOp(OpKind op, const OpSpec& spec,
                            "input schema", p.c_str()));
           }
         }
-        if (!HasErrorIssues(found)) derived = in;  // pass-through
+        if (HasErrorIssues(found)) break;
+        checked.schema = in;  // pass-through
+        if (s.parallelism > 1) {
+          checked.partition_cols = {ColumnsOf(*in, s.partition_by)};
+        }
         break;
       }
     }
   }
 
-  if (HasErrorIssues(found)) derived = nullptr;
+  if (HasErrorIssues(found)) checked = CheckedOp();
   issues->insert(issues->end(), std::make_move_iterator(found.begin()),
                  std::make_move_iterator(found.end()));
-  return derived;
+  return checked;
 }
 
 Result<SchemaPtr> Validator::DeriveSchema(
     OpKind op, const OpSpec& spec, const std::vector<SchemaPtr>& inputs,
     const std::vector<std::string>& input_names) {
   std::vector<Issue> issues;
-  SchemaPtr schema = CheckOp(op, spec, inputs, input_names, &issues);
-  for (const auto& issue : issues) {
-    if (issue.severity == Issue::Severity::kError) {
-      return Status::ValidationError(
-          StrFormat("[%s] %s", diag::CodeToString(issue.code).c_str(),
-                    issue.message.c_str()));
-    }
-  }
-  if (schema == nullptr) {
-    return Status::Internal("no schema derived and no error reported");
-  }
-  return schema;
+  CheckedOp checked = CheckOp(op, spec, inputs, input_names, &issues);
+  SL_RETURN_IF_ERROR(FirstError(issues));
+  return checked.schema;
 }
 
 namespace {
@@ -652,13 +709,16 @@ Result<ValidationReport> Validator::Validate(const Dataflow& dataflow) const {
         }
         if (!inputs_ok) break;
         std::vector<Issue> op_issues;
-        SchemaPtr derived =
+        CheckedOp checked =
             CheckOp(node.op, node.spec, inputs, node.inputs, &op_issues);
         for (auto& issue : op_issues) {
           issue.node = name;
           report.issues.push_back(std::move(issue));
         }
-        if (derived != nullptr) report.schemas[name] = derived;
+        if (checked.schema != nullptr) {
+          report.schemas[name] = checked.schema;
+          report.ops.emplace(name, std::move(checked));
+        }
         // Trigger targets should exist (plug-and-play sensors may join
         // later, so a missing target is a warning, not an error).
         if (node.op == OpKind::kTriggerOn ||

@@ -16,11 +16,13 @@
 #define STREAMLOADER_DATAFLOW_VALIDATE_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "dataflow/graph.h"
 #include "diag/diagnostic.h"
+#include "expr/eval.h"
 #include "pubsub/broker.h"
 #include "stt/schema.h"
 
@@ -47,12 +49,38 @@ struct Issue {
   diag::Diagnostic ToDiagnostic() const;
 };
 
+/// \brief What the check of one operation decided, and the only place
+/// that decides it: ops::MakeOperator builds the operator from it and
+/// sl-analyze reads it, so neither parses, binds or splits a spec again.
+struct CheckedOp {
+  /// The derived output schema.
+  stt::SchemaPtr schema;
+  /// The bound condition (filter, trigger), expression (transform),
+  /// specification (virtual property) or predicate (join, over the
+  /// joined schema); unbound for the other kinds.
+  expr::BoundExpr expr;
+  /// Transform: the index of the rewritten attribute.
+  size_t attribute = 0;
+  /// Join: the number of joined-schema columns the left input gives.
+  size_t split = 0;
+  /// Join: the predicate's equality conjuncts, the hash keys.
+  std::vector<EquiConjunct> equi;
+  /// Join with keys: the rest of the predicate, bound over the joined
+  /// schema; unset when every conjunct is a key.
+  std::optional<expr::BoundExpr> residual;
+  /// Key-range columns per input (side-local for a join) when
+  /// parallelism > 1; empty otherwise.
+  std::vector<std::vector<size_t>> partition_cols;
+};
+
 /// \brief Outcome of validation: the issues found plus, for every node
 /// whose inputs checked out, its derived output schema — exactly what
-/// the design environment displays under the canvas.
+/// the design environment displays under the canvas — and, for every
+/// operator whose check found no error, what the check bound.
 struct ValidationReport {
   std::vector<Issue> issues;
   std::map<std::string, stt::SchemaPtr> schemas;
+  std::map<std::string, CheckedOp> ops;
 
   /// True iff no error-severity issue was found (warnings allowed).
   bool ok() const;
@@ -67,6 +95,10 @@ struct ValidationReport {
   std::string Render() const;
 };
 
+/// The first error among `issues` as a ValidationError status
+/// ("[SL2011] message"); OK when there is none.
+Status FirstError(const std::vector<Issue>& issues);
+
 /// \brief The dataflow soundness checker.
 class Validator {
  public:
@@ -80,19 +112,18 @@ class Validator {
   Result<ValidationReport> Validate(const Dataflow& dataflow) const;
 
   /// \brief Checks one operation against its input schemas, appending
-  /// coded issues (node names left empty) to `issues`. Returns the
-  /// derived output schema, or nullptr when an error prevents deriving
-  /// one. This is the full analysis; DeriveSchema is the error-or-schema
-  /// wrapper the runtime uses.
-  static stt::SchemaPtr CheckOp(OpKind op, const OpSpec& spec,
-                                const std::vector<stt::SchemaPtr>& inputs,
-                                const std::vector<std::string>& input_names,
-                                std::vector<Issue>* issues);
+  /// coded issues (node names left empty) to `issues`. Each expression
+  /// is parsed and walked once, and a join predicate split once. Returns
+  /// what the check bound, which ops::MakeOperator builds from; an empty
+  /// CheckedOp (null schema) when an error was found. `input_names`
+  /// disambiguate join column collisions.
+  static CheckedOp CheckOp(OpKind op, const OpSpec& spec,
+                           const std::vector<stt::SchemaPtr>& inputs,
+                           const std::vector<std::string>& input_names,
+                           std::vector<Issue>* issues);
 
-  /// \brief Derives the output schema of an operation applied to the
-  /// given input schemas (also used by the runtime to build operators).
-  /// `left_name`/`right_name` disambiguate join column collisions.
-  /// Returns the first error found as a ValidationError status.
+  /// \brief The output schema CheckOp derives, or its first error as a
+  /// ValidationError status.
   static Result<stt::SchemaPtr> DeriveSchema(
       OpKind op, const OpSpec& spec,
       const std::vector<stt::SchemaPtr>& inputs,

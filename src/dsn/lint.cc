@@ -10,15 +10,6 @@ namespace sl::dsn {
 
 namespace {
 
-/// Locates the service a finding belongs to ({} when the issue is
-/// dataflow-global or the node is synthetic).
-const DsnService* FindService(const DsnSpec& spec, const std::string& name) {
-  for (const auto& service : spec.services) {
-    if (service.name == name) return &service;
-  }
-  return nullptr;
-}
-
 /// Re-anchors `diag` (whose span is relative to `diag.source`, an
 /// expression or spec string) into the DSN document: finds the property
 /// of the owning service whose value content equals that source text and
@@ -28,8 +19,11 @@ const DsnService* FindService(const DsnSpec& spec, const std::string& name) {
 /// the mapping is verified byte-for-byte before being trusted).
 void Anchor(const DsnSpec& spec, const std::string& doc,
             diag::Diagnostic* diag) {
-  const DsnService* service = FindService(spec, diag->node);
-  if (service == nullptr) return;
+  // A dataflow-global finding, or one on a synthetic node, has no
+  // service to anchor on.
+  auto found = spec.FindService(diag->node);
+  if (!found.ok()) return;
+  const DsnService* service = *found;
   if (!diag->source.empty()) {
     for (const auto& [key, span] : service->property_spans) {
       if (!span.valid() || span.end > doc.size()) continue;

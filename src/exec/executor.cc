@@ -147,7 +147,30 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
   if (options_.watermark.late_policy == ops::LatePolicy::kSideOutput) {
     dep->late_sink = std::make_unique<sinks::CollectSink>(spec.name + "/late");
   }
+  Status started = StartDeployment(dep, spec, &built);
+  if (!started.ok()) {
+    // The deployment is never registered: release what the steps before
+    // the failing one set up, so no flush timer or charge outlives it.
+    ReleaseDeployment(dep);
+    return started;
+  }
 
+  if (monitor_ != nullptr) {
+    monitor_->Log("deployed dataflow '" + dep->dataflow.name() + "' (" +
+                  StrFormat("%zu operators, %zu sinks",
+                            dep->operators.size(), dep->sinks.size()) +
+                  ")");
+  }
+  scn_log_.Record(loop_->Now(), ScnCommandKind::kStartDataflow, dep->id,
+                  dep->dataflow.name(), "");
+
+  DeploymentId id = dep->id;
+  deployments_.emplace(id, std::move(deployment));
+  return id;
+}
+
+Status Executor::StartDeployment(Deployment* dep, const dsn::DsnSpec& spec,
+                                 ops::BuiltDataflow* built) {
   // QoS lookup for edges.
   auto qos_of = [&spec](const std::string& from,
                         const std::string& to) -> dsn::QosParams {
@@ -198,15 +221,15 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
         }
         SL_ASSIGN_OR_RETURN(std::string placed,
                             placer_.Place(upstream_nodes));
-        ops::BuiltOperator& op = built.operators.at(name);
+        ops::BuiltOperator& op = built->operators.at(name);
+        // A key-partitioned operator counts as an instance group: the
+        // node is billed one process per key range.
+        size_t instances = op.op->parallelism();
+        SL_RETURN_IF_ERROR(network_->AdjustProcessCount(
+            placed, static_cast<int>(instances)));
         DeployedOperator deployed =
             InstallOperator(dep, name, std::move(op.op), op.first_flush);
         deployed.node_id = placed;
-        // A key-partitioned operator counts as an instance group: the
-        // node is billed one process per key range.
-        size_t instances = deployed.op->parallelism();
-        SL_RETURN_IF_ERROR(network_->AdjustProcessCount(
-            placed, static_cast<int>(instances)));
         if (monitor_ != nullptr) {
           monitor_->RecordAssignment(dep->dataflow.name(), name, "", placed);
         }
@@ -299,19 +322,26 @@ Result<DeploymentId> Executor::Deploy(const dsn::DsnSpec& spec) {
     if (!sub.ok()) return sub.status();
     dep->subscriptions.push_back(*sub);
   }
+  return Status::OK();
+}
 
-  if (monitor_ != nullptr) {
-    monitor_->Log("deployed dataflow '" + dep->dataflow.name() + "' (" +
-                  StrFormat("%zu operators, %zu sinks",
-                            dep->operators.size(), dep->sinks.size()) +
-                  ")");
+void Executor::ReleaseDeployment(Deployment* dep) {
+  dep->active = false;
+  for (auto sub : dep->subscriptions) broker_->Unsubscribe(sub);
+  dep->subscriptions.clear();
+  for (auto& [name, op] : dep->operators) {
+    if (op.flush_timer != 0) {
+      loop_->Cancel(op.flush_timer);
+      op.flush_timer = 0;
+    }
+    Status s = network_->AdjustProcessCount(
+        op.node_id, -static_cast<int>(op.op->parallelism()));
+    (void)s;
   }
-  scn_log_.Record(loop_->Now(), ScnCommandKind::kStartDataflow, dep->id,
-                  dep->dataflow.name(), "");
-
-  DeploymentId id = dep->id;
-  deployments_.emplace(id, std::move(deployment));
-  return id;
+  for (auto& [name, sink] : dep->sinks) {
+    Status s = network_->AdjustProcessCount(sink.node_id, -1);
+    (void)s;
+  }
 }
 
 ops::OperatorOptions Executor::OperatorOptionsOf(Deployment* dep) const {
@@ -347,7 +377,7 @@ Executor::DeployedOperator Executor::InstallOperator(
   if (!op->is_blocking()) return deployed;
   // Blocking operations: periodic cache processing, first due
   // `first_flush` from now. Weak, like the delivery callbacks: a timer
-  // outliving a failed Deploy finds no deployment and returns.
+  // firing after the deployment is gone finds nothing and returns.
   std::weak_ptr<Deployment> weak = dep->self;
   deployed.flush_timer = loop_->SchedulePeriodic(
       op->interval(),
@@ -485,23 +515,10 @@ Status Executor::Undeploy(DeploymentId id) {
         StrFormat("deployment %llu is already stopped",
                   static_cast<unsigned long long>(id)));
   }
-  dep->active = false;
-  for (auto sub : dep->subscriptions) broker_->Unsubscribe(sub);
-  dep->subscriptions.clear();
-  for (auto& [name, op] : dep->operators) {
-    if (op.flush_timer != 0) {
-      loop_->Cancel(op.flush_timer);
-      op.flush_timer = 0;
-    }
-    Status s = network_->AdjustProcessCount(
-        op.node_id, -static_cast<int>(op.op->parallelism()));
-    (void)s;
-  }
+  ReleaseDeployment(dep);
   for (auto& [name, sink] : dep->sinks) {
     Status fs = sink.sink->Finish();
     (void)fs;
-    Status s = network_->AdjustProcessCount(sink.node_id, -1);
-    (void)s;
   }
   if (monitor_ != nullptr) {
     monitor_->Log("undeployed dataflow '" + dep->dataflow.name() + "'");

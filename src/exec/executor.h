@@ -265,6 +265,17 @@ class Executor : public ops::ActivationHandler {
   /// The options every operator of `dep` is built with.
   ops::OperatorOptions OperatorOptionsOf(Deployment* dep) const;
 
+  /// Deploy's steps 3-5: binds sources, places and installs the
+  /// operators of `built` and the sinks, wires the edges and subscribes
+  /// the sources.
+  Status StartDeployment(Deployment* dep, const dsn::DsnSpec& spec,
+                         ops::BuiltDataflow* built);
+
+  /// Stops `dep`: drops its subscriptions, cancels its flush timers and
+  /// returns its nodes' process counts. Undeploy and a failed Deploy
+  /// both release through here.
+  void ReleaseDeployment(Deployment* dep);
+
   /// \brief Installs operator `name` of `dep`: routes its emissions and
   /// late-side output, and arms a blocking operator's periodic flush
   /// `first_flush` (ops::FirstFlushOffset) from now. Deploy and

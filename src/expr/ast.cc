@@ -17,14 +17,6 @@ const char* MetaAttrToString(MetaAttr m) {
   return "?";
 }
 
-const char* UnaryOpToString(UnaryOp op) {
-  switch (op) {
-    case UnaryOp::kNeg: return "-";
-    case UnaryOp::kNot: return "not";
-  }
-  return "?";
-}
-
 const char* BinaryOpToString(BinaryOp op) {
   switch (op) {
     case BinaryOp::kAdd: return "+";

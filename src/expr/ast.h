@@ -49,7 +49,6 @@ enum class BinaryOp {
   kAnd, kOr,
 };
 
-const char* UnaryOpToString(UnaryOp op);
 const char* BinaryOpToString(BinaryOp op);
 
 /// \brief Immutable expression tree node.

@@ -1,9 +1,10 @@
-// StreamLoader: binding and evaluation of expressions against a schema.
+// StreamLoader: bound expressions and their evaluation.
 //
-// An Expr is untyped until bound to the schema of a concrete stream:
-// binding resolves attribute references to field indices, type-checks
-// every node, and yields a BoundExpr that evaluates tuples without any
-// name lookup on the hot path.
+// An Expr is untyped until bound to the schema of a concrete stream.
+// Binding is the type checker's walk (expr/typecheck.h): it resolves
+// attribute references to field indices, types every node, and lowers
+// the tree into the program a BoundExpr evaluates without any name
+// lookup on the hot path.
 
 #ifndef STREAMLOADER_EXPR_EVAL_H_
 #define STREAMLOADER_EXPR_EVAL_H_
@@ -15,6 +16,7 @@
 #include "expr/ast.h"
 #include "expr/functions.h"
 #include "expr/program.h"
+#include "expr/typecheck.h"
 #include "stt/tuple.h"
 
 namespace sl::expr {
@@ -26,18 +28,24 @@ namespace sl::expr {
 /// null condition as false. Domain errors at run time (division by zero,
 /// log of a negative number) produce null rather than failing the stream.
 ///
-/// Binding constant-folds literal subtrees (reusing the typecheck
-/// folders, so folding and the lint layer agree) and lowers the tree
-/// into a flat postorder ExprProgram — the evaluator the hot path runs.
-/// The unfolded syntax tree stays available through expr() for static
-/// analysis and for the test-only tree-walking interpreter the program
-/// is property-tested against.
+/// Binding constant-folds literal subtrees (with the typecheck folders,
+/// so folding and the lint layer agree) and lowers the tree into a flat
+/// postorder ExprProgram — the evaluator the hot path runs. The unfolded
+/// syntax tree stays available through expr() for static analysis and
+/// for the test-only tree-walking interpreter the program is
+/// property-tested against.
 class BoundExpr {
  public:
   BoundExpr() = default;
 
-  /// Binds `expr` against `schema`, type-checking every node.
+  /// Binds `expr` against `schema`: the type checker's walk, failing
+  /// with its first error (NotFound for an unknown column or function,
+  /// TypeError for the rest).
   static Result<BoundExpr> Bind(ExprPtr expr, stt::SchemaPtr schema);
+
+  /// What `checked`, a check against `schema`, bound; unbound when the
+  /// check reported an error.
+  static BoundExpr FromCheck(TypecheckResult checked, stt::SchemaPtr schema);
 
   /// Parses and binds in one step.
   static Result<BoundExpr> Parse(const std::string& source,

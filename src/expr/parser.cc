@@ -25,8 +25,7 @@ diag::Span Join(const diag::Span& a, const diag::Span& b) {
 
 class Parser {
  public:
-  Parser(const std::vector<Token>& tokens, size_t pos)
-      : tokens_(tokens), pos_(pos) {}
+  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
 
   Result<ExprPtr> ParseOr() {
     SL_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
@@ -235,7 +234,7 @@ class Parser {
   }
 
   const std::vector<Token>& tokens_;
-  size_t pos_;
+  size_t pos_ = 0;
   diag::Span error_span_;
 };
 
@@ -243,7 +242,7 @@ class Parser {
 
 Result<ExprPtr> ParseExpression(const std::string& source) {
   SL_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  Parser parser(tokens, 0);
+  Parser parser(tokens);
   SL_ASSIGN_OR_RETURN(ExprPtr expr, parser.ParseOr());
   if (tokens[parser.pos()].kind != TokenKind::kEnd) {
     return Status::ParseError(StrFormat(
@@ -263,7 +262,7 @@ ExprPtr ParseExpressionWithDiagnostics(const std::string& source,
                                     {lex_offset, lex_offset + 1}, source));
     return nullptr;
   }
-  Parser parser(*tokens, 0);
+  Parser parser(*tokens);
   auto expr = parser.ParseOr();
   if (!expr.ok()) {
     diags->push_back(diag::MakeDiag(diag::Code::kExprSyntax, "",
@@ -282,14 +281,6 @@ ExprPtr ParseExpressionWithDiagnostics(const std::string& source,
     return nullptr;
   }
   return *expr;
-}
-
-Result<ExprPtr> ParseExpressionTokens(const std::vector<Token>& tokens,
-                                      size_t* pos) {
-  Parser parser(tokens, *pos);
-  SL_ASSIGN_OR_RETURN(ExprPtr expr, parser.ParseOr());
-  *pos = parser.pos();
-  return expr;
 }
 
 }  // namespace sl::expr

@@ -27,12 +27,6 @@ Result<ExprPtr> ParseExpression(const std::string& source);
 ExprPtr ParseExpressionWithDiagnostics(const std::string& source,
                                        std::vector<diag::Diagnostic>* diags);
 
-/// \brief Parses one expression from a pre-tokenized stream starting at
-/// `*pos`, advancing `*pos` past the expression. Used by the DSN parser
-/// to parse embedded conditions.
-Result<ExprPtr> ParseExpressionTokens(const std::vector<Token>& tokens,
-                                      size_t* pos);
-
 }  // namespace sl::expr
 
 #endif  // STREAMLOADER_EXPR_PARSER_H_

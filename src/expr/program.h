@@ -1,9 +1,10 @@
 // StreamLoader: compiled expression programs.
 //
-// BoundExpr lowers its type-annotated tree into a flat postorder
-// instruction array evaluated over a value stack — the single evaluator
-// every non-blocking operator (filter, transform, virtual property) and
-// the join residual run per tuple. A flat program touches one contiguous
+// The type checker's walk (expr/typecheck.h) lowers the tree it types
+// into a flat postorder instruction array evaluated over a value stack,
+// which a BoundExpr holds — the single evaluator every non-blocking
+// operator (filter, transform, virtual property) and the join residual
+// run per tuple. A flat program touches one contiguous
 // allocation instead of chasing child pointers, pre-folds literal
 // subtrees at bind time, and implements Kleene and/or short-circuiting
 // with forward jumps, so its observable semantics (results, null
@@ -67,7 +68,7 @@ stt::Value EvalUnaryOp(UnaryOp op, const stt::Value& v);
 /// + - * / % over non-null operands: string concatenation, timestamp
 /// arithmetic, int arithmetic (except /), double fallback with
 /// division/modulo by zero and non-finite results yielding null.
-/// `result_type` is the static type the binder derived for the node.
+/// `result_type` is the static type the checker derived for the node.
 stt::Value EvalArithOp(BinaryOp op, stt::ValueType result_type,
                        const stt::Value& l, const stt::Value& r);
 
@@ -130,8 +131,8 @@ struct ExprInsn {
   diag::Span span;
 };
 
-/// \brief A compiled (flattened) expression. Built by BoundExpr at bind
-/// time; immutable afterwards and safe to share across evaluations
+/// \brief A compiled (flattened) expression. Built by the type checker at
+/// bind time; immutable afterwards and safe to share across evaluations
 /// (evaluation state lives on a per-call stack segment, so re-entrant
 /// evaluation — an operator emitting into a downstream operator that
 /// evaluates its own expression — is safe).

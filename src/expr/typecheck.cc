@@ -246,6 +246,14 @@ struct CheckState {
   std::optional<Value> constant;
 };
 
+/// Types, lints and lowers in one postorder walk: each node's
+/// instructions follow its operands', the order the program runs them.
+/// and/or lower to
+///   <left>  ShortCircuit(->end)  <right>  LogicalMerge  end:
+/// which keeps the short circuit (the right operand, and any error it
+/// would surface, is only reached when the left did not decide) and the
+/// Kleene merge. After an error the instructions are meaningless; the
+/// caller drops them.
 class Checker {
  public:
   Checker(const stt::Schema& schema, const std::string& source)
@@ -255,12 +263,16 @@ class Checker {
     switch (e.kind()) {
       case ExprKind::kLiteral: {
         const auto& value = static_cast<const LiteralExpr&>(e).value();
+        Emit(ExprInsn::Op::kPushLiteral, value.type(), e).literal = value;
         return {value.type(), value};
       }
       case ExprKind::kAttr:
         return CheckAttr(static_cast<const AttrExpr&>(e));
-      case ExprKind::kMeta:
-        return {MetaAttrType(static_cast<const MetaExpr&>(e).attr()), {}};
+      case ExprKind::kMeta: {
+        MetaAttr meta = static_cast<const MetaExpr&>(e).attr();
+        Emit(ExprInsn::Op::kPushMeta, MetaAttrType(meta), e).meta = meta;
+        return {MetaAttrType(meta), {}};
+      }
       case ExprKind::kUnary:
         return CheckUnary(static_cast<const UnaryExpr&>(e));
       case ExprKind::kBinary:
@@ -272,6 +284,7 @@ class Checker {
   }
 
   std::vector<diag::Diagnostic>& diags() { return diags_; }
+  ExprProgram& program() { return program_; }
 
  private:
   void Report(diag::Code code, const Expr& at, std::string message) {
@@ -279,9 +292,40 @@ class Checker {
                                     source_));
   }
 
+  size_t Lowered() const { return program_.insns().size(); }
+
+  /// Appends the instruction lowered from node `at`.
+  ExprInsn& Emit(ExprInsn::Op op, ValueType type, const Expr& at) {
+    ExprInsn& insn = program_.insns().emplace_back();
+    insn.op = op;
+    insn.type = type;
+    insn.span = at.span();
+    return insn;
+  }
+
+  /// The operand lowered to instructions [begin, end) when it is one
+  /// literal, else nullptr. Nothing folds after an error: the operand
+  /// may then not be what its instructions show.
+  const Value* LiteralOperand(size_t begin, size_t end) const {
+    if (end != begin + 1 || diag::HasErrors(diags_)) return nullptr;
+    const ExprInsn& insn = program_.insns()[begin];
+    return insn.op == ExprInsn::Op::kPushLiteral ? &insn.literal : nullptr;
+  }
+
+  /// Replaces node `at`, lowered from `begin` on, with the literal
+  /// `folded`, keeping the statically derived type (a null fold result
+  /// must not widen the parent's typing).
+  void FoldTo(size_t begin, const Expr& at, ValueType type, Value folded) {
+    program_.insns().resize(begin);
+    Emit(ExprInsn::Op::kPushLiteral, type, at).literal = std::move(folded);
+  }
+
   CheckState CheckAttr(const AttrExpr& attr) {
     if (auto idx = schema_.FieldIndex(attr.name()); idx.ok()) {
-      return {schema_.fields()[*idx].type, {}};
+      ValueType type = schema_.fields()[*idx].type;
+      Emit(ExprInsn::Op::kPushAttr, type, attr).index =
+          static_cast<uint32_t>(*idx);
+      return {type, {}};
     }
     diag::Diagnostic d = diag::MakeDiag(
         diag::Code::kUnknownColumn, "",
@@ -298,6 +342,7 @@ class Checker {
   }
 
   CheckState CheckUnary(const UnaryExpr& u) {
+    size_t begin = Lowered();
     CheckState operand = Check(*u.operand());
     auto type = UnaryResultType(u.op(), operand.type);
     if (!type.ok()) {
@@ -310,12 +355,32 @@ class Checker {
     if (operand.constant.has_value()) {
       out.constant = FoldUnary(u.op(), *operand.constant);
     }
+    std::optional<Value> folded;
+    if (const Value* v = LiteralOperand(begin, Lowered())) {
+      folded = FoldUnary(u.op(), *v);
+    }
+    if (folded.has_value()) {
+      FoldTo(begin, u, *type, std::move(*folded));
+    } else {
+      Emit(ExprInsn::Op::kUnary, *type, u).uop = u.op();
+    }
     return out;
   }
 
   CheckState CheckBinary(const BinaryExpr& b) {
+    const bool logical = b.op() == BinaryOp::kAnd || b.op() == BinaryOp::kOr;
+    size_t begin = Lowered();
     CheckState left = Check(*b.left());
+    size_t mid = Lowered();
+    if (logical) Emit(ExprInsn::Op::kShortCircuit, ValueType::kBool, b);
+    size_t right_begin = Lowered();
     CheckState right = Check(*b.right());
+    const Value* left_literal = LiteralOperand(begin, mid);
+    const Value* right_literal = LiteralOperand(right_begin, Lowered());
+    const bool literals = left_literal != nullptr && right_literal != nullptr;
+    CheckState out;
+    std::optional<Value> folded;
+    ExprInsn::Op op = ExprInsn::Op::kArith;
     switch (b.op()) {
       case BinaryOp::kAdd: case BinaryOp::kSub: case BinaryOp::kMul:
       case BinaryOp::kDiv: case BinaryOp::kMod: {
@@ -332,12 +397,16 @@ class Checker {
                  StrFormat("literal %s by zero always yields null",
                            b.op() == BinaryOp::kDiv ? "division" : "modulo"));
         }
-        CheckState out{*type, {}};
+        out.type = *type;
         if (left.constant.has_value() && right.constant.has_value()) {
           out.constant =
               FoldArithmetic(b.op(), *type, *left.constant, *right.constant);
         }
-        return out;
+        if (literals) {
+          folded = FoldArithmetic(b.op(), *type, *left_literal,
+                                  *right_literal);
+        }
+        break;
       }
       case BinaryOp::kEq: case BinaryOp::kNe: case BinaryOp::kLt:
       case BinaryOp::kLe: case BinaryOp::kGt: case BinaryOp::kGe: {
@@ -346,12 +415,16 @@ class Checker {
           Report(diag::Code::kBadComparison, b, type.status().message());
           return {};
         }
-        CheckState out{*type, {}};
+        out.type = *type;
         if (left.constant.has_value() && right.constant.has_value()) {
           out.constant = FoldComparison(b.op(), *left.constant,
                                         *right.constant);
         }
-        return out;
+        if (literals) {
+          folded = FoldComparison(b.op(), *left_literal, *right_literal);
+        }
+        op = ExprInsn::Op::kCompare;
+        break;
       }
       case BinaryOp::kAnd: case BinaryOp::kOr: {
         auto type = LogicalResultType(b.op(), left.type, right.type);
@@ -359,10 +432,25 @@ class Checker {
           Report(diag::Code::kBoolOperand, b, type.status().message());
           return {};
         }
-        return {*type, FoldLogical(b.op(), left.constant, right.constant)};
+        out = {*type, FoldLogical(b.op(), left.constant, right.constant)};
+        if (literals) {
+          folded = FoldLogical(b.op(), *left_literal, *right_literal);
+        }
+        op = ExprInsn::Op::kLogicalMerge;
+        break;
       }
     }
-    return {};
+    if (folded.has_value()) {
+      FoldTo(begin, b, out.type, std::move(*folded));
+      return out;
+    }
+    Emit(op, out.type, b).bop = b.op();
+    if (logical) {
+      ExprInsn& jump = program_.insns()[mid];
+      jump.bop = b.op();
+      jump.jump = static_cast<uint32_t>(Lowered());
+    }
+    return out;
   }
 
   CheckState CheckCall(const CallExpr& c) {
@@ -398,12 +486,16 @@ class Checker {
       diags_.push_back(std::move(d));
       return {};
     }
+    ExprInsn& call = Emit(ExprInsn::Op::kCall, *type, c);
+    call.index = static_cast<uint32_t>(c.args().size());
+    call.fn = *fn;
     return {*type, {}};  // calls are never folded (runtime domain errors)
   }
 
   const stt::Schema& schema_;
   const std::string& source_;
   std::vector<diag::Diagnostic> diags_;
+  ExprProgram program_;
 };
 
 }  // namespace
@@ -421,6 +513,8 @@ TypecheckResult TypecheckExpr(const ExprPtr& expr, const stt::Schema& schema,
   result.type = root.type;
   result.constant = std::move(root.constant);
   result.diags = std::move(checker.diags());
+  result.expr = expr;
+  if (result.ok()) result.program = std::move(checker.program());
   return result;
 }
 

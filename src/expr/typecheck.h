@@ -1,15 +1,15 @@
-// StreamLoader: static type checking for the expression language.
+// StreamLoader: static type checking and binding for the expression
+// language.
 //
-// The same typing rules the runtime binder (BoundExpr::Bind) enforces,
-// packaged as an analysis pass: instead of stopping at the first Status,
-// the checker walks the whole AST against a schema, accumulates coded
-// diagnostics with source spans (SL1xxx), constant-folds literal
-// subtrees to flag always-true/always-false predicates and literal
-// division by zero (SL3xxx), and recovers from errors with the null
-// wildcard type so one pass reports every problem in an expression.
-//
-// The operator typing rules live here and are shared with eval.cc, so
-// the static checker and the runtime binder can never disagree.
+// One walk of the AST against a schema types, lints and binds. It
+// accumulates coded diagnostics with source spans (SL1xxx) instead of
+// stopping at the first problem, constant-folds literal subtrees to flag
+// always-true/always-false predicates and literal division by zero
+// (SL3xxx), recovers from errors with the null wildcard type so one pass
+// reports every problem in an expression, and lowers the tree it typed
+// into the ExprProgram the runtime evaluates. BoundExpr::Bind is this
+// walk plus its first error, so the static checker and the runtime
+// binder can never disagree.
 
 #ifndef STREAMLOADER_EXPR_TYPECHECK_H_
 #define STREAMLOADER_EXPR_TYPECHECK_H_
@@ -20,15 +20,15 @@
 
 #include "diag/diagnostic.h"
 #include "expr/ast.h"
+#include "expr/program.h"
 #include "stt/schema.h"
 #include "util/result.h"
 
 namespace sl::expr {
 
 // ---------------------------------------------------------------------
-// Operator typing rules (single source of truth; eval.cc binds with
-// these). kNull operands act as wildcards throughout, matching the SQL
-// null semantics of the evaluator.
+// Operator typing rules. kNull operands act as wildcards throughout,
+// matching the SQL null semantics of the evaluator.
 
 /// + - * / % over numbers, string concatenation with +, timestamp
 /// arithmetic (ts - ts -> int, ts +- int -> ts). Division is always
@@ -57,9 +57,9 @@ stt::ValueType MetaAttrType(MetaAttr attr);
 // (same null propagation, int/double promotion and division semantics)
 // but bails out — returns nullopt — on anything the runtime would
 // handle dynamically (overflow, calls, attribute access), so folding
-// never claims more than eval does. Shared between the static checker
-// (constant-predicate lints) and the binder (bind-time folding, so
-// literal subtrees cost zero per tuple).
+// never claims more than eval does. The walk uses them twice: for the
+// constant-predicate lints, and to fold literal subtrees of the program
+// it lowers, so they cost zero per tuple.
 
 std::optional<stt::Value> FoldUnary(UnaryOp op, const stt::Value& v);
 std::optional<stt::Value> FoldArithmetic(BinaryOp op,
@@ -89,8 +89,18 @@ struct TypecheckResult {
   std::vector<diag::Diagnostic> diags;
 
   /// Set when the expression folds to a compile-time constant (literal
-  /// subtree without calls or attribute references).
+  /// subtree without calls or attribute references, or a dominant
+  /// operand: `x and false`). Only the lints read it.
   std::optional<stt::Value> constant;
+
+  /// The checked syntax tree; nullptr when parsing failed.
+  ExprPtr expr;
+
+  /// The tree bound to the schema and lowered, set only when the walk
+  /// reported no error. A subtree is folded to one literal only when
+  /// every operand is a literal, so folding can never hide an error
+  /// evaluation would surface. BoundExpr::FromCheck wraps it.
+  ExprProgram program;
 
   /// True when no *error* was reported (warnings allowed).
   bool ok() const { return !diag::HasErrors(diags); }
@@ -101,9 +111,9 @@ struct TypecheckResult {
 /// always-true filter is a no-op worth flagging).
 enum class ConditionContext { kFilter, kJoin, kTrigger };
 
-/// \brief Checks `expr` against `schema`. `source` (when given) is the
-/// text the AST spans point into; it is attached to diagnostics so they
-/// can render caret snippets on their own.
+/// \brief Checks `expr` against `schema` and binds it. `source` (when
+/// given) is the text the AST spans point into; it is attached to
+/// diagnostics so they can render caret snippets on their own.
 TypecheckResult TypecheckExpr(const ExprPtr& expr, const stt::Schema& schema,
                               const std::string& source = {});
 

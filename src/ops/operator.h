@@ -302,13 +302,13 @@ struct OperatorOptions {
   WatermarkOptions watermark;
 };
 
-/// \brief Builds the runtime operator for a validated spec.
+/// \brief Builds the runtime operator for a spec.
 ///
 /// `input_schemas`/`input_names` must match the dataflow edge order
-/// (join: left then right). Expressions are re-bound here; since the
-/// Validator accepted the dataflow this cannot fail for validated input,
-/// but the factory still checks everything (defense in depth for
-/// programmatic use).
+/// (join: left then right). The spec is checked once
+/// (dataflow::Validator::CheckOp) and the operator built from what the
+/// check bound; a spec the check refuses is a ValidationError carrying
+/// the check's first code ("[SL2011] ...").
 Result<std::unique_ptr<Operator>> MakeOperator(
     const std::string& name, dataflow::OpKind op,
     const dataflow::OpSpec& spec,
@@ -342,15 +342,16 @@ struct BuiltOperator {
 /// \brief A dataflow's operators, built and ready to wire.
 struct BuiltDataflow {
   /// The validation the dataflow passed: `report.schemas` holds every
-  /// node's output schema, its warnings what the checker flagged.
+  /// node's output schema, `report.ops` what each operator was built
+  /// from, its warnings what the checker flagged.
   dataflow::ValidationReport report;
   /// One entry per operator node, keyed by node name.
   std::map<std::string, BuiltOperator> operators;
 };
 
 /// \brief Validates `dataflow` against `broker`'s sensor registry and
-/// builds every operator with `options`, in topological order, each
-/// blocking one with its FirstFlushOffset. The simulator, the threaded
+/// builds every operator with `options` from the report's CheckedOp, in
+/// topological order, each blocking one with its FirstFlushOffset. The simulator, the threaded
 /// runtime and the design-time debugger all build through here and
 /// keep only their own wiring. An unsound dataflow is a ValidationError
 /// carrying the report.

@@ -974,21 +974,12 @@ class TriggerOperator : public BlockingOperator {
   View view_;
 };
 
-}  // namespace
-
-Result<std::unique_ptr<Operator>> MakeOperator(
-    const std::string& name, dataflow::OpKind op,
-    const dataflow::OpSpec& spec,
-    const std::vector<stt::SchemaPtr>& input_schemas,
-    const std::vector<std::string>& input_names,
+/// Builds operator `name` from what the check of its spec bound; `in`
+/// is its (first) input schema.
+Result<std::unique_ptr<Operator>> BuildOperator(
+    const std::string& name, OpKind op, const dataflow::OpSpec& spec,
+    const stt::SchemaPtr& in, dataflow::CheckedOp checked,
     const OperatorOptions& options) {
-  // Re-derive the output schema; this re-checks everything the Validator
-  // checks at the operator level.
-  SL_ASSIGN_OR_RETURN(
-      stt::SchemaPtr out_schema,
-      dataflow::Validator::DeriveSchema(op, spec, input_schemas, input_names));
-  const stt::SchemaPtr& in = input_schemas[0];
-
   // A zero-sized cache would make a blocking operator a silent no-op:
   // PaneStore::Add immediately evicts the tuple it just admitted.
   if (dataflow::IsBlocking(op) && options.max_cache_tuples == 0) {
@@ -998,32 +989,23 @@ Result<std::unique_ptr<Operator>> MakeOperator(
         "immediately, so the operator would never produce anything)");
   }
 
+  stt::SchemaPtr& out_schema = checked.schema;
   std::unique_ptr<Operator> built;
   switch (op) {
-    case OpKind::kFilter: {
-      const auto& s = std::get<FilterSpec>(spec);
-      SL_ASSIGN_OR_RETURN(expr::BoundExpr cond,
-                          expr::BoundExpr::Parse(s.condition, in));
-      built.reset(new FilterOperator(name, out_schema, std::move(cond)));
-      break;
-    }
-    case OpKind::kTransform: {
-      const auto& s = std::get<TransformSpec>(spec);
-      SL_ASSIGN_OR_RETURN(expr::BoundExpr e,
-                          expr::BoundExpr::Parse(s.expression, in));
-      SL_ASSIGN_OR_RETURN(size_t idx, in->FieldIndex(s.attribute));
-      ValueType out_type = out_schema->fields()[idx].type;
+    case OpKind::kFilter:
       built.reset(
-          new TransformOperator(name, out_schema, idx, out_type, std::move(e)));
+          new FilterOperator(name, out_schema, std::move(checked.expr)));
+      break;
+    case OpKind::kTransform: {
+      ValueType out_type = out_schema->fields()[checked.attribute].type;
+      built.reset(new TransformOperator(name, out_schema, checked.attribute,
+                                        out_type, std::move(checked.expr)));
       break;
     }
     case OpKind::kVirtualProperty: {
-      const auto& s = std::get<VirtualPropertySpec>(spec);
-      SL_ASSIGN_OR_RETURN(expr::BoundExpr e,
-                          expr::BoundExpr::Parse(s.specification, in));
       ValueType out_type = out_schema->fields().back().type;
       built.reset(new VirtualPropertyOperator(name, out_schema, out_type,
-                                              std::move(e)));
+                                              std::move(checked.expr)));
       break;
     }
     case OpKind::kCullTime: {
@@ -1041,93 +1023,25 @@ Result<std::unique_ptr<Operator>> MakeOperator(
       auto agg = std::make_unique<AggregationOperator>(
           name, out_schema, in, s, options.max_cache_tuples);
       if (s.parallelism > 1) {
-        // Key ranges by group key, or the declared subset of it: either
-        // way a group falls in one range.
-        const auto& part_names =
-            s.partition_by.empty() ? s.group_by : s.partition_by;
-        if (part_names.empty()) {
-          return Status::InvalidArgument(
-              "parallel aggregation '" + name +
-              "' needs a partition key: declare group_by or partition_by");
-        }
-        for (const auto& p : s.partition_by) {
-          if (std::find(s.group_by.begin(), s.group_by.end(), p) ==
-              s.group_by.end()) {
-            return Status::InvalidArgument(
-                "partition_by attribute '" + p + "' of '" + name +
-                "' is not among the group-by keys");
-          }
-        }
-        std::vector<size_t> part_cols;
-        for (const auto& p : part_names) {
-          SL_ASSIGN_OR_RETURN(size_t idx, in->FieldIndex(p));
-          part_cols.push_back(idx);
-        }
-        agg->PartitionBy(s.parallelism, {std::move(part_cols)});
+        agg->PartitionBy(s.parallelism, std::move(checked.partition_cols));
       }
       built = std::move(agg);
       break;
     }
     case OpKind::kJoin: {
       const auto& s = std::get<JoinSpec>(spec);
-      SL_ASSIGN_OR_RETURN(expr::BoundExpr pred,
-                          expr::BoundExpr::Parse(s.predicate, out_schema));
-      // Split the predicate into hash keys + residual. The analysis runs
-      // on the parsed tree (pred keeps it), resolved against the joined
-      // schema with the left input's columns first.
-      size_t split = input_schemas[0]->fields().size();
-      dataflow::JoinPredicateAnalysis analysis =
-          dataflow::AnalyzeJoinPredicate(pred.expr(), *out_schema, split);
-      std::optional<expr::BoundExpr> residual;
-      if (analysis.has_equi() && analysis.residual != nullptr) {
-        SL_ASSIGN_OR_RETURN(
-            expr::BoundExpr bound_residual,
-            expr::BoundExpr::Bind(analysis.residual, out_schema));
-        residual = std::move(bound_residual);
-      }
       std::vector<size_t> left_cols;
       std::vector<size_t> right_cols;
-      for (const dataflow::EquiConjunct& c : analysis.equi) {
+      for (const dataflow::EquiConjunct& c : checked.equi) {
         left_cols.push_back(c.left_index);
-        right_cols.push_back(c.right_index - split);
+        right_cols.push_back(c.right_index - checked.split);
       }
       auto join = std::make_unique<JoinOperator>(
-          name, out_schema, s, std::move(pred), std::move(residual), left_cols,
-          right_cols, split, options.max_cache_tuples);
+          name, out_schema, s, std::move(checked.expr),
+          std::move(checked.residual), std::move(left_cols),
+          std::move(right_cols), checked.split, options.max_cache_tuples);
       if (s.parallelism > 1) {
-        // Key ranges by the equality-key columns, or the declared subset,
-        // side-local on each input: a matching pair shares its range.
-        if (!analysis.has_equi()) {
-          return Status::InvalidArgument(
-              "parallel join '" + name +
-              "' needs at least one equality conjunct to partition on");
-        }
-        std::vector<size_t> part_left;
-        std::vector<size_t> part_right;
-        if (s.partition_by.empty()) {
-          part_left = std::move(left_cols);
-          part_right = std::move(right_cols);
-        } else {
-          for (const auto& p : s.partition_by) {
-            SL_ASSIGN_OR_RETURN(size_t idx, out_schema->FieldIndex(p));
-            bool matched = false;
-            for (const dataflow::EquiConjunct& c : analysis.equi) {
-              if (c.left_index == idx || c.right_index == idx) {
-                part_left.push_back(c.left_index);
-                part_right.push_back(c.right_index - split);
-                matched = true;
-                break;
-              }
-            }
-            if (!matched) {
-              return Status::InvalidArgument(
-                  "partition_by attribute '" + p + "' of join '" + name +
-                  "' is not an equality-join key");
-            }
-          }
-        }
-        join->PartitionBy(s.parallelism,
-                          {std::move(part_left), std::move(part_right)});
+        join->PartitionBy(s.parallelism, std::move(checked.partition_cols));
       }
       built = std::move(join);
       break;
@@ -1135,30 +1049,17 @@ Result<std::unique_ptr<Operator>> MakeOperator(
     case OpKind::kTriggerOn:
     case OpKind::kTriggerOff: {
       const auto& s = std::get<TriggerSpec>(spec);
-      SL_ASSIGN_OR_RETURN(expr::BoundExpr cond,
-                          expr::BoundExpr::Parse(s.condition, in));
       if (options.activation == nullptr) {
         return Status::InvalidArgument(
             "trigger operator '" + name +
             "' needs an ActivationHandler (OperatorOptions::activation)");
       }
       auto trigger = std::make_unique<TriggerOperator>(
-          name, op, out_schema, s, std::move(cond), options.activation,
-          options.max_cache_tuples);
+          name, op, out_schema, s, std::move(checked.expr),
+          options.activation, options.max_cache_tuples);
       if (s.parallelism > 1) {
-        // Triggers have no implicit grouping key, so the partition key
-        // must be declared.
-        if (s.partition_by.empty()) {
-          return Status::InvalidArgument(
-              "parallel trigger '" + name +
-              "' requires an explicit partition_by");
-        }
-        std::vector<size_t> part_cols;
-        for (const auto& p : s.partition_by) {
-          SL_ASSIGN_OR_RETURN(size_t idx, in->FieldIndex(p));
-          part_cols.push_back(idx);
-        }
-        trigger->PartitionBy(s.parallelism, {std::move(part_cols)});
+        trigger->PartitionBy(s.parallelism,
+                             std::move(checked.partition_cols));
       }
       built = std::move(trigger);
       break;
@@ -1169,6 +1070,22 @@ Result<std::unique_ptr<Operator>> MakeOperator(
   }
   built->set_watermark_options(options.watermark);
   return built;
+}
+
+}  // namespace
+
+Result<std::unique_ptr<Operator>> MakeOperator(
+    const std::string& name, dataflow::OpKind op,
+    const dataflow::OpSpec& spec,
+    const std::vector<stt::SchemaPtr>& input_schemas,
+    const std::vector<std::string>& input_names,
+    const OperatorOptions& options) {
+  std::vector<dataflow::Issue> issues;
+  dataflow::CheckedOp checked = dataflow::Validator::CheckOp(
+      op, spec, input_schemas, input_names, &issues);
+  SL_RETURN_IF_ERROR(dataflow::FirstError(issues));
+  return BuildOperator(name, op, spec, input_schemas[0], std::move(checked),
+                       options);
 }
 
 Duration FirstFlushOffset(
@@ -1202,14 +1119,11 @@ Result<BuiltDataflow> BuildDataflow(const dataflow::Dataflow& dataflow,
   };
   for (const auto& name : dataflow.OperatorNames()) {
     const dataflow::Node& node = **dataflow.node(name);
-    std::vector<stt::SchemaPtr> input_schemas;
-    for (const auto& in : node.inputs) {
-      input_schemas.push_back(built.report.schemas.at(in));
-    }
     BuiltOperator b;
-    SL_ASSIGN_OR_RETURN(b.op, MakeOperator(name, node.op, node.spec,
-                                           input_schemas, node.inputs,
-                                           options));
+    SL_ASSIGN_OR_RETURN(
+        b.op, BuildOperator(name, node.op, node.spec,
+                            built.report.schemas.at(node.inputs[0]),
+                            built.report.ops.at(name), options));
     if (b.op->is_blocking()) {
       b.first_flush =
           FirstFlushOffset(dataflow, name, b.op->interval(), blocking);

@@ -82,11 +82,6 @@ void JsonWriter::Null() {
   out_ += "null";
 }
 
-void JsonWriter::Raw(std::string_view json) {
-  MaybeComma();
-  out_ += json;
-}
-
 std::string JsonWriter::TakeString() {
   std::string result = std::move(out_);
   out_.clear();

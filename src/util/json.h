@@ -47,9 +47,6 @@ class JsonWriter {
   void Bool(bool value);
   void Null();
 
-  /// Writes a pre-serialized JSON fragment verbatim.
-  void Raw(std::string_view json);
-
   /// The document so far.
   const std::string& str() const { return out_; }
 

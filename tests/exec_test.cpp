@@ -414,5 +414,40 @@ TEST_F(ExecutorTest, TwoDeploymentsCoexist) {
   EXPECT_EQ((*exec->stats(id2))->tuples_delivered, 15u);
 }
 
+// A Deploy that fails after placing and arming operators leaves nothing
+// behind: no flush timer keeps firing and no node stays charged.
+TEST(ExecutorDeployFailureTest, FailedDeployReleasesTimersAndProcesses) {
+  net::EventLoop loop;
+  net::Network net(&loop);
+  SL_ASSERT_OK(net::BuildRingTopology(&net, 4, 10000.0, 1, 1e5));
+  pubsub::Broker broker(&loop.clock());
+  sensors::SensorFleet fleet(&loop, &broker);
+  sensors::PhysicalConfig config;
+  config.id = "t1";
+  config.period = duration::kSecond;
+  config.temporal_granularity = duration::kSecond;
+  config.node_id = "node_0";
+  SL_ASSERT_OK(fleet.Add(sensors::MakeTemperatureSensor(config),
+                         /*start_active=*/false));
+  // No warehouse: the warehouse sink fails after the aggregation was
+  // placed and its flush armed.
+  Executor exec(&loop, &net, &broker, /*monitor=*/nullptr,
+                sinks::SinkContext{});
+  auto df = *DataflowBuilder("to_warehouse")
+                 .AddSource("src", "t1")
+                 .AddAggregation("avg", "src", duration::kSecond,
+                                 AggFunc::kAvg, {"temp"})
+                 .AddSink("dw", "avg", SinkKind::kWarehouse, "averages")
+                 .Build();
+  dsn::DsnSpec spec = *dsn::TranslateToDsn(df);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(exec.Deploy(spec).status().IsInvalidArgument());
+  }
+  EXPECT_EQ(loop.RunFor(duration::kHour), 0u);
+  for (const auto& node : net.NodeIds()) {
+    EXPECT_EQ((*net.node(node))->process_count, 0) << node;
+  }
+}
+
 }  // namespace
 }  // namespace sl::exec

@@ -985,6 +985,51 @@ TEST(TriggerOperatorTest, RequiresActivationHandler) {
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
+// MakeOperator refuses a bad spec through the validator's one check:
+// the status carries the check's diagnostic code.
+TEST(MakeOperatorTest, RefusesThroughTheOneCheck) {
+  auto refusal = [](OpKind op, const dataflow::OpSpec& spec,
+                    std::vector<stt::SchemaPtr> inputs,
+                    std::vector<std::string> names) {
+    auto result = MakeOperator("op", op, spec, inputs, names,
+                               OperatorOptions{});
+    EXPECT_TRUE(result.status().IsValidationError()) << result.status();
+    return result.status().message();
+  };
+
+  AggregationSpec agg;  // neither group_by nor partition_by
+  agg.interval = duration::kMinute;
+  agg.func = AggFunc::kAvg;
+  agg.attributes = {"temp"};
+  agg.parallelism = 2;
+  EXPECT_TRUE(StartsWith(
+      refusal(OpKind::kAggregation, agg, {TempSchema()}, {"in"}),
+      "[SL2011]"));
+
+  JoinSpec join;  // l_temp is not an equality key
+  join.interval = duration::kMinute;
+  join.predicate = "l_station == r_station and l_temp > r_temp";
+  join.parallelism = 2;
+  join.partition_by = {"l_temp"};
+  EXPECT_TRUE(StartsWith(refusal(OpKind::kJoin, join,
+                                 {TempSchema(), TempSchema()}, {"l", "r"}),
+                         "[SL2011]"));
+
+  TriggerSpec trigger;  // no partition_by
+  trigger.interval = duration::kMinute;
+  trigger.condition = "temp > 25";
+  trigger.target_sensors = {"x"};
+  trigger.parallelism = 2;
+  EXPECT_TRUE(StartsWith(
+      refusal(OpKind::kTriggerOn, trigger, {TempSchema()}, {"in"}),
+      "[SL2011]"));
+
+  FilterSpec filter;
+  filter.condition = "wind > 3";
+  EXPECT_TRUE(StartsWith(
+      refusal(OpKind::kFilter, filter, {TempSchema()}, {"in"}), "[SL1001]"));
+}
+
 // ----------------------------------------------------- cache boundedness --
 
 TEST(CacheBoundTest, OldestEvictedBeyondLimit) {
