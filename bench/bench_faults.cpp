@@ -4,8 +4,9 @@
 //
 // Expected shape: retransmit overhead grows superlinearly with the drop
 // rate (each retry re-rolls every link); recovery latency is dominated
-// by the heartbeat confirmation window (heartbeat_ms * heartbeat_misses)
-// rather than the re-placement itself, which is microseconds.
+// by the heartbeat confirmation window (heartbeat_ms times the two missed
+// beats that confirm a crash) rather than the re-placement itself, which
+// is microseconds.
 
 #include <benchmark/benchmark.h>
 
@@ -133,7 +134,6 @@ void BM_CrashRecoveryLatency(benchmark::State& state) {
     options.reliable_delivery = true;
     options.ack_timeout_ms = 100;
     options.heartbeat_ms = heartbeat;
-    options.heartbeat_misses = 2;
     // A fast sensor (100 ms period) so delivery timestamps resolve the
     // recovery instant finely.
     Rig rig(options, seed++, /*sensor_period=*/100);

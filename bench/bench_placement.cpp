@@ -33,8 +33,8 @@ void RunWithStrategy(benchmark::State& state,
     state.PauseTiming();
     StreamLoaderOptions options;
     options.network_nodes = 8;
-    options.placement = strategy;
-    options.rebalance_threshold = 0;  // isolate initial placement
+    options.executor.placement = strategy;
+    options.executor.rebalance_threshold = 0;  // isolate initial placement
     options.monitor_window = duration::kMinute;
     StreamLoader loader(options);
     // Skew: all 24 sensors managed by nodes 0 and 1.
@@ -109,8 +109,8 @@ void BM_AutoRebalance(benchmark::State& state) {
     state.PauseTiming();
     StreamLoaderOptions options;
     options.network_nodes = 4;
-    options.placement = exec::PlacementStrategy::kSensorLocality;
-    options.rebalance_threshold = rebalance ? 0.000001 : 0.0;
+    options.executor.placement = exec::PlacementStrategy::kSensorLocality;
+    options.executor.rebalance_threshold = rebalance ? 0.000001 : 0.0;
     options.monitor_window = 10 * duration::kSecond;
     // Tiny node capacity so the skewed load overwhelms one node.
     options.node_capacity_per_sec = 50.0;

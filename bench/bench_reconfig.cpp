@@ -72,7 +72,7 @@ void BM_OperatorMigration(benchmark::State& state) {
   size_t cache_fill_seconds = static_cast<size_t>(state.range(0));
   StreamLoaderOptions options;
   options.network_nodes = 8;
-  options.rebalance_threshold = 0;  // manual migrations only
+  options.executor.rebalance_threshold = 0;  // manual migrations only
   StreamLoader loader(options);
   if (!loader.AddSensor(FastSensor("t1", "node_0", 1)).ok()) {
     state.SkipWithError("sensor failed");

@@ -23,12 +23,9 @@ StreamLoader::StreamLoader(const StreamLoaderOptions& options) {
 
   sinks::SinkContext sink_context;
   sink_context.warehouse = warehouse_.get();
-  exec::ExecutorOptions exec_options;
-  exec_options.placement = options.placement;
-  exec_options.rebalance_threshold = options.rebalance_threshold;
   executor_ = std::make_unique<exec::Executor>(loop_.get(), network_.get(),
                                                broker_.get(), monitor_.get(),
-                                               sink_context, exec_options);
+                                               sink_context, options.executor);
   executor_->set_fleet(fleet_.get());
   Status ms = monitor_->Start();
   if (!ms.ok()) {
@@ -79,10 +76,10 @@ Result<std::string> StreamLoader::Translate(
 
 Result<exec::DeploymentId> StreamLoader::Deploy(
     const dataflow::Dataflow& dataflow) {
-  // The full paper path: consistency checks, automatic translation,
-  // actuation of the textual DSN at network level.
-  SL_ASSIGN_OR_RETURN(std::string dsn_text, Translate(dataflow));
-  return DeployDsn(dsn_text);
+  // The full paper path: automatic translation, then actuation of the
+  // textual DSN at network level, where the executor checks it.
+  SL_ASSIGN_OR_RETURN(dsn::DsnSpec spec, dsn::TranslateToDsn(dataflow));
+  return DeployDsn(spec.ToString());
 }
 
 Result<exec::DeploymentId> StreamLoader::DeployDsn(

@@ -15,9 +15,9 @@
 //   sl.RunFor(duration::kHour);                        // event-driven run
 //   sl.MonitorView();                                  // Figure 3
 //
-// Deploy() exercises the full textual path — validate, translate to DSN
-// text, re-parse, deploy — so what runs is exactly what the DSN document
-// says.
+// Deploy() exercises the full textual path — translate to DSN text,
+// re-parse, then validate and deploy in the executor — so what runs is
+// exactly what the DSN document says, checked once.
 
 #ifndef STREAMLOADER_CORE_STREAMLOADER_H_
 #define STREAMLOADER_CORE_STREAMLOADER_H_
@@ -51,9 +51,9 @@ struct StreamLoaderOptions {
   double link_bandwidth_bytes_per_ms = 1e5;  ///< 100 MB/s
   /// Monitoring window (Figure 3 refresh).
   Duration monitor_window = 10 * duration::kSecond;
-  exec::PlacementStrategy placement = exec::PlacementStrategy::kLeastLoaded;
-  /// Auto-migration threshold (0 disables).
-  double rebalance_threshold = 1.0;
+  /// The session's executor is built with these, unchanged: placement,
+  /// auto-migration threshold, reliable delivery, heartbeat, watermark.
+  exec::ExecutorOptions executor;
   /// Virtual start time; defaults to 2016-03-15T00:00Z (the EDBT demo
   /// week) so diurnal generators behave realistically.
   Timestamp start_time = 1458000000000;
@@ -101,7 +101,10 @@ class StreamLoader {
   /// Translates a dataflow to DSN text (P2).
   Result<std::string> Translate(const dataflow::Dataflow& dataflow) const;
 
-  /// Validate -> translate -> parse -> deploy at network level.
+  /// Translate -> print -> parse -> deploy at network level. The
+  /// executor's check against the live registry is the one validation:
+  /// it refuses an unsound dataflow with a ValidationError that lists
+  /// every error with its code, and deploys nothing.
   Result<exec::DeploymentId> Deploy(const dataflow::Dataflow& dataflow);
 
   /// Deploys directly from DSN text.
@@ -110,8 +113,8 @@ class StreamLoader {
   /// Executes `dataflow` on the wall-clock multithreaded runtime
   /// (exec::ThreadedRuntime): validates against this session's broker,
   /// replays `trace` (tuples per source with virtual ingestion times —
-  /// typically captured from a simulated run via
-  /// ExecutorOptions::source_tap) and drains at `end_time`. The
+  /// typically captured from a simulated run through
+  /// Executor::set_source_tap) and drains at `end_time`. The
   /// simulator deployments are untouched, and the simulated run of the
   /// same trace is the correctness oracle of this path. Fails fast when
   /// the session's network carries a non-zero fault plan: threaded mode

@@ -306,9 +306,15 @@ Result<Dataflow> DataflowBuilder::Build() const {
     }
   }
 
-  // Spec-level parameter sanity.
+  // Spec-level parameter sanity, on specs of the node's own kind (Add
+  // and AddOperator accept any OpSpec).
   for (const auto& n : nodes_) {
     if (n.kind != NodeKind::kOperator) continue;
+    if (!SpecMatchesKind(n.spec, n.op)) {
+      err(StrFormat("operator '%s' has a spec that does not match kind %s",
+                    n.name.c_str(), OpKindToString(n.op)));
+      continue;
+    }
     switch (n.op) {
       case OpKind::kAggregation: {
         const auto& s = std::get<AggregationSpec>(n.spec);

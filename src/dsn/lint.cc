@@ -90,11 +90,6 @@ analyze::AnalyzeOptions AnalyzeOptionsFrom(const DsnSpec& spec) {
 }
 
 LintResult LintDsnProgram(const std::string& source,
-                          const pubsub::Broker* broker) {
-  return LintDsnProgram(source, broker, LintOptions{});
-}
-
-LintResult LintDsnProgram(const std::string& source,
                           const pubsub::Broker* broker,
                           const LintOptions& options) {
   LintResult result;

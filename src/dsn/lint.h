@@ -53,9 +53,7 @@ struct LintResult {
 /// resolution then reports SL2002).
 LintResult LintDsnProgram(const std::string& source,
                           const pubsub::Broker* broker,
-                          const LintOptions& options);
-LintResult LintDsnProgram(const std::string& source,
-                          const pubsub::Broker* broker);
+                          const LintOptions& options = {});
 
 /// \brief Process exit codes of the sl_lint CLI, derived from a lint
 /// run's findings. Kept here (not in the tool) so lint_test can pin

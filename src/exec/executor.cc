@@ -19,6 +19,9 @@ namespace {
 constexpr double kWorkPerTuple = 1.0;
 /// Approximate per-tuple network framing overhead in bytes.
 constexpr size_t kTupleOverheadBytes = 24;
+/// Consecutive missed heartbeats before a node is declared dead and its
+/// operator and sink processes are re-placed on surviving nodes.
+constexpr int kHeartbeatMisses = 2;
 
 size_t TupleBytes(const stt::Tuple& tuple) {
   // The value portion is memoized in the tuple itself, so a tuple routed
@@ -297,9 +300,7 @@ Status Executor::StartDeployment(Deployment* dep, const dsn::DsnSpec& spec,
             if (!dep->active) return;
             ++dep->stats.tuples_ingested;
             const Timestamp wm = broker_->WatermarkOf(query);
-            if (options_.source_tap) {
-              options_.source_tap(source_name, tuple, loop_->Now(), wm);
-            }
+            if (source_tap_) source_tap_(source_name, tuple, loop_->Now(), wm);
             Route(dep, source_name, ResolveOrigin(tuple->sensor_id()), tuple,
                   wm);
           });
@@ -313,9 +314,7 @@ Status Executor::StartDeployment(Deployment* dep, const dsn::DsnSpec& spec,
           if (!dep->active) return;
           ++dep->stats.tuples_ingested;
           const Timestamp wm = broker_->WatermarkOf(sensor_id);
-          if (options_.source_tap) {
-            options_.source_tap(source_name, tuple, loop_->Now(), wm);
-          }
+          if (source_tap_) source_tap_(source_name, tuple, loop_->Now(), wm);
           Route(dep, source_name, dep->source_nodes.at(source_name), tuple,
                 wm);
         });
@@ -346,7 +345,6 @@ void Executor::ReleaseDeployment(Deployment* dep) {
 
 ops::OperatorOptions Executor::OperatorOptionsOf(Deployment* dep) const {
   ops::OperatorOptions op_options;
-  op_options.max_cache_tuples = options_.max_cache_tuples;
   op_options.activation = dep->activation.get();
   op_options.watermark = options_.watermark;
   return op_options;
@@ -444,7 +442,6 @@ void Executor::Route(Deployment* dep, const std::string& producer,
     if (options_.reliable_delivery) {
       transfer_options.reliable = true;
       transfer_options.ack_timeout = options_.ack_timeout_ms;
-      transfer_options.max_retransmits = options_.max_retransmits;
       transfer_options.on_retransmit = [weak](int) {
         if (auto d = weak.lock()) ++d->stats.retransmits;
       };
@@ -950,7 +947,7 @@ void Executor::OnHeartbeat() {
       continue;
     }
     int missed = ++missed_heartbeats_[node_id];
-    if (missed < options_.heartbeat_misses || dead_nodes_.count(node_id) > 0) {
+    if (missed < kHeartbeatMisses || dead_nodes_.count(node_id) > 0) {
       continue;
     }
     dead_nodes_.insert(node_id);

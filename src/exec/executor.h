@@ -39,11 +39,13 @@ namespace sl::exec {
 /// Identifies one deployed dataflow.
 using DeploymentId = uint64_t;
 
-/// \brief Executor configuration.
+/// \brief Executor configuration: the knobs callers vary. The rest are
+/// constants: operators cache at most ops::kDefaultMaxCacheTuples tuples
+/// per input, as in the threaded runtime; a reliable transfer keeps
+/// net::TransferOptions' retransmit budget; and a node is declared dead
+/// after two consecutive missed heartbeats.
 struct ExecutorOptions {
   PlacementStrategy placement = PlacementStrategy::kLeastLoaded;
-  /// Blocking-operation cache bound (per input).
-  size_t max_cache_tuples = ops::kDefaultMaxCacheTuples;
   /// Re-assign operators away from nodes above this utilization on each
   /// monitor tick (0 disables auto-rebalancing).
   double rebalance_threshold = 1.0;
@@ -53,15 +55,10 @@ struct ExecutorOptions {
   bool reliable_delivery = false;
   /// Initial ack timeout for reliable delivery (doubles per retry).
   Duration ack_timeout_ms = 250;
-  /// Retransmit budget per tuple transfer.
-  int max_retransmits = 4;
   /// Period of the crash-detection heartbeat; 0 (default) disables
   /// detection — and keeps the loop free of periodic timers for
   /// RunUntilIdle-driven callers.
   Duration heartbeat_ms = 0;
-  /// Consecutive missed heartbeats before a node is declared dead and
-  /// its operator/sink processes are re-placed on surviving nodes.
-  int heartbeat_misses = 2;
   /// \brief Event-time configuration handed to every operator
   /// (ops::WatermarkOptions). The default processing-time policy keeps
   /// the seed's exact behavior; TimePolicy::kEvent makes the blocking
@@ -70,17 +67,14 @@ struct ExecutorOptions {
   /// LatePolicy::kSideOutput adds one CollectSink per deployment
   /// (LateSinkOf) receiving the diverted late tuples.
   ops::WatermarkOptions watermark;
-  /// \brief Observer of every tuple entering a source, invoked with the
-  /// source node name, the tuple, the virtual ingestion time and the
-  /// broker watermark piggybacked on the delivery. This is how the
-  /// sim-vs-threaded differential harness captures an exec::InputTrace
-  /// from a simulated run for replay through the ThreadedRuntime
-  /// (exec/threaded_runtime.h). Applies to every deployment; no effect
-  /// on execution.
-  std::function<void(const std::string& source, const stt::TupleRef& tuple,
-                     Timestamp at, Timestamp watermark)>
-      source_tap;
 };
+
+/// \brief Observer of every tuple entering a source, invoked with the
+/// source node name, the tuple, the virtual ingestion time and the
+/// broker watermark piggybacked on the delivery.
+using SourceTap = std::function<void(const std::string& source,
+                                     const stt::TupleRef& tuple, Timestamp at,
+                                     Timestamp watermark)>;
 
 /// \brief Cumulative counters of one deployment.
 struct DeploymentStats {
@@ -117,15 +111,13 @@ class Executor : public ops::ActivationHandler {
   /// activations are only logged and counted).
   void set_fleet(sensors::SensorFleet* fleet) { fleet_ = fleet; }
 
-  /// Installs (or clears) the source tap after construction — how a
-  /// live StreamLoader session attaches the trace capture for a
-  /// threaded replay (see ExecutorOptions::source_tap).
-  void set_source_tap(
-      std::function<void(const std::string&, const stt::TupleRef&, Timestamp,
-                         Timestamp)>
-          tap) {
-    options_.source_tap = std::move(tap);
-  }
+  /// \brief Installs (or clears) the source tap, which observes every
+  /// tuple entering a source of every deployment and has no effect on
+  /// execution. This is how the sim-vs-threaded differential harness and
+  /// a live StreamLoader session capture an exec::InputTrace from a
+  /// simulated run for replay through the ThreadedRuntime
+  /// (exec/threaded_runtime.h).
+  void set_source_tap(SourceTap tap) { source_tap_ = std::move(tap); }
 
   /// \brief Deploys a DSN spec: lift to a dataflow, validate against
   /// the broker, place, wire, start flush timers, subscribe sources.
@@ -262,7 +254,9 @@ class Executor : public ops::ActivationHandler {
              const std::string& producer_node, const stt::TupleRef& tuple,
              Timestamp watermark);
 
-  /// The options every operator of `dep` is built with.
+  /// The options every operator of `dep` is built with. The cache bound
+  /// is OperatorOptions' default, ops::kDefaultMaxCacheTuples, which the
+  /// threaded runtime applies too.
   ops::OperatorOptions OperatorOptionsOf(Deployment* dep) const;
 
   /// Deploy's steps 3-5: binds sources, places and installs the
@@ -300,8 +294,8 @@ class Executor : public ops::ActivationHandler {
   void OnMonitorTick(const monitor::MonitorReport& report);
 
   /// Heartbeat tick: polls node liveness, declares a node dead after
-  /// `heartbeat_misses` consecutive down-polls, then recovers its
-  /// processes (P4-style fault handling).
+  /// two consecutive down-polls, then recovers its processes (P4-style
+  /// fault handling).
   void OnHeartbeat();
 
   /// Re-places every operator/sink process of `dep` stranded on the dead
@@ -323,6 +317,7 @@ class Executor : public ops::ActivationHandler {
   monitor::Monitor* monitor_;
   sinks::SinkContext sink_context_;
   ExecutorOptions options_;
+  SourceTap source_tap_;
   Placer placer_;
   sensors::SensorFleet* fleet_ = nullptr;
   DeploymentId next_id_ = 1;

@@ -31,7 +31,7 @@
 //
 // One driver plays the sources: the caller of Start/Feed/AdvanceTime/
 // Finish, or RunTrace, which replays a simulator-captured trace
-// (ExecutorOptions::source_tap) in global virtual order. The driver
+// (Executor::set_source_tap) in global virtual order. The driver
 // mints the punctuation inline as its virtual clock passes each
 // boundary, so a driver with no data to feed calls AdvanceTime to make
 // the due flushes fire.
@@ -108,8 +108,8 @@ struct ThreadedOptions {
 };
 
 /// \brief One tuple entering a source, with its virtual ingestion time
-/// and the source watermark at that instant (what
-/// ExecutorOptions::source_tap records from a simulated run).
+/// and the source watermark at that instant (what the tap installed by
+/// Executor::set_source_tap records from a simulated run).
 struct TraceEvent {
   Timestamp at = 0;
   std::string source;

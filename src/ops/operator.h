@@ -281,9 +281,9 @@ class Operator {
   uint64_t window_out_ = 0;
 };
 
-/// The blocking-operation cache bound per input that the executor's and
-/// the operators' options start from; the threaded runtime always
-/// applies it.
+/// The blocking-operation cache bound per input: OperatorOptions'
+/// default, with which both runtimes build every operator, so they bound
+/// their caches alike. Only operator-level tests set another bound.
 inline constexpr size_t kDefaultMaxCacheTuples = size_t{1} << 20;
 /// The flush-schedule stagger of FirstFlushOffset: a constant, which
 /// both runtimes apply through that one function.

@@ -143,7 +143,6 @@ TEST_F(ChaosRecoveryTest, CrashedOperatorResumesOnSurvivingNode) {
   exec::ExecutorOptions options;
   options.reliable_delivery = true;
   options.heartbeat_ms = 500;
-  options.heartbeat_misses = 2;
   auto executor = MakeExecutor(options);
   auto id = executor->Deploy(ChaosReferenceSpec());
   ASSERT_TRUE(id.ok()) << id.status();

@@ -120,6 +120,22 @@ TEST(BuilderTest, RejectsBadSpecParameters) {
                   .Build().ok());
 }
 
+TEST(BuilderTest, RejectsSpecOfAnotherKind) {
+  // AddOperator accepts any OpSpec: a filter carrying a join spec is a
+  // structural error of Build, not an exception out of its spec checks.
+  auto df = DataflowBuilder("mismatch")
+                .AddSource("src", "t1")
+                .AddOperator("f", OpKind::kFilter, JoinSpec{}, {"src"})
+                .AddSink("out", "f", SinkKind::kCollect)
+                .Build();
+  ASSERT_FALSE(df.ok());
+  EXPECT_TRUE(df.status().IsValidationError()) << df.status();
+  EXPECT_NE(df.status().message().find(
+                "operator 'f' has a spec that does not match kind"),
+            std::string::npos)
+      << df.status();
+}
+
 TEST(BuilderTest, CollectsMultipleErrors) {
   auto df = DataflowBuilder("flow")
                 .AddSource("src", "")           // no sensor

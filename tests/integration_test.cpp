@@ -85,6 +85,33 @@ TEST(StreamLoaderTest, TranslateRefusesUnsoundDataflow) {
   EXPECT_TRUE(loader.Deploy(df).status().IsValidationError());
 }
 
+TEST(StreamLoaderTest, ExecutorOptionsReachTheExecutor) {
+  // The session builds its executor with options.executor unchanged: an
+  // event-time watermark that routes late data to a side output gives a
+  // deployed aggregation a late sink, which a default session does not.
+  auto has_late_sink = [](const StreamLoaderOptions& options) {
+    StreamLoader loader(options);
+    EXPECT_TRUE(loader.AddSensor(FastTempSensor("t1", "node_0")).ok());
+    auto df = *loader.NewDataflow("late")
+                   .AddSource("src", "t1")
+                   .AddAggregation("avg", "src", duration::kMinute,
+                                   AggFunc::kAvg, {"temp"})
+                   .AddSink("out", "avg", SinkKind::kCollect)
+                   .Build();
+    auto id = loader.Deploy(df);
+    EXPECT_TRUE(id.ok()) << id.status();
+    if (!id.ok()) return false;
+    auto late = loader.executor().LateSinkOf(*id);
+    EXPECT_TRUE(late.ok()) << late.status();
+    return late.ok() && *late != nullptr;
+  };
+  StreamLoaderOptions event_time = FastOptions();
+  event_time.executor.watermark.time_policy = ops::TimePolicy::kEvent;
+  event_time.executor.watermark.late_policy = ops::LatePolicy::kSideOutput;
+  EXPECT_TRUE(has_late_sink(event_time));
+  EXPECT_FALSE(has_late_sink(FastOptions()));
+}
+
 TEST(StreamLoaderTest, DebugRunMatchesDeployedSemantics) {
   StreamLoader loader(FastOptions());
   SL_ASSERT_OK(loader.AddSensor(FastTempSensor("t1", "node_0")));

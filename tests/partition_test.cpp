@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <numeric>
 #include <string>
@@ -17,6 +18,7 @@
 
 #include "dsn/translate.h"
 #include "net/fault.h"
+#include "ops/operator.h"
 #include "sensors/generators.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -85,8 +87,8 @@ Result<std::unique_ptr<sensors::SensorSimulator>> KeyedSensor(
 // ------------------------------------------------- partitioned specs --
 
 /// Grouped average, `parallelism` instances partitioned by the group key.
-dsn::DsnSpec PartAggSpec(size_t parallelism, Duration window,
-                         Duration interval = 5 * duration::kSecond) {
+dataflow::AggregationSpec PartAgg(size_t parallelism, Duration window,
+                                  Duration interval = 5 * duration::kSecond) {
   dataflow::AggregationSpec agg;
   agg.interval = interval;
   agg.window = window;
@@ -94,6 +96,12 @@ dsn::DsnSpec PartAggSpec(size_t parallelism, Duration window,
   agg.attributes = {"temp"};
   agg.group_by = {"station"};
   agg.parallelism = parallelism;
+  return agg;
+}
+
+dsn::DsnSpec PartAggSpec(size_t parallelism, Duration window,
+                         Duration interval = 5 * duration::kSecond) {
+  dataflow::AggregationSpec agg = PartAgg(parallelism, window, interval);
   auto df = *dataflow::DataflowBuilder("pt_agg")
                  .AddSource("src", "pt_t0")
                  .AddOperator("agg", dataflow::OpKind::kAggregation, agg,
@@ -105,12 +113,17 @@ dsn::DsnSpec PartAggSpec(size_t parallelism, Duration window,
 
 /// Equi-join on the station key ("station" collides, so the joined
 /// schema carries left_station/right_station).
-dsn::DsnSpec PartJoinSpec(size_t parallelism, Duration window) {
+dataflow::JoinSpec PartJoin(size_t parallelism, Duration window) {
   dataflow::JoinSpec join;
   join.interval = 5 * duration::kSecond;
   join.window = window;
   join.predicate = "left_station == right_station";
   join.parallelism = parallelism;
+  return join;
+}
+
+dsn::DsnSpec PartJoinSpec(size_t parallelism, Duration window) {
+  dataflow::JoinSpec join = PartJoin(parallelism, window);
   auto df = *dataflow::DataflowBuilder("pt_join")
                  .AddSource("left", "pt_t0")
                  .AddSource("right", "pt_r0")
@@ -149,7 +162,6 @@ struct PartitionOptions {
   bool install_plan = true;
   bool with_rain = false;
   bool reliable = false;
-  size_t max_cache_tuples = exec::ExecutorOptions{}.max_cache_tuples;
   Duration active_for = 30 * duration::kSecond;
   Duration drain_for = 15 * duration::kSecond;
   /// Mid-run elastic rescale (rescale_at = 0 disables): at `rescale_at`
@@ -216,7 +228,6 @@ PartitionResult PartitionRun(uint64_t seed, const net::FaultPlan& plan,
     exec_options.watermark.allowed_lateness = options.allowed_lateness;
   }
   exec_options.reliable_delivery = options.reliable;
-  exec_options.max_cache_tuples = options.max_cache_tuples;
   exec::Executor executor(&loop, &net, &broker, &monitor, sink_context,
                           exec_options);
   executor.set_fleet(&fleet);
@@ -395,41 +406,90 @@ TEST(PartitionedVsSingleOracleTest, TriggerMatchesSingle) {
   }
 }
 
+/// What one operator emits, sorted, and how many tuples it dropped.
+struct CacheBoundRun {
+  std::vector<std::string> rows;
+  uint64_t dropped = 0;
+};
+
+/// Builds `spec` through MakeOperator with a cache of 3 tuples per input
+/// and feeds it what the keyed replay sensors of a PartitionRun emit:
+/// the seeded recording of each input port (port p from seeds[p]),
+/// stamped one second apart for 30 s, in time order, with a Flush every
+/// 5 s interval until 15 s after the last input.
+CacheBoundRun RunCacheBound(const std::string& name, dataflow::OpKind kind,
+                            const dataflow::OpSpec& spec,
+                            const std::vector<stt::SchemaPtr>& schemas,
+                            const std::vector<std::string>& names,
+                            const std::vector<uint64_t>& seeds) {
+  constexpr Timestamp kStart = 1458000000000;
+  constexpr Duration kInterval = 5 * duration::kSecond;
+  CacheBoundRun run;
+  ops::OperatorOptions options;
+  options.max_cache_tuples = 3;
+  auto built = ops::MakeOperator(name, kind, spec, schemas, names, options);
+  EXPECT_TRUE(built.ok()) << built.status();
+  if (!built.ok()) return run;
+  ops::Operator& op = **built;
+  op.set_emit(
+      [&run](const stt::TupleRef& t) { run.rows.push_back(t->ToString()); });
+  std::vector<std::vector<stt::Tuple>> recordings;
+  const char* sensors[] = {"pt_t0", "pt_r0"};
+  for (size_t p = 0; p < schemas.size(); ++p) {
+    recordings.push_back(KeyedRecording(schemas[p], seeds[p], sensors[p]));
+  }
+  for (int i = 0; i <= 45; ++i) {
+    const Timestamp now = kStart + i * duration::kSecond;
+    if (i > 0 && now % kInterval == 0) SL_EXPECT_OK(op.Flush(now));
+    if (i >= 30) continue;
+    for (size_t p = 0; p < recordings.size(); ++p) {
+      const stt::Tuple& t = recordings[p][i];
+      SL_EXPECT_OK(op.Process(p, t.WithStt(t.schema(), now, t.location())));
+    }
+  }
+  std::sort(run.rows.begin(), run.rows.end());
+  run.dropped = op.stats().dropped;
+  return run;
+}
+
 TEST(PartitionedVsSingleOracleTest, CacheBoundMatchesSingle) {
   // A cache of 3 tuples evicts within every interval. The bound applies
   // per operator input at every N, so N > 1 evicts the tuples N = 1
-  // evicts and emits the same rows.
+  // evicts and emits the same rows. Every N runs the one operator, so
+  // the operator alone is under test: it is built through MakeOperator,
+  // which takes the cache bound as an option.
   auto expect_same = [](uint64_t seed, const std::string& op,
-                        const std::function<dsn::DsnSpec(size_t)>& spec,
-                        std::vector<size_t> ns,
-                        const PartitionOptions& options) {
-    net::FaultPlan zero(seed);
-    PartitionResult base = PartitionRun(seed, zero, spec(1), options);
-    ASSERT_TRUE(base.deployed) << base.deploy_error << "\n" << Context(seed);
-    ASSERT_FALSE(base.sink_rows.empty()) << Context(seed);
-    ASSERT_GT(base.op_stats.at(op).dropped, 0u) << Context(seed);
+                        const std::function<CacheBoundRun(size_t)>& run,
+                        std::vector<size_t> ns) {
+    CacheBoundRun base = run(1);
+    ASSERT_FALSE(base.rows.empty()) << Context(seed);
+    ASSERT_GT(base.dropped, 0u) << Context(seed);
     for (size_t n : ns) {
-      PartitionResult part = PartitionRun(seed, zero, spec(n), options);
-      ASSERT_TRUE(part.deployed)
-          << part.deploy_error << "\nN=" << n << "\n" << Context(seed);
-      EXPECT_EQ(part.sink_rows, base.sink_rows)
+      CacheBoundRun part = run(n);
+      EXPECT_EQ(part.rows, base.rows)
           << op << " sink rows diverge at N=" << n << "\n" << Context(seed);
-      EXPECT_EQ(part.op_stats.at(op).dropped, base.op_stats.at(op).dropped)
+      EXPECT_EQ(part.dropped, base.dropped)
           << op << " drops diverge at N=" << n << "\n" << Context(seed);
     }
   };
   for (uint64_t seed : ChaosSeeds(20, 7000)) {
-    PartitionOptions options;
-    options.install_plan = false;
-    options.max_cache_tuples = 3;
     expect_same(
-        seed, "agg", [](size_t n) { return PartAggSpec(n, 0); }, {2, 4, 8},
-        options);
-    options.with_rain = true;
+        seed, "agg",
+        [seed](size_t n) {
+          return RunCacheBound("agg", dataflow::OpKind::kAggregation,
+                               PartAgg(n, 0), {KeyedTempSchema()}, {"src"},
+                               {seed});
+        },
+        {2, 4, 8});
     expect_same(
         seed, "join",
-        [](size_t n) { return PartJoinSpec(n, 10 * duration::kSecond); },
-        {2, 4}, options);
+        [seed](size_t n) {
+          return RunCacheBound("join", dataflow::OpKind::kJoin,
+                               PartJoin(n, 10 * duration::kSecond),
+                               {KeyedTempSchema(), KeyedRainSchema()},
+                               {"left", "right"}, {seed, seed + 1});
+        },
+        {2, 4});
   }
 }
 

@@ -208,7 +208,7 @@ TEST(FailureInjectionTest, MalformedTuplesAreCountedNotFatal) {
 TEST(FailureInjectionTest, DrainNodeMovesEverythingOff) {
   StreamLoaderOptions options;
   options.network_nodes = 4;
-  options.rebalance_threshold = 0;
+  options.executor.rebalance_threshold = 0;
   StreamLoader loader(options);
   sensors::PhysicalConfig config;
   config.id = "t1";
@@ -276,9 +276,10 @@ TEST(CachePressureTest, BoundedCachesUnderSustainedOverload) {
   config.node_id = "node_0";
   SL_ASSERT_OK(loader.AddSensor(sensors::MakeTemperatureSensor(config)));
 
-  // Rebuild the executor path with a small cache via ExecutorOptions is
-  // not exposed through the facade; use the operator-level guarantee
-  // instead (ops_test covers MakeOperator) and the facade-level one:
+  // The executor's cache bound is a constant (ops::kDefaultMaxCacheTuples),
+  // not one of the ExecutorOptions the facade exposes; use the
+  // operator-level guarantee instead (ops_test covers MakeOperator) and
+  // the facade-level one:
   // a long interval accumulates 600 tuples per flush without growth
   // beyond one interval.
   auto df = *loader.NewDataflow("pressure")

@@ -127,7 +127,6 @@ struct ChaosOptions {
   bool reliable = true;                    ///< ack/retransmit delivery
   Duration ack_timeout_ms = 250;
   Duration heartbeat_ms = 500;             ///< crash detection period
-  int heartbeat_misses = 2;
   bool gate_broker = true;                 ///< crashed nodes mute sensors
   Duration monitor_window = 5 * duration::kSecond;
   /// When false the FaultPlan is ignored entirely — the un-wrapped
@@ -198,7 +197,6 @@ inline ChaosResult ChaosRun(uint64_t seed, const net::FaultPlan& plan,
   exec_options.reliable_delivery = options.reliable;
   exec_options.ack_timeout_ms = options.ack_timeout_ms;
   exec_options.heartbeat_ms = options.heartbeat_ms;
-  exec_options.heartbeat_misses = options.heartbeat_misses;
   exec::Executor executor(&loop, &net, &broker, &monitor, sink_context,
                           exec_options);
   executor.set_fleet(&fleet);

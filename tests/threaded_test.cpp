@@ -1,7 +1,7 @@
 // The sim-vs-threaded differential harness: the deterministic
 // discrete-event simulator is the semantic reference, and the wall-clock
 // ThreadedRuntime must reproduce it. Every oracle test runs a deployment
-// on the simulator with ExecutorOptions::source_tap capturing the input
+// on the simulator with Executor::set_source_tap capturing the input
 // trace (tuple, virtual ingestion time, piggybacked watermark per
 // source), replays the trace through the threaded runtime with the same
 // deploy anchor, and asserts sorted sink-row identity plus per-operator
@@ -239,14 +239,14 @@ DiffResult RunSimVsThreaded(uint64_t seed, const dsn::DsnSpec& spec,
   if (options.event_time) {
     exec_options.watermark.time_policy = ops::TimePolicy::kEvent;
   }
-  exec_options.source_tap = [&result](const std::string& source,
-                                      const stt::TupleRef& tuple,
-                                      Timestamp at, Timestamp watermark) {
-    result.trace.push_back({at, source, tuple, watermark});
-  };
   exec::Executor executor(&loop, &net, &broker, &monitor, sink_context,
                           exec_options);
   executor.set_fleet(&fleet);
+  executor.set_source_tap([&result](const std::string& source,
+                                    const stt::TupleRef& tuple, Timestamp at,
+                                    Timestamp watermark) {
+    result.trace.push_back({at, source, tuple, watermark});
+  });
 
   const Timestamp deploy_time = loop.Now();
   auto id = executor.Deploy(spec);
