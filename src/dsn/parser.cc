@@ -19,10 +19,10 @@ Result<Duration> ParseDurationText(const std::string& text) {
 
 namespace {
 
-class DsnParser {
+class DsnParser : public expr::TokenCursor {
  public:
   DsnParser(const std::vector<Token>& tokens, const std::string& source)
-      : tokens_(tokens), source_(source) {}
+      : TokenCursor(tokens), source_(source) {}
 
   Result<DsnSpec> Parse() {
     DsnSpec spec;
@@ -54,7 +54,8 @@ class DsnParser {
   Result<DsnService> ParseService() {
     Advance();  // 'service'
     DsnService service;
-    SL_ASSIGN_OR_RETURN(service.name, ExpectIdent(&service.name_span));
+    service.name_span = {Peek().offset, Peek().end};
+    SL_ASSIGN_OR_RETURN(service.name, ExpectIdent());
     SL_RETURN_IF_ERROR(Expect(TokenKind::kLBrace));
     std::string left, right;
     while (Peek().kind != TokenKind::kRBrace) {
@@ -142,36 +143,6 @@ class DsnParser {
     return flow;
   }
 
-  const Token& Peek() const { return tokens_[pos_]; }
-  void Advance() {
-    if (pos_ + 1 < tokens_.size()) ++pos_;
-  }
-  bool IsKeyword(const char* kw) const {
-    return Peek().kind == TokenKind::kIdent && Peek().text == kw;
-  }
-  Status ExpectKeyword(const char* kw) {
-    if (!IsKeyword(kw)) return Error(std::string("expected '") + kw + "'");
-    Advance();
-    return Status::OK();
-  }
-  Result<std::string> ExpectIdent(diag::Span* span = nullptr) {
-    if (Peek().kind != TokenKind::kIdent) {
-      return Error("expected identifier, got " + Peek().ToString());
-    }
-    if (span != nullptr) *span = {Peek().offset, Peek().end};
-    std::string name = Peek().text;
-    Advance();
-    return name;
-  }
-  Status Expect(TokenKind kind) {
-    if (Peek().kind != kind) {
-      return Error(StrFormat("expected %s, got %s",
-                             expr::TokenKindToString(kind),
-                             Peek().ToString().c_str()));
-    }
-    Advance();
-    return Status::OK();
-  }
   /// A property value: string, identifier, or number. `span` (when
   /// non-null) receives the value's *content* span — for a quoted
   /// string, the bytes between the quotes — so expression diagnostics
@@ -233,7 +204,7 @@ class DsnParser {
         return Error("expected a property value, got " + tok.ToString());
     }
   }
-  Status Error(const std::string& msg) const {
+  Status Error(const std::string& msg) const override {
     const Token& tok = Peek();
     error_span_ = {tok.offset,
                    tok.end > tok.offset ? tok.end : tok.offset + 1};
@@ -243,9 +214,7 @@ class DsnParser {
                   lc.column));
   }
 
-  const std::vector<Token>& tokens_;
   const std::string& source_;
-  size_t pos_ = 0;
   mutable diag::Span error_span_;
 };
 

@@ -260,4 +260,64 @@ Result<std::vector<Token>> Tokenize(const std::string& source,
   return tokens;
 }
 
+Status TokenCursor::ExpectKeyword(const char* kw) {
+  if (!IsKeyword(kw)) return Error(std::string("expected '") + kw + "'");
+  Advance();
+  return Status::OK();
+}
+
+Result<std::string> TokenCursor::ExpectIdent() {
+  if (Peek().kind != TokenKind::kIdent) {
+    return Error("expected identifier, got " + Peek().ToString());
+  }
+  std::string text = Peek().text;
+  Advance();
+  return text;
+}
+
+Result<std::string> TokenCursor::ExpectString() {
+  if (Peek().kind != TokenKind::kString) {
+    return Error("expected a quoted string, got " + Peek().ToString());
+  }
+  std::string text = Peek().text;
+  Advance();
+  return text;
+}
+
+Result<double> TokenCursor::ExpectNumber() {
+  bool negative = false;
+  if (Peek().kind == TokenKind::kMinus) {
+    negative = true;
+    Advance();
+  }
+  double value = 0;
+  if (Peek().kind == TokenKind::kInt) {
+    value = static_cast<double>(Peek().int_value);
+  } else if (Peek().kind == TokenKind::kDouble) {
+    value = Peek().double_value;
+  } else {
+    return Error("expected a number, got " + Peek().ToString());
+  }
+  Advance();
+  return negative ? -value : value;
+}
+
+Result<bool> TokenCursor::ExpectBool() {
+  if (!IsKeyword("true") && !IsKeyword("false")) {
+    return Error("expected true or false, got " + Peek().ToString());
+  }
+  bool value = Peek().text == "true";
+  Advance();
+  return value;
+}
+
+Status TokenCursor::Expect(TokenKind kind) {
+  if (Peek().kind != kind) {
+    return Error(StrFormat("expected %s, got %s", TokenKindToString(kind),
+                           Peek().ToString().c_str()));
+  }
+  Advance();
+  return Status::OK();
+}
+
 }  // namespace sl::expr

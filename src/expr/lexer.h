@@ -1,5 +1,6 @@
 // StreamLoader: tokenizer for the expression language and the DSN
-// specification language (both share one lexical grammar).
+// specification language (both share one lexical grammar), and the token
+// cursor of the config-text parsers that read the same grammar.
 
 #ifndef STREAMLOADER_EXPR_LEXER_H_
 #define STREAMLOADER_EXPR_LEXER_H_
@@ -53,6 +54,44 @@ struct Token {
 /// rejected, so callers can attach a source span to the error.
 Result<std::vector<Token>> Tokenize(const std::string& source,
                                     size_t* error_offset = nullptr);
+
+/// \brief A cursor over Tokenize's output with the helpers that the
+/// config-text parsers (sensor registry, network topology, DSN) share.
+/// Each parser derives from it and keeps its own grammar and error text:
+/// every helper that fails reports through the parser's Error, at the
+/// token the cursor stopped on.
+class TokenCursor {
+ public:
+  /// `tokens` ends with a kEnd token (Tokenize's guarantee) and must
+  /// outlive the cursor.
+  explicit TokenCursor(const std::vector<Token>& tokens) : tokens_(tokens) {}
+  virtual ~TokenCursor() = default;
+
+ protected:
+  const Token& Peek() const { return tokens_[pos_]; }
+  /// Moves to the next token; the final kEnd is never passed.
+  void Advance() {
+    if (pos_ + 1 < tokens_.size()) ++pos_;
+  }
+  bool IsKeyword(const char* kw) const {
+    return Peek().kind == TokenKind::kIdent && Peek().text == kw;
+  }
+  Status ExpectKeyword(const char* kw);
+  Result<std::string> ExpectIdent();
+  Result<std::string> ExpectString();
+  /// An int or double literal, optionally negated by a leading '-'.
+  Result<double> ExpectNumber();
+  /// The identifier true or false.
+  Result<bool> ExpectBool();
+  Status Expect(TokenKind kind);
+
+  /// The parser's error for `msg` at the current token.
+  virtual Status Error(const std::string& msg) const = 0;
+
+ private:
+  const std::vector<Token>& tokens_;
+  size_t pos_ = 0;
+};
 
 }  // namespace sl::expr
 

@@ -33,10 +33,11 @@ namespace sl::expr {
 
 // ---------------------------------------------------------------------
 // Shared evaluation semantics. The compiled program, the vectorized
-// program (expr/vector_program.h) and the test-only reference
-// interpreter all call these helpers, so the evaluators can never
-// disagree on null propagation, numeric promotion, domain errors, or
-// comparison rules.
+// program (expr/vector_program.h), the test-only reference interpreter
+// and the type checker's constant folder all call these helpers, so the
+// evaluators can never disagree on null propagation, numeric promotion,
+// domain errors, or comparison rules (the folder only declines to fold
+// what wraps or involves timestamps).
 
 /// int64 + - * % (the divisor of % must be non-zero). + - * wrap in
 /// two's complement, keeping the low 64 bits of the exact result (what

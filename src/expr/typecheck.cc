@@ -1,7 +1,5 @@
 #include "expr/typecheck.h"
 
-#include <cmath>
-
 #include "expr/functions.h"
 #include "expr/parser.h"
 #include "util/strings.h"
@@ -126,104 +124,60 @@ bool IsZero(const Value& v) {
   return false;
 }
 
-double AsFoldDouble(const Value& v) {
-  return v.type() == ValueType::kInt ? static_cast<double>(v.AsInt())
-                                     : v.AsDouble();
+/// True when int64 `a op b` overflows, or is INT64_MIN % -1: results the
+/// VM wraps at run time.
+bool IntWraps(BinaryOp op, int64_t a, int64_t b) {
+  int64_t out = 0;
+  switch (op) {
+    case BinaryOp::kAdd: return __builtin_add_overflow(a, b, &out);
+    case BinaryOp::kSub: return __builtin_sub_overflow(a, b, &out);
+    case BinaryOp::kMul: return __builtin_mul_overflow(a, b, &out);
+    case BinaryOp::kMod: return a == INT64_MIN && b == -1;
+    default: return false;
+  }
 }
 
-}  // namespace
+// Constant folding over literal operands. The folders add their own rules
+// and evaluate through the VM's helpers (expr/program.h), so a folded
+// literal is what the program would compute: a null operand folds to
+// null (the program's null propagation), and whatever the runtime
+// handles dynamically — timestamp math, int64 results that wrap — does
+// not fold (nullopt), so folding never claims more than eval does. The
+// walk uses them twice: for the constant-predicate lints, and to fold
+// literal subtrees of the program it lowers, so they cost zero per
+// tuple.
 
-// Mirrors BoundExpr evaluation on literals (same null propagation,
-// int/double promotion and division semantics) but bails out — returns
-// nullopt — on anything the runtime would handle dynamically (overflow,
-// calls, attribute access), so folding never claims more than eval does.
 std::optional<Value> FoldUnary(UnaryOp op, const Value& v) {
   if (v.is_null()) return Value::Null();
-  if (op == UnaryOp::kNot) return Value::Bool(!v.AsBool());
-  if (v.type() == ValueType::kInt) {
-    if (v.AsInt() == INT64_MIN) return std::nullopt;
-    return Value::Int(-v.AsInt());
+  if (op == UnaryOp::kNeg && v.type() == ValueType::kInt &&
+      v.AsInt() == INT64_MIN) {
+    return std::nullopt;
   }
-  return Value::Double(-v.AsDouble());
+  return EvalUnaryOp(op, v);
 }
 
 std::optional<Value> FoldArithmetic(BinaryOp op, ValueType result_type,
                                     const Value& l, const Value& r) {
   if (l.is_null() || r.is_null()) return Value::Null();
-  if (result_type == ValueType::kString) {
-    return Value::String(l.AsString() + r.AsString());
-  }
   if (l.type() == ValueType::kTimestamp || r.type() == ValueType::kTimestamp) {
     return std::nullopt;  // folding gains nothing for timestamp math
   }
-  if (result_type == ValueType::kInt && op != BinaryOp::kDiv) {
-    int64_t a = l.AsInt();
-    int64_t b = r.AsInt();
-    int64_t out = 0;
-    switch (op) {
-      case BinaryOp::kAdd:
-        if (__builtin_add_overflow(a, b, &out)) return std::nullopt;
-        return Value::Int(out);
-      case BinaryOp::kSub:
-        if (__builtin_sub_overflow(a, b, &out)) return std::nullopt;
-        return Value::Int(out);
-      case BinaryOp::kMul:
-        if (__builtin_mul_overflow(a, b, &out)) return std::nullopt;
-        return Value::Int(out);
-      case BinaryOp::kMod:
-        if (b == 0) return Value::Null();
-        if (a == INT64_MIN && b == -1) return std::nullopt;
-        return Value::Int(a % b);
-      default:
-        return std::nullopt;
-    }
+  if (result_type == ValueType::kInt && op != BinaryOp::kDiv &&
+      IntWraps(op, l.AsInt(), r.AsInt())) {
+    return std::nullopt;
   }
-  double a = AsFoldDouble(l);
-  double b = AsFoldDouble(r);
-  double out = 0;
-  switch (op) {
-    case BinaryOp::kAdd: out = a + b; break;
-    case BinaryOp::kSub: out = a - b; break;
-    case BinaryOp::kMul: out = a * b; break;
-    case BinaryOp::kDiv:
-      if (b == 0) return Value::Null();
-      out = a / b;
-      break;
-    case BinaryOp::kMod:
-      if (b == 0) return Value::Null();
-      out = std::fmod(a, b);
-      break;
-    default:
-      return std::nullopt;
-  }
-  if (!std::isfinite(out)) return Value::Null();
-  return Value::Double(out);
+  return EvalArithOp(op, result_type, l, r);
 }
 
 std::optional<Value> FoldComparison(BinaryOp op, const Value& l,
                                     const Value& r) {
   if (l.is_null() || r.is_null()) return Value::Null();
-  int cmp;
-  if (stt::IsNumeric(l.type()) && stt::IsNumeric(r.type()) &&
-      l.type() != r.type()) {
-    double a = AsFoldDouble(l);
-    double b = AsFoldDouble(r);
-    cmp = a < b ? -1 : (a > b ? 1 : 0);
-  } else {
-    cmp = Value::Compare(l, r);
-  }
-  switch (op) {
-    case BinaryOp::kEq: return Value::Bool(cmp == 0);
-    case BinaryOp::kNe: return Value::Bool(cmp != 0);
-    case BinaryOp::kLt: return Value::Bool(cmp < 0);
-    case BinaryOp::kLe: return Value::Bool(cmp <= 0);
-    case BinaryOp::kGt: return Value::Bool(cmp > 0);
-    case BinaryOp::kGe: return Value::Bool(cmp >= 0);
-    default: return std::nullopt;
-  }
+  return EvalCompareOp(op, l, r);
 }
 
-// Kleene three-valued logic, matching the short-circuit evaluator.
+/// Kleene three-valued logic, matching the short-circuit evaluator. A
+/// dominant constant side (false for and, true for or) decides even when
+/// the other side is not constant (nullopt).
 std::optional<Value> FoldLogical(BinaryOp op, const std::optional<Value>& l,
                                  const std::optional<Value>& r) {
   bool is_and = op == BinaryOp::kAnd;
@@ -236,8 +190,6 @@ std::optional<Value> FoldLogical(BinaryOp op, const std::optional<Value>& l,
   if (l->is_null() || r->is_null()) return Value::Null();
   return Value::Bool(is_and);  // and: both true; or: both false -> false
 }
-
-namespace {
 
 // ------------------------------------------------------------- checker
 

@@ -53,29 +53,6 @@ Result<stt::ValueType> UnaryResultType(UnaryOp op, stt::ValueType operand);
 stt::ValueType MetaAttrType(MetaAttr attr);
 
 // ---------------------------------------------------------------------
-// Constant folding over literal operands. Mirrors BoundExpr evaluation
-// (same null propagation, int/double promotion and division semantics)
-// but bails out — returns nullopt — on anything the runtime would
-// handle dynamically (overflow, calls, attribute access), so folding
-// never claims more than eval does. The walk uses them twice: for the
-// constant-predicate lints, and to fold literal subtrees of the program
-// it lowers, so they cost zero per tuple.
-
-std::optional<stt::Value> FoldUnary(UnaryOp op, const stt::Value& v);
-std::optional<stt::Value> FoldArithmetic(BinaryOp op,
-                                         stt::ValueType result_type,
-                                         const stt::Value& l,
-                                         const stt::Value& r);
-std::optional<stt::Value> FoldComparison(BinaryOp op, const stt::Value& l,
-                                         const stt::Value& r);
-/// Kleene three-valued logic, matching the short-circuit evaluator. A
-/// dominant constant side (false for and, true for or) decides even
-/// when the other side is not constant (nullopt).
-std::optional<stt::Value> FoldLogical(BinaryOp op,
-                                      const std::optional<stt::Value>& l,
-                                      const std::optional<stt::Value>& r);
-
-// ---------------------------------------------------------------------
 // The analysis pass.
 
 /// \brief Outcome of type-checking one expression.

@@ -18,10 +18,9 @@ namespace {
 constexpr double kBytesPerMsPerMbps = 125.0;  // 1 Mbps = 125 B/ms
 
 /// Small recursive-descent parser over the shared lexical grammar.
-class TopologyParser {
+class TopologyParser : public expr::TokenCursor {
  public:
-  explicit TopologyParser(const std::vector<Token>& tokens)
-      : tokens_(tokens) {}
+  using TokenCursor::TokenCursor;
 
   Status Parse(std::vector<NodeConfig>* nodes, std::vector<LinkConfig>* links) {
     SL_RETURN_IF_ERROR(ExpectKeyword("network"));
@@ -110,59 +109,10 @@ class TopologyParser {
     return config;
   }
 
-  const Token& Peek() const { return tokens_[pos_]; }
-  void Advance() {
-    if (pos_ + 1 < tokens_.size()) ++pos_;
-  }
-  bool IsKeyword(const char* kw) const {
-    return Peek().kind == TokenKind::kIdent && Peek().text == kw;
-  }
-  Status ExpectKeyword(const char* kw) {
-    if (!IsKeyword(kw)) return Error(std::string("expected '") + kw + "'");
-    Advance();
-    return Status::OK();
-  }
-  Result<std::string> ExpectIdent() {
-    if (Peek().kind != TokenKind::kIdent) {
-      return Error("expected identifier, got " + Peek().ToString());
-    }
-    std::string name = Peek().text;
-    Advance();
-    return name;
-  }
-  Result<double> ExpectNumber() {
-    bool negative = false;
-    if (Peek().kind == TokenKind::kMinus) {
-      negative = true;
-      Advance();
-    }
-    double v;
-    if (Peek().kind == TokenKind::kInt) {
-      v = static_cast<double>(Peek().int_value);
-    } else if (Peek().kind == TokenKind::kDouble) {
-      v = Peek().double_value;
-    } else {
-      return Error("expected a number, got " + Peek().ToString());
-    }
-    Advance();
-    return negative ? -v : v;
-  }
-  Status Expect(TokenKind kind) {
-    if (Peek().kind != kind) {
-      return Error(StrFormat("expected %s, got %s",
-                             expr::TokenKindToString(kind),
-                             Peek().ToString().c_str()));
-    }
-    Advance();
-    return Status::OK();
-  }
-  Status Error(const std::string& msg) const {
+  Status Error(const std::string& msg) const override {
     return Status::ParseError(StrFormat("topology: %s (at offset %zu)",
                                         msg.c_str(), Peek().offset));
   }
-
-  const std::vector<Token>& tokens_;
-  size_t pos_ = 0;
 };
 
 }  // namespace

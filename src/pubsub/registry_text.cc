@@ -12,10 +12,9 @@ namespace {
 using expr::Token;
 using expr::TokenKind;
 
-class RegistryParser {
+class RegistryParser : public expr::TokenCursor {
  public:
-  explicit RegistryParser(const std::vector<Token>& tokens)
-      : tokens_(tokens) {}
+  using TokenCursor::TokenCursor;
 
   Result<std::vector<SensorInfo>> Parse() {
     std::vector<SensorInfo> sensors;
@@ -28,10 +27,7 @@ class RegistryParser {
 
  private:
   Result<SensorInfo> ParseSensor() {
-    if (Peek().kind != TokenKind::kIdent || Peek().text != "sensor") {
-      return Error("expected 'sensor'");
-    }
-    Advance();
+    SL_RETURN_IF_ERROR(ExpectKeyword("sensor"));
     SensorInfo info;
     SL_ASSIGN_OR_RETURN(info.id, ExpectString());
     SL_RETURN_IF_ERROR(Expect(TokenKind::kLBrace));
@@ -89,69 +85,11 @@ class RegistryParser {
     return info;
   }
 
-  const Token& Peek() const { return tokens_[pos_]; }
-  void Advance() {
-    if (pos_ + 1 < tokens_.size()) ++pos_;
-  }
-  Result<std::string> ExpectIdent() {
-    if (Peek().kind != TokenKind::kIdent) {
-      return Error("expected identifier, got " + Peek().ToString());
-    }
-    std::string text = Peek().text;
-    Advance();
-    return text;
-  }
-  Result<std::string> ExpectString() {
-    if (Peek().kind != TokenKind::kString) {
-      return Error("expected a quoted string, got " + Peek().ToString());
-    }
-    std::string text = Peek().text;
-    Advance();
-    return text;
-  }
-  Result<double> ExpectNumber() {
-    bool negative = false;
-    if (Peek().kind == TokenKind::kMinus) {
-      negative = true;
-      Advance();
-    }
-    double value = 0;
-    if (Peek().kind == TokenKind::kInt) {
-      value = static_cast<double>(Peek().int_value);
-    } else if (Peek().kind == TokenKind::kDouble) {
-      value = Peek().double_value;
-    } else {
-      return Error("expected a number, got " + Peek().ToString());
-    }
-    Advance();
-    return negative ? -value : value;
-  }
-  Result<bool> ExpectBool() {
-    if (Peek().kind == TokenKind::kIdent &&
-        (Peek().text == "true" || Peek().text == "false")) {
-      bool value = Peek().text == "true";
-      Advance();
-      return value;
-    }
-    return Error("expected true or false, got " + Peek().ToString());
-  }
-  Status Expect(TokenKind kind) {
-    if (Peek().kind != kind) {
-      return Error(StrFormat("expected %s, got %s",
-                             expr::TokenKindToString(kind),
-                             Peek().ToString().c_str()));
-    }
-    Advance();
-    return Status::OK();
-  }
-  Status Error(const std::string& msg) const {
+  Status Error(const std::string& msg) const override {
     return Status::ParseError(
         StrFormat("registry: %s (at offset %zu)", msg.c_str(),
                   Peek().offset));
   }
-
-  const std::vector<Token>& tokens_;
-  size_t pos_ = 0;
 };
 
 }  // namespace

@@ -8,10 +8,14 @@
 #include <map>
 #include <optional>
 
+#include "dsn/parser.h"
 #include "expr/eval.h"
 #include "expr/lexer.h"
 #include "expr/parser.h"
 #include "expr/vector_program.h"
+#include "net/event_loop.h"
+#include "net/topology_text.h"
+#include "pubsub/registry_text.h"
 #include "stt/column_batch.h"
 #include "tests/reference/interpreter.h"
 #include "tests/test_util.h"
@@ -83,6 +87,78 @@ TEST(LexerTest, Errors) {
 }
 
 // ---------------------------------------------------------------- parser --
+
+// The three config-text parsers share TokenCursor's helpers and keep
+// their own error text: one malformed input per format and per helper,
+// each with its full message (the DSN ones also with the span that
+// ParseDsnWithDiagnostics reports).
+TEST(TokenCursorTest, ConfigTextErrorsKeepTheirMessages) {
+  struct Case {
+    const char* format;  // "registry", "topology" or "dsn"
+    const char* input;
+    const char* message;
+    size_t span_begin = 0;  // dsn only
+    size_t span_end = 0;
+  };
+  const Case cases[] = {
+      // Registry: ExpectKeyword, ExpectString, Expect, ExpectIdent,
+      // ExpectNumber, ExpectBool, then the grammar's own error.
+      {"registry", "widget", "registry: expected 'sensor' (at offset 0)"},
+      {"registry", "sensor a {}",
+       "registry: expected a quoted string, got a (at offset 7)"},
+      {"registry", "sensor \"a\" type",
+       "registry: expected {, got type (at offset 11)"},
+      {"registry", "sensor \"a\" { 5: 1; }",
+       "registry: expected identifier, got 5 (at offset 13)"},
+      {"registry", "sensor \"a\" { location: -x, 1; }",
+       "registry: expected a number, got x (at offset 24)"},
+      {"registry", "sensor \"a\" { provides_timestamp: yes; }",
+       "registry: expected true or false, got yes (at offset 33)"},
+      {"registry", "sensor \"a\" { owner: 'x'; max_delay: \"zz\"; }",
+       "registry: cannot parse max_delay 'zz' (at offset 40)"},
+      // Topology.
+      {"topology", "netw x {}", "topology: expected 'network' (at offset 0)"},
+      {"topology", "network 5 {}",
+       "topology: expected identifier, got 5 (at offset 8)"},
+      {"topology", "network x ;", "topology: expected {, got ; (at offset 10)"},
+      {"topology", "network x { node a { capacity: \"x\"; } }",
+       "topology: expected a number, got \"x\" (at offset 31)"},
+      {"topology", "network x { widget w; }",
+       "topology: expected 'node' or 'link' (at offset 12)"},
+      // DSN, with line/column and span.
+      {"dsn", "", "DSN: expected 'dataflow' (at line 1, column 1)", 0, 1},
+      {"dsn", "flow x {}", "DSN: expected 'dataflow' (at line 1, column 1)", 0,
+       4},
+      {"dsn", "dataflow 5 {}",
+       "DSN: expected identifier, got 5 (at line 1, column 10)", 9, 10},
+      {"dsn", "dataflow d {\n  service s {\n    kind filter;\n  }\n}",
+       "DSN: expected :, got filter (at line 3, column 10)", 36, 42},
+      {"dsn", "dataflow d { service s { kind: ; } }",
+       "DSN: expected a property value, got ; (at line 1, column 32)", 31, 32},
+      {"dsn", "dataflow d { widget }",
+       "DSN: expected 'service' or 'flow' (at line 1, column 14)", 13, 19},
+  };
+  for (const Case& c : cases) {
+    const std::string format = c.format;
+    Status status;
+    if (format == "registry") {
+      status = pubsub::ParseSensorRegistry(c.input).status();
+    } else if (format == "topology") {
+      net::EventLoop loop;
+      net::Network network(&loop);
+      status = net::BuildTopologyFromText(&network, c.input);
+    } else {
+      status = dsn::ParseDsn(c.input).status();
+      dsn::DsnParse parse = dsn::ParseDsnWithDiagnostics(c.input);
+      ASSERT_EQ(parse.diags.size(), 1u) << c.input;
+      EXPECT_EQ(parse.diags[0].message, c.message) << c.input;
+      EXPECT_EQ(parse.diags[0].span.begin, c.span_begin) << c.input;
+      EXPECT_EQ(parse.diags[0].span.end, c.span_end) << c.input;
+    }
+    EXPECT_TRUE(status.IsParseError()) << c.input << ": " << status;
+    EXPECT_EQ(status.message(), c.message) << c.input;
+  }
+}
 
 TEST(ParserTest, Precedence) {
   // * binds tighter than +, + tighter than comparison, comparison
