@@ -27,7 +27,8 @@ echo "==> tests/reference/ size: $(count_lines "${root}/tests/reference")" \
   "lines in *.h and *.cc"
 # So is the number of knobs: the fields of each options struct, counted
 # as the lines ending in ';' between `struct X {` and `};` once `//`
-# comments are stripped.
+# comments are stripped. Their total is printed next to them, so a field
+# that moves from one struct into another never reads as a deletion.
 count_fields() {
   awk -v open="struct $2 {" '
     index($0, open) == 1 { inside = 1; next }
@@ -35,12 +36,17 @@ count_fields() {
     inside { sub(/\/\/.*/, ""); if ($0 ~ /;[ \t]*$/) n++ }
     END { print n + 0 }' "${root}/$1"
 }
-echo "==> option fields:" \
-  "ThreadedOptions $(count_fields src/exec/threaded_runtime.h ThreadedOptions)," \
-  "ExecutorOptions $(count_fields src/exec/executor.h ExecutorOptions)," \
-  "StreamLoaderOptions $(count_fields src/core/streamloader.h StreamLoaderOptions)," \
-  "OperatorOptions $(count_fields src/ops/operator.h OperatorOptions)," \
-  "TransferOptions $(count_fields src/net/network.h TransferOptions)"
+fields=""
+total_fields=0
+for header_struct in exec/threaded_runtime.h:ThreadedOptions \
+    exec/executor.h:ExecutorOptions core/streamloader.h:StreamLoaderOptions \
+    ops/operator.h:OperatorOptions net/network.h:TransferOptions; do
+  struct_name="${header_struct##*:}"
+  n="$(count_fields "src/${header_struct%%:*}" "${struct_name}")"
+  fields+="${fields:+, }${struct_name} ${n}"
+  total_fields=$((total_fields + n))
+done
+echo "==> option fields: ${fields} (total ${total_fields})"
 
 run_config() {
   local build_dir="$1"

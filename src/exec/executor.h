@@ -254,9 +254,7 @@ class Executor : public ops::ActivationHandler {
              const std::string& producer_node, const stt::TupleRef& tuple,
              Timestamp watermark);
 
-  /// The options every operator of `dep` is built with. The cache bound
-  /// is OperatorOptions' default, ops::kDefaultMaxCacheTuples, which the
-  /// threaded runtime applies too.
+  /// The options every operator of `dep` is built with.
   ops::OperatorOptions OperatorOptionsOf(Deployment* dep) const;
 
   /// Deploy's steps 3-5: binds sources, places and installs the
