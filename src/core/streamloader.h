@@ -51,8 +51,7 @@ struct StreamLoaderOptions {
   double link_bandwidth_bytes_per_ms = 1e5;  ///< 100 MB/s
   /// Monitoring window (Figure 3 refresh).
   Duration monitor_window = 10 * duration::kSecond;
-  /// The session's executor is built with these, unchanged: placement,
-  /// auto-migration threshold, reliable delivery, heartbeat, watermark.
+  /// Handed unchanged to the session's executor.
   exec::ExecutorOptions executor;
   /// Virtual start time; defaults to 2016-03-15T00:00Z (the EDBT demo
   /// week) so diurnal generators behave realistically.
